@@ -8,6 +8,10 @@ invariants (at-most-once, no failed applies, digest convergence),
 protocol-specific invariants, liveness, and a brute-force
 linearizability oracle for small client histories.
 
+``check_all`` reads the trace once: one pass builds a ``TraceIndex`` and
+every check reads that index. Each check also accepts a plain ``Trace``
+and indexes it on entry.
+
 Primary epochs are intervals between primary-begin and primary-end
 events at one process. Epochs in which at least one broadcast value was
 delivered get an identifier; how the identifier is derived depends on
@@ -20,7 +24,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from functools import cached_property
+from operator import attrgetter
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from .replication import INITIAL_STATE
 from .trace import Trace, TraceEvent
@@ -62,10 +68,6 @@ class Epoch:
     broadcasts: List[TraceEvent] = field(default_factory=list)
     ident: Optional[int] = None  # lambda; None if nothing delivered
 
-    @property
-    def key(self) -> Tuple[int, int]:
-        return (self.process, self.begin_index)
-
 
 @dataclass
 class PrimaryMapping:
@@ -98,59 +100,121 @@ class Report:
 # -- trace digestion ---------------------------------------------------------
 
 
-def _deliveries(trace: Trace) -> Dict[int, List[TraceEvent]]:
-    out: Dict[int, List[TraceEvent]] = {}
-    for e in trace.by_kind("deliver"):
-        out.setdefault(e.actor, []).append(e)
-    return out
+class TraceIndex:
+    """What the checks read from a trace, gathered in one pass over it: events
+    by kind, deliveries, first deliveries and decisions, the global delivery
+    order, integrity and the primary epochs (derived on first use). Holds
+    references to the trace's events, not copies."""
+
+    def __init__(self, trace: Trace) -> None:
+        self.summary = trace.summary
+        self.kinds: Dict[str, List[TraceEvent]] = {}
+        for e in trace:
+            self.kinds.setdefault(e.kind, []).append(e)
+
+        self.deliveries: Dict[int, List[TraceEvent]] = {}  # per process, in order
+        self.delivered_at: Dict[Tuple[int, str], int] = {}  # first, per process
+        self.first_delivery: Dict[str, TraceEvent] = {}
+        for e in self.by_kind("deliver"):
+            v = e.data["value"]
+            self.deliveries.setdefault(e.actor, []).append(e)
+            self.delivered_at.setdefault((e.actor, v), e.index)
+            self.first_delivery.setdefault(v, e)
+        self.decided_instance: Dict[str, int] = {}
+        for e in self.by_kind("decide"):
+            self.decided_instance.setdefault(e.data["value"], e.data["instance"])
+        self.responses: Dict[Tuple[int, int], TraceEvent] = {}  # first, per request
+        for e in self.by_kind("response"):
+            self.responses.setdefault((e.actor, e.data["reqid"]), e)
+
+        # the global delivery order: per-process delivery sequences must form
+        # a prefix chain of the longest one
+        longest = max(self.deliveries.values(), key=len, default=[])
+        self.order = [e.data["value"] for e in longest]
+        self.position = {v: i for i, v in enumerate(self.order)}
+        self.chain_violation: Optional[str] = next(
+            (
+                f"process {p} delivery #{i} is {e.data['value']}, global order has {v}"
+                for p, evs in self.deliveries.items()
+                for i, (e, v) in enumerate(zip(evs, self.order))
+                if e.data["value"] != v
+            ),
+            None,
+        )
+        broadcast_values = {e.data["value"] for e in self.by_kind("broadcast")}
+        self.integrity: Optional[str] = next(
+            (
+                f"process {p} delivered {e.data['value']} which was never broadcast"
+                if e.data["value"] not in broadcast_values
+                else f"process {p} delivered {e.data['value']} twice"
+                for p, evs in self.deliveries.items()
+                for e in evs
+                if e.data["value"] not in broadcast_values
+                or self.delivered_at[(p, e.data["value"])] != e.index
+            ),
+            None,
+        )
+
+    @classmethod
+    def of(cls, trace: Union[Trace, TraceIndex]) -> TraceIndex:
+        """The index itself, or a new index of a plain trace."""
+        return trace if isinstance(trace, TraceIndex) else cls(trace)
+
+    def by_kind(self, *kinds: str) -> List[TraceEvent]:
+        """Events of the given kinds, in trace (event index) order."""
+        if len(kinds) == 1:
+            return self.kinds.get(kinds[0], [])
+        return sorted(
+            (e for k in kinds for e in self.kinds.get(k, [])), key=attrgetter("index")
+        )
+
+    @cached_property
+    def epochs(self) -> List[Epoch]:
+        open_epochs: Dict[int, Epoch] = {}
+        last_crossing: Dict[int, TraceEvent] = {}
+        last_established: Dict[int, TraceEvent] = {}
+        epochs: List[Epoch] = []
+        for e in self.by_kind(
+            "barrier-crossed", "epoch-established", "primary-begin", "primary-end", "broadcast"
+        ):
+            if e.kind == "barrier-crossed":
+                last_crossing[e.actor] = e
+            elif e.kind == "epoch-established":
+                last_established[e.actor] = e
+            elif e.kind == "primary-begin":
+                if e.actor in open_epochs:
+                    raise CheckerError(f"nested primary-begin at process {e.actor}")
+                epoch = Epoch(e.actor, e.index, float("inf"), e.time)
+                epoch.crossing = last_crossing.pop(e.actor, None)
+                epoch.established = last_established.get(e.actor)
+                open_epochs[e.actor] = epoch
+                epochs.append(epoch)
+            elif e.kind == "primary-end":
+                epoch = open_epochs.pop(e.actor, None)
+                if epoch is None:
+                    raise CheckerError(f"primary-end without begin at process {e.actor}")
+                epoch.end_index = e.index
+            else:
+                epoch = open_epochs.get(e.actor)
+                if epoch is not None:
+                    epoch.broadcasts.append(e)
+        return epochs
 
 
-def _first_delivery(trace: Trace) -> Dict[str, TraceEvent]:
-    first: Dict[str, TraceEvent] = {}
-    for e in trace.by_kind("deliver"):
-        first.setdefault(e.data["value"], e)
-    return first
+def collect_epochs(trace: Union[Trace, TraceIndex]) -> List[Epoch]:
+    return TraceIndex.of(trace).epochs
 
 
-def collect_epochs(trace: Trace) -> List[Epoch]:
-    open_epochs: Dict[int, Epoch] = {}
-    last_crossing: Dict[int, TraceEvent] = {}
-    last_established: Dict[int, TraceEvent] = {}
-    epochs: List[Epoch] = []
-    for e in trace:
-        if e.kind == "barrier-crossed":
-            last_crossing[e.actor] = e
-        elif e.kind == "epoch-established":
-            last_established[e.actor] = e
-        elif e.kind == "primary-begin":
-            if e.actor in open_epochs:
-                raise CheckerError(f"nested primary-begin at process {e.actor}")
-            epoch = Epoch(e.actor, e.index, float("inf"), e.time)
-            epoch.crossing = last_crossing.pop(e.actor, None)
-            epoch.established = last_established.get(e.actor)
-            open_epochs[e.actor] = epoch
-            epochs.append(epoch)
-        elif e.kind == "primary-end":
-            epoch = open_epochs.pop(e.actor, None)
-            if epoch is None:
-                raise CheckerError(f"primary-end without begin at process {e.actor}")
-            epoch.end_index = e.index
-        elif e.kind == "broadcast":
-            epoch = open_epochs.get(e.actor)
-            if epoch is not None:
-                epoch.broadcasts.append(e)
-    return epochs
-
-
-def derive_primary_mapping(trace: Trace, protocol: str) -> PrimaryMapping:
+def derive_primary_mapping(trace: Union[Trace, TraceIndex], protocol: str) -> PrimaryMapping:
     """Assign identifiers to epochs that had at least one value delivered.
 
     tau-seq and naive: the decided instance of the epoch's first delivered
     value. tau-paxos: the ballot the primary crossed the barrier with.
     barrier-free: the instance in which the epoch was established.
     """
-    epochs = collect_epochs(trace)
-    first = _first_delivery(trace)
+    idx = TraceIndex.of(trace)
+    epochs = idx.epochs
+    first = idx.first_delivery
     for epoch in epochs:
         delivered = [b for b in epoch.broadcasts if b.data["value"] in first]
         if not delivered:
@@ -184,85 +248,47 @@ def derive_primary_mapping(trace: Trace, protocol: str) -> PrimaryMapping:
     return PrimaryMapping(epochs)
 
 
-def global_delivery_order(trace: Trace) -> Tuple[List[str], Optional[str]]:
-    """Merge per-process delivery sequences; they must form a prefix chain.
-
-    Returns (longest sequence, violation description or None).
-    """
-    per_process = {
-        p: [e.data["value"] for e in evs] for p, evs in _deliveries(trace).items()
-    }
-    longest: List[str] = []
-    for seq in per_process.values():
-        if len(seq) > len(longest):
-            longest = seq
-    for p, seq in per_process.items():
-        for i, v in enumerate(seq):
-            if i >= len(longest) or longest[i] != v:
-                return longest, (
-                    f"process {p} delivery #{i} is {v}, "
-                    f"global order has {longest[i] if i < len(longest) else 'nothing'}"
-                )
-    return longest, None
-
-
 # -- atomic broadcast properties --------------------------------------------
 
 
-def check_abcast(trace: Trace) -> Report:
+def check_abcast(trace: Union[Trace, TraceIndex]) -> Report:
+    idx = TraceIndex.of(trace)
     report = Report()
-    broadcast_values = {e.data["value"] for e in trace.by_kind("broadcast")}
-
-    integrity = None
-    for p, evs in _deliveries(trace).items():
-        seen: Set[str] = set()
-        for e in evs:
-            v = e.data["value"]
-            if v not in broadcast_values:
-                integrity = f"process {p} delivered {v} which was never broadcast"
-                break
-            if v in seen:
-                integrity = f"process {p} delivered {v} twice"
-                break
-            seen.add(v)
-        if integrity:
-            break
-    report.record("integrity", integrity)
-
-    longest, chain_violation = global_delivery_order(trace)
-    if chain_violation is None:
+    report.record("integrity", idx.integrity)
+    if idx.chain_violation is None:
         report.record("total-order", None)
         report.record("agreement", None)
     else:
         # classify: an order conflict is a total-order violation, a gap in an
         # otherwise order-consistent sequence breaks agreement
         conflict = False
-        per_process = _deliveries(trace)
-        pos = {v: i for i, v in enumerate(longest)}
-        for p, evs in per_process.items():
-            indices = [pos[e.data["value"]] for e in evs if e.data["value"] in pos]
-            if indices != sorted(indices):
-                conflict = True
-        report.record("total-order", chain_violation if conflict else None)
-        report.record("agreement", None if conflict else chain_violation)
+        for evs in idx.deliveries.values():
+            indices = [idx.position.get(e.data["value"]) for e in evs]
+            indices = [i for i in indices if i is not None]
+            conflict = conflict or indices != sorted(indices)
+        report.record("total-order", idx.chain_violation if conflict else None)
+        report.record("agreement", None if conflict else idx.chain_violation)
     return report
 
 
 # -- primary order properties -------------------------------------------------
 
 
-def check_poabcast(trace: Trace, mapping: PrimaryMapping) -> Report:
+def check_poabcast(trace: Union[Trace, TraceIndex], mapping: PrimaryMapping) -> Report:
+    idx = TraceIndex.of(trace)
     report = Report()
-    longest, chain_violation = global_delivery_order(trace)
-    pos = {v: i for i, v in enumerate(longest)}
-    first = _first_delivery(trace)
+    pos = idx.position
 
     ordered = mapping.identified()
+    # per epoch, the global delivery positions of its broadcasts, in broadcast order
+    ranks = [
+        [pos[b.data["value"]] for b in e.broadcasts if b.data["value"] in pos] for e in ordered
+    ]
 
     # local primary order: delivered values of an epoch are a prefix of its
     # broadcast order, delivered in that order
     lpo = None
-    for epoch in ordered:
+    for epoch, positions in zip(ordered, ranks):
         digests = [b.data["value"] for b in epoch.broadcasts]
         delivered_flags = [d in pos for d in digests]
         if False in delivered_flags and True in delivered_flags[delivered_flags.index(False):]:
@@ -273,7 +299,6 @@ def check_poabcast(trace: Trace, mapping: PrimaryMapping) -> Report:
                 f"broadcast {digests[i]} was not"
             )
             break
-        positions = [pos[d] for d in digests if d in pos]
         if positions != sorted(positions):
             lpo = f"epoch {epoch.ident}: deliveries out of broadcast order"
             break
@@ -282,11 +307,7 @@ def check_poabcast(trace: Trace, mapping: PrimaryMapping) -> Report:
     # global primary order: all deliveries of an earlier epoch precede all
     # deliveries of a later one
     gpo = None
-    spans = []
-    for epoch in ordered:
-        positions = [pos[b.data["value"]] for b in epoch.broadcasts if b.data["value"] in pos]
-        if positions:
-            spans.append((epoch.ident, min(positions), max(positions)))
+    spans = [(e.ident, min(p), max(p)) for e, p in zip(ordered, ranks) if p]
     for (l1, lo1, hi1), (l2, lo2, hi2) in zip(spans, spans[1:]):
         if hi1 > lo2:
             gpo = (
@@ -296,48 +317,14 @@ def check_poabcast(trace: Trace, mapping: PrimaryMapping) -> Report:
             break
     report.record("global-primary-order", gpo)
 
-    # primary integrity: before broadcasting a delivered value, a primary has
-    # itself delivered every delivered value of every earlier epoch
-    pi = None
-    my_deliveries: Dict[Tuple[int, str], int] = {}
-    for e in trace.by_kind("deliver"):
-        my_deliveries.setdefault((e.actor, e.data["value"]), e.index)
-    for i, later in enumerate(ordered):
-        later_bcasts = [
-            b for b in later.broadcasts if b.data["value"] in pos
-        ]
-        if not later_bcasts:
-            continue
-        for earlier in ordered[:i]:
-            for b_old in earlier.broadcasts:
-                u = b_old.data["value"]
-                if u not in pos:
-                    continue
-                for b_new in later_bcasts:
-                    seen_at = my_deliveries.get((later.process, u))
-                    if seen_at is None or seen_at > b_new.index:
-                        pi = (
-                            f"epoch {later.ident} (process {later.process}) "
-                            f"broadcast {b_new.data['value']} before delivering "
-                            f"{u} from earlier epoch {earlier.ident}"
-                        )
-                        break
-                if pi:
-                    break
-            if pi:
-                break
-        if pi:
-            break
+    pi = _primary_integrity(idx, ordered)
     report.record("primary-integrity", pi)
 
     # cross-check: with integrity, total order, agreement, local primary
     # order and primary integrity all passing, global primary order cannot
-    # fail on its own
-    base = check_abcast(trace)
+    # fail on its own (a chain violation fails total order or agreement)
     others_ok = (
-        not base.violations
-        and report.verdicts["local-primary-order"] is None
-        and report.verdicts["primary-integrity"] is None
+        idx.integrity is None and idx.chain_violation is None and lpo is None and pi is None
     )
     if others_ok and gpo is not None:
         raise CheckerError(
@@ -347,36 +334,64 @@ def check_poabcast(trace: Trace, mapping: PrimaryMapping) -> Report:
     return report
 
 
-def check_barrier(trace: Trace, mapping: PrimaryMapping) -> Optional[str]:
+def _primary_integrity(idx: TraceIndex, ordered: List[Epoch]) -> Optional[str]:
+    """Before broadcasting a delivered value, a primary has itself delivered
+    every delivered value of every earlier epoch. An epoch's broadcasts are in
+    trace order, so a delivery too late for any is too late for the first."""
+    # per primary, the latest first delivery (inf: none) of an earlier epoch's value
+    latest = {e.process: float("-inf") for e in ordered}
+    for i, later in enumerate(ordered):
+        delivered = [b for b in later.broadcasts if b.data["value"] in idx.position]
+        if delivered and latest[later.process] > delivered[0].index:
+            b_new = delivered[0]
+            for earlier in ordered[:i]:
+                for b_old in earlier.broadcasts:
+                    u = b_old.data["value"]
+                    seen_at = idx.delivered_at.get((later.process, u), float("inf"))
+                    if u in idx.position and seen_at > b_new.index:
+                        return (
+                            f"epoch {later.ident} (process {later.process}) "
+                            f"broadcast {b_new.data['value']} before delivering "
+                            f"{u} from earlier epoch {earlier.ident}"
+                        )
+        for b in delivered:
+            for q in latest:
+                seen_at = idx.delivered_at.get((q, b.data["value"]), float("inf"))
+                latest[q] = max(latest[q], seen_at)
+    return None
+
+
+def check_barrier(trace: Union[Trace, TraceIndex], mapping: PrimaryMapping) -> Optional[str]:
     """Each crossing's decided watermark covers every instance at which an
     earlier epoch's value was decided (finite-trace restriction)."""
-    decided_at: Dict[str, int] = {}
-    for e in trace.by_kind("decide"):
-        decided_at.setdefault(e.data["value"], e.data["instance"])
+    decided_at = TraceIndex.of(trace).decided_instance
+    highest = float("-inf")  # over the values of the epochs before the current one
     ordered = mapping.identified()
     for i, epoch in enumerate(ordered):
-        if epoch.crossing is None:
-            continue
-        dec = epoch.crossing.data["dec"]
-        for earlier in ordered[:i]:
-            for b in earlier.broadcasts:
-                inst = decided_at.get(b.data["value"])
-                if inst is not None and inst > dec:
-                    return (
-                        f"epoch {epoch.ident} crossed with dec={dec} but "
-                        f"earlier epoch {earlier.ident}'s value "
-                        f"{b.data['value']} was decided at instance {inst}"
-                    )
+        if epoch.crossing is not None and highest > epoch.crossing.data["dec"]:
+            dec = epoch.crossing.data["dec"]
+            for earlier in ordered[:i]:
+                for b in earlier.broadcasts:
+                    inst = decided_at.get(b.data["value"])
+                    if inst is not None and inst > dec:
+                        return (
+                            f"epoch {epoch.ident} crossed with dec={dec} but "
+                            f"earlier epoch {earlier.ident}'s value "
+                            f"{b.data['value']} was decided at instance {inst}"
+                        )
+        for b in epoch.broadcasts:
+            highest = max(highest, decided_at.get(b.data["value"], highest))
     return None
 
 
 # -- replication invariants ---------------------------------------------------
 
 
-def check_replication(trace: Trace) -> Report:
+def check_replication(trace: Union[Trace, TraceIndex]) -> Report:
+    idx = TraceIndex.of(trace)
     report = Report()
 
-    bots = trace.by_kind("apply-bot")
+    bots = idx.by_kind("apply-bot")
     report.record(
         "no-failed-applies",
         f"process {bots[0].actor} hit a failed apply at t={bots[0].time}"
@@ -389,7 +404,7 @@ def check_replication(trace: Trace) -> Report:
     amo = None
     outcome: Dict[Tuple[int, int], Tuple[str, str]] = {}
     per_replica: Set[Tuple[int, int, int]] = set()
-    for e in trace.by_kind("applied"):
+    for e in idx.by_kind("applied"):
         key = (e.data["client"], e.data["reqid"])
         rkey = (e.actor,) + key
         if rkey in per_replica:
@@ -404,12 +419,9 @@ def check_replication(trace: Trace) -> Report:
 
     # digest convergence: per-replica applied state chains form a prefix chain
     chains: Dict[int, List[str]] = {}
-    for e in trace.by_kind("applied"):
+    for e in idx.by_kind("applied"):
         chains.setdefault(e.actor, []).append(e.data["state"])
-    longest: List[str] = []
-    for c in chains.values():
-        if len(c) > len(longest):
-            longest = c
+    longest = max(chains.values(), key=len, default=[])
     conv = None
     for p, c in chains.items():
         if c != longest[: len(c)]:
@@ -422,10 +434,10 @@ def check_replication(trace: Trace) -> Report:
 # -- protocol-specific invariants ----------------------------------------------
 
 
-def check_sequentiality(trace: Trace) -> Optional[str]:
+def check_sequentiality(trace: Union[Trace, TraceIndex]) -> Optional[str]:
     """At most one undecided application proposal per process at any instant."""
     outstanding: Dict[int, Set[int]] = {}
-    for e in trace:
+    for e in TraceIndex.of(trace).by_kind("broadcast", "decide"):
         if e.kind == "broadcast":
             pend = outstanding.setdefault(e.actor, set())
             pend.add(e.data["instance"])
@@ -434,15 +446,15 @@ def check_sequentiality(trace: Trace) -> Optional[str]:
                     f"process {e.actor} had {sorted(pend)} outstanding at "
                     f"t={e.time}"
                 )
-        elif e.kind == "decide":
+        else:
             outstanding.get(e.actor, set()).discard(e.data["instance"])
     return None
 
 
-def check_consensus(trace: Trace) -> Optional[str]:
+def check_consensus(trace: Union[Trace, TraceIndex]) -> Optional[str]:
     """Agreement at the consensus level: one value per decided instance."""
     chosen: Dict[int, str] = {}
-    for e in trace.by_kind("decide"):
+    for e in TraceIndex.of(trace).by_kind("decide"):
         v = chosen.setdefault(e.data["instance"], e.data["value"])
         if v != e.data["value"]:
             return (
@@ -452,15 +464,16 @@ def check_consensus(trace: Trace) -> Optional[str]:
     return None
 
 
-def check_barrier_free(trace: Trace) -> Optional[str]:
+def check_barrier_free(trace: Union[Trace, TraceIndex]) -> Optional[str]:
     """Election-protocol invariants on barrier-free traces.
 
     Epoch numbers map to one election instance everywhere; per process and
     epoch, delivered sequence numbers are gap-free ascending from the
     election instance + 1; each value is delivered at most once per process.
     """
+    idx = TraceIndex.of(trace)
     election_at: Dict[int, int] = {}
-    for e in trace.by_kind("epoch-established"):
+    for e in idx.by_kind("epoch-established"):
         inst = election_at.setdefault(e.data["epoch"], e.data["instance"])
         if inst != e.data["instance"]:
             return (
@@ -468,7 +481,7 @@ def check_barrier_free(trace: Trace) -> Optional[str]:
                 f"({inst} and {e.data['instance']})"
             )
     expected: Dict[Tuple[int, int], int] = {}
-    for e in trace.by_kind("deliver"):
+    for e in idx.by_kind("deliver"):
         key = (e.actor, e.data["epoch"])
         want = expected.get(key, election_at.get(e.data["epoch"], 0) + 1)
         if e.data["seqno"] != want:
@@ -490,55 +503,42 @@ def check_barrier_free(trace: Trace) -> Optional[str]:
 # -- liveness --------------------------------------------------------------------
 
 
-def check_liveness(trace: Trace) -> str:
+def check_liveness(trace: Union[Trace, TraceIndex]) -> str:
     """'pass' when the run demonstrably made progress, else 'inconclusive'.
 
     A finite trace can never prove a liveness failure, so the negative
     verdict only says the horizon was too short to tell.
     """
-    horizon = trace.summary.get("horizon")
-    base = trace.summary.get("base_delay", 10)
-    stable_from = trace.summary.get("stable_from")
-    crashed = {int(p) for p in trace.summary.get("crashes", {})}
+    idx = TraceIndex.of(trace)
+    horizon = idx.summary.get("horizon")
+    base = idx.summary.get("base_delay", 10)
+    stable_from = idx.summary.get("stable_from")
+    crashed = {int(p) for p in idx.summary.get("crashes", {})}
     if horizon is None or stable_from is None:
         return "inconclusive"
     slack = 20 * base
 
     # the stable leader must have an open primary epoch at the horizon
-    views: Dict[int, int] = {}
-    for e in trace.by_kind("omega"):
-        views[e.actor] = e.data["leader"]
+    views = {e.actor: e.data["leader"] for e in idx.by_kind("omega")}
     leaders = {l for p, l in views.items() if p not in crashed}
     if len(leaders) != 1:
         return "inconclusive"
     leader = leaders.pop()
-    state = False
-    for e in trace:
-        if e.actor != leader:
-            continue
-        if e.kind == "primary-begin":
-            state = True
-        elif e.kind == "primary-end":
-            state = False
-    if not state:
+    if not any(e.process == leader and e.end_index == float("inf") for e in idx.epochs):
         return "inconclusive"
 
     # every request issued early enough has a response
-    responded = {(e.actor, e.data["reqid"]) for e in trace.by_kind("response")}
-    for e in trace.by_kind("request"):
-        if e.time <= horizon - slack and (e.actor, e.data["reqid"]) not in responded:
+    for e in idx.by_kind("request"):
+        if e.time <= horizon - slack and (e.actor, e.data["reqid"]) not in idx.responses:
             return "inconclusive"
 
     # every value delivered early enough reached every correct process
-    first = _first_delivery(trace)
-    per_process = _deliveries(trace)
-    correct = [p for p in per_process if p not in crashed]
-    for v, e in first.items():
+    correct = [p for p in idx.deliveries if p not in crashed]
+    for v, e in idx.first_delivery.items():
         if e.time > horizon - slack:
             continue
-        for p in correct:
-            if all(d.data["value"] != v for d in per_process.get(p, [])):
-                return "inconclusive"
+        if any((p, v) not in idx.delivered_at for p in correct):
+            return "inconclusive"
     return "pass"
 
 
@@ -563,16 +563,14 @@ class HistoryOp:
         return f"r({self.client}:{self.reqid}:{self.op})"
 
 
-def extract_history(trace: Trace) -> List[HistoryOp]:
+def extract_history(trace: Union[Trace, TraceIndex]) -> List[HistoryOp]:
+    idx = TraceIndex.of(trace)
     invokes: Dict[Tuple[int, int], TraceEvent] = {}
-    responses: Dict[Tuple[int, int], TraceEvent] = {}
-    for e in trace.by_kind("request"):
+    for e in idx.by_kind("request"):
         invokes.setdefault((e.actor, e.data["reqid"]), e)
-    for e in trace.by_kind("response"):
-        responses.setdefault((e.actor, e.data["reqid"]), e)
     ops = []
     for key, inv in sorted(invokes.items(), key=lambda kv: kv[1].index):
-        resp = responses.get(key)
+        resp = idx.responses.get(key)
         ops.append(
             HistoryOp(
                 client=key[0],
@@ -638,23 +636,24 @@ def check_linearizable(history: List[HistoryOp], max_ops: int = 10) -> bool:
 
 
 def check_all(trace: Trace, linearizability: bool = True) -> Report:
-    protocol = trace.summary.get("protocol", "naive")
+    idx = TraceIndex.of(trace)
+    protocol = idx.summary.get("protocol", "naive")
     report = Report()
-    report.record("consensus-agreement", check_consensus(trace))
-    report.verdicts.update(check_abcast(trace).verdicts)
-    mapping = derive_primary_mapping(trace, protocol)
-    report.verdicts.update(check_poabcast(trace, mapping).verdicts)
+    report.record("consensus-agreement", check_consensus(idx))
+    report.verdicts.update(check_abcast(idx).verdicts)
+    mapping = derive_primary_mapping(idx, protocol)
+    report.verdicts.update(check_poabcast(idx, mapping).verdicts)
     if protocol in ("tau-seq", "tau-paxos"):
-        report.record("barrier", check_barrier(trace, mapping))
+        report.record("barrier", check_barrier(idx, mapping))
     if protocol == "tau-seq":
-        report.record("sequential-instances", check_sequentiality(trace))
+        report.record("sequential-instances", check_sequentiality(idx))
     if protocol == "barrier-free":
-        report.record("election-order", check_barrier_free(trace))
-    report.verdicts.update(check_replication(trace).verdicts)
-    report.liveness = check_liveness(trace)
+        report.record("election-order", check_barrier_free(idx))
+    report.verdicts.update(check_replication(idx).verdicts)
+    report.liveness = check_liveness(idx)
     if linearizability:
         try:
-            report.linearizable = check_linearizable(extract_history(trace))
+            report.linearizable = check_linearizable(extract_history(idx))
         except OversizedHistoryError:
             report.linearizable = None
     return report

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from .sim import Simulator
-from .values import NOOP, AppValue, Batch, Noop, ValTuple, describe, inner_digest, payload_size
+from .values import NOOP, AppValue, Batch, ValTuple, describe, inner_digest, payload_size
 
 
 class WhiteboxDisabledError(Exception):
@@ -142,9 +142,6 @@ class PaxosNode:
 
     def _note_ballot(self, ballot: int) -> None:
         self._max_round = max(self._max_round, self._round(ballot))
-
-    def lowest_undecided(self) -> int:
-        return self._next_decide
 
     def _send(self, to: int, msg: Any, size: int = 0) -> None:
         if to == self.pid:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, List, Tuple
 
 from .abcast import NaiveAbcast
 from .barrier_free import BarrierFreeBroadcast

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .trace import Trace, TraceEvent
@@ -200,9 +200,6 @@ class Simulator:
             actor.on_message(frm, msg)
 
     # -- omega --------------------------------------------------------------
-
-    def omega(self, p: int) -> int:
-        return self.omega_script.output(p, self.now)
 
     def _install_omega_notifications(self) -> None:
         for start, _ in self.omega_script.segments:

@@ -7,7 +7,7 @@ Application values are opaque to the broadcast layers; the wrappers
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 

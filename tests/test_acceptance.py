@@ -4,8 +4,8 @@
 2. The poisoned-apply counterexample and its absence under the real protocols
 3. Randomized safety corpus: thousands of seeded adversarial runs, zero violations
 4. Linearizability oracle: small histories pass, corrupted replies fail
-5. Election-protocol lemmas over the barrier-free corpus
-6. Sequentiality of the black-box barrier protocol
+5. Election-protocol lemmas over the barrier-free corpus (checked in 3)
+6. Sequentiality of the black-box barrier protocol (checked in 3)
 7. Sequential-vs-parallel throughput ratio and empty-request parity
 8. Byte-identical determinism of traces and CSV
 """
@@ -21,9 +21,7 @@ from poabcast.bench import (
 from poabcast.checker import (
     SAFETY_PROPERTIES,
     check_all,
-    check_barrier_free,
     check_linearizable,
-    check_sequentiality,
     extract_history,
 )
 from poabcast.cli import load_scenario
@@ -78,7 +76,7 @@ def test_same_schedule_is_harmless_under_every_real_variant(variant):
     assert report.violations == {}
 
 
-# -- 3: randomized safety corpus ----------------------------------------------------
+# -- 3: randomized safety corpus, with 5: election lemmas and 6: sequentiality -------
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -91,11 +89,14 @@ def test_randomized_corpus_has_zero_safety_violations(variant):
         )
         checked.update(report.verdicts)
     # the corpus exercised the full property catalogue; the barrier contract
-    # only exists for the tau protocols
+    # only exists for the tau protocols, the election lemmas (5) for
+    # barrier-free and proposal sequentiality (6) for tau-seq
     required = set(SAFETY_PROPERTIES)
     if variant == "barrier-free":
         required.discard("barrier")
         required.add("election-order")
+    if variant == "tau-seq":
+        required.add("sequential-instances")
     assert required <= checked
 
 
@@ -116,22 +117,6 @@ def test_corrupted_reply_table_fails_linearizability():
     victim = trace.by_kind("response")[0]
     victim.data["post"] = "0" * 12  # reply table rebuilt from a bad digest
     assert check_linearizable(extract_history(trace)) is False
-
-
-# -- 5: election-protocol lemmas ------------------------------------------------------
-
-
-def test_barrier_free_lemmas_hold_over_the_corpus():
-    for trace in corpus("barrier-free"):
-        assert check_barrier_free(trace) is None, trace.summary["scenario"]
-
-
-# -- 6: sequentiality ------------------------------------------------------------------
-
-
-def test_tau_seq_never_has_two_outstanding_proposals():
-    for trace in corpus("tau-seq"):
-        assert check_sequentiality(trace) is None, trace.summary["scenario"]
 
 
 # -- 7: throughput ratio ------------------------------------------------------------------

@@ -13,6 +13,8 @@ from poabcast.checker import (
     check_barrier,
     check_barrier_free,
     check_linearizable,
+    check_liveness,
+    check_poabcast,
     check_sequentiality,
     collect_epochs,
     derive_primary_mapping,
@@ -146,8 +148,6 @@ def test_nested_primary_begin_is_rejected():
 
 
 def test_primary_integrity_catches_broadcast_before_delivery():
-    from poabcast.checker import check_poabcast
-
     # epoch B broadcasts v2 before it has delivered epoch A's v1; the global
     # delivery order itself stays consistent, so only primary integrity trips
     rows = primary_epoch_rows(0, 0, ["v1"], [1])
@@ -167,8 +167,6 @@ def test_primary_integrity_catches_broadcast_before_delivery():
 
 
 def test_local_primary_order_catches_skipped_middle_value():
-    from poabcast.checker import check_poabcast
-
     rows = [
         (0, 0, "primary-begin", {}),
         (1, 0, "broadcast", {"value": "v1", "instance": 1}),
@@ -211,6 +209,92 @@ def test_barrier_passes_when_crossing_covers_earlier_decisions():
     trace = make_trace(rows)
     mapping = derive_primary_mapping(trace, "tau-seq")
     assert check_barrier(trace, mapping) is None
+
+
+def three_tau_seq_epochs(b_instance, a_late_instance, c_dec):
+    """Epochs 1 (process 0), b_instance (process 1) and 5 (process 2); epoch
+    1's second value a2 is decided at a_late_instance, after its deposition.
+    Only epoch 5 records a barrier crossing."""
+    rows = primary_epoch_rows(0, 0, ["a1"], [1])
+    rows += [
+        (1, 0, "broadcast", {"value": "a2", "instance": a_late_instance}),
+        (30, 0, "decide", {"value": "a2", "instance": a_late_instance}),
+    ]
+    rows += primary_epoch_rows(1, 10, ["b1"], [b_instance])
+    rows += [(19, 2, "barrier-crossed", {"tau": c_dec, "dec": c_dec, "ballot": 7})]
+    rows += primary_epoch_rows(2, 20, ["c1"], [5])
+    trace = make_trace(sorted(rows, key=lambda r: r[0]))
+    return trace, derive_primary_mapping(trace, "tau-seq")
+
+
+def test_barrier_names_an_offending_epoch_two_epochs_back():
+    # epoch 2 is covered by dec=3; epoch 1's late value at instance 4 is not
+    trace, mapping = three_tau_seq_epochs(b_instance=2, a_late_instance=4, c_dec=3)
+    assert [e.ident for e in mapping.identified()] == [1, 2, 5]
+    assert check_barrier(trace, mapping) == (
+        "epoch 5 crossed with dec=3 but earlier epoch 1's value a2 was decided "
+        "at instance 4"
+    )
+
+
+def test_barrier_names_the_earliest_offender_not_the_largest_instance():
+    # both earlier epochs exceed dec=1; the middle one (3) holds the larger instance
+    trace, mapping = three_tau_seq_epochs(b_instance=3, a_late_instance=2, c_dec=1)
+    assert check_barrier(trace, mapping) == (
+        "epoch 5 crossed with dec=1 but earlier epoch 1's value a2 was decided "
+        "at instance 2"
+    )
+
+
+def test_barrier_passes_three_epochs_covered_by_every_crossing():
+    trace, mapping = three_tau_seq_epochs(b_instance=2, a_late_instance=4, c_dec=4)
+    assert check_barrier(trace, mapping) is None
+
+
+def three_primaries(third_epoch_rows):
+    """Epochs 1, 2 and 3 at processes 0, 1 and 2; process 1 delivers epoch
+    1's a1 before broadcasting, process 2 delivers epoch 2's b1 at t=15."""
+    rows = primary_epoch_rows(0, 0, ["a1"], [1])
+    rows += [(5, 1, "deliver", {"value": "a1", "instance": 1})]
+    rows += primary_epoch_rows(1, 10, ["b1"], [2])
+    rows += [(15, 2, "deliver", {"value": "b1", "instance": 2})]
+    rows += third_epoch_rows
+    trace = make_trace(sorted(rows, key=lambda r: r[0]))
+    return check_poabcast(trace, derive_primary_mapping(trace, "tau-seq"))
+
+
+def test_primary_integrity_names_a_missed_value_two_epochs_back():
+    report = three_primaries(
+        [
+            (20, 2, "primary-begin", {}),
+            (21, 2, "broadcast", {"value": "c1", "instance": 3}),
+            (22, 2, "deliver", {"value": "a1", "instance": 1}),  # too late
+            (22, 2, "broadcast", {"value": "c2", "instance": 4}),
+            (23, 2, "decide", {"value": "c1", "instance": 3}),
+            (23, 2, "deliver", {"value": "c1", "instance": 3}),
+            (23, 2, "decide", {"value": "c2", "instance": 4}),
+            (23, 2, "deliver", {"value": "c2", "instance": 4}),
+            (24, 2, "primary-end", {}),
+        ]
+    )
+    assert report.verdicts["primary-integrity"] == (
+        "epoch 3 (process 2) broadcast c1 before delivering a1 from earlier epoch 1"
+    )
+
+
+def test_primary_integrity_ignores_an_undelivered_first_broadcast():
+    report = three_primaries(
+        [
+            (20, 2, "primary-begin", {}),
+            (21, 2, "broadcast", {"value": "c0", "instance": 3}),  # never delivered
+            (22, 2, "deliver", {"value": "a1", "instance": 1}),
+            (22, 2, "broadcast", {"value": "c1", "instance": 4}),
+            (23, 2, "decide", {"value": "c1", "instance": 4}),
+            (23, 2, "deliver", {"value": "c1", "instance": 4}),
+            (24, 2, "primary-end", {}),
+        ]
+    )
+    assert report.verdicts["primary-integrity"] is None
 
 
 # -- protocol-specific ------------------------------------------------------------
@@ -333,9 +417,66 @@ def test_corrupted_reply_fails_linearizability():
 
 
 def test_liveness_without_summary_is_inconclusive():
-    from poabcast.checker import check_liveness
-
     assert check_liveness(make_trace([])) == "inconclusive"
+
+
+def live_trace(extra=(), crashes=None):
+    """A leader (process 0) with an open epoch, one answered request and one
+    value delivered at processes 0 and 1; horizon 1000, slack 200."""
+    rows = [
+        (0, 0, "omega", {"leader": 0}),
+        (0, 1, "omega", {"leader": 0}),
+        (1, 0, "primary-begin", {}),
+        (2, 5, "request", {"reqid": 1, "op": "a"}),
+        (3, 0, "broadcast", {"value": "v", "instance": 1}),
+        (4, 0, "deliver", {"value": "v", "instance": 1}),
+        (4, 1, "deliver", {"value": "v", "instance": 1}),
+        (5, 5, "response", {"reqid": 1, "record": "r", "post": "p"}),
+    ]
+    trace = make_trace(sorted(rows + list(extra), key=lambda r: r[0]))
+    trace.summary = {
+        "horizon": 1000,
+        "base_delay": 10,
+        "stable_from": 0,
+        "crashes": {str(p): t for p, t in (crashes or {}).items()},
+    }
+    return trace
+
+
+def test_liveness_passes_a_run_that_made_progress():
+    assert check_liveness(live_trace()) == "pass"
+
+
+def test_liveness_needs_a_single_leader_among_correct_processes():
+    assert check_liveness(live_trace([(6, 1, "omega", {"leader": 1})])) == "inconclusive"
+
+
+def test_liveness_needs_the_leader_epoch_open_at_the_horizon():
+    assert check_liveness(live_trace([(900, 0, "primary-end", {})])) == "inconclusive"
+
+
+def test_liveness_needs_a_response_to_every_early_request():
+    early = [(10, 6, "request", {"reqid": 1, "op": "b"})]
+    assert check_liveness(live_trace(early)) == "inconclusive"
+    late = [(801, 6, "request", {"reqid": 1, "op": "b"})]
+    assert check_liveness(live_trace(late)) == "pass"
+
+
+def test_liveness_needs_every_early_value_at_every_correct_process():
+    early = [(6, 0, "deliver", {"value": "w", "instance": 2})]
+    assert check_liveness(live_trace(early)) == "inconclusive"
+    late = [(801, 0, "deliver", {"value": "w", "instance": 2})]
+    assert check_liveness(live_trace(late)) == "pass"
+
+
+def test_liveness_exempts_a_crashed_process():
+    # process 1 trusts itself and misses w, but it crashed
+    extra = [
+        (6, 0, "deliver", {"value": "w", "instance": 2}),
+        (7, 1, "omega", {"leader": 1}),
+    ]
+    assert check_liveness(live_trace(extra)) == "inconclusive"
+    assert check_liveness(live_trace(extra, crashes={1: 8})) == "pass"
 
 
 def test_check_all_flags_nothing_on_clean_runs():
@@ -346,3 +487,24 @@ def test_check_all_flags_nothing_on_clean_runs():
     report = check_all(trace)
     assert report.ok
     assert report.liveness == "pass"
+
+
+@pytest.mark.parametrize(
+    "name", ["leaderchange-tau-seq", "leaderchange-tau-paxos", "leaderchange-barrier-free"]
+)
+def test_check_all_scans_the_trace_once(monkeypatch, name):
+    from poabcast.cli import load_scenario
+    from poabcast.runner import run
+
+    trace = run(load_scenario(name))
+    scans = []
+    for attr in ("__iter__", "by_kind"):
+        original = getattr(Trace, attr)
+
+        def counted(self, *args, _attr=attr, _original=original):
+            scans.append(_attr)
+            return _original(self, *args)
+
+        monkeypatch.setattr(Trace, attr, counted)
+    check_all(trace)
+    assert scans == ["__iter__"]

@@ -8,7 +8,6 @@ from poabcast.paxos import (
     ReadAck,
     ReadMsg,
     WhiteboxDisabledError,
-    WriteAck,
     WriteMsg,
     WRITING,
     READING,
