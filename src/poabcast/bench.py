@@ -14,6 +14,11 @@ parallel mode cuts a batch whenever the sender is idle or the batch cap
 is reached, keeping many instances in flight. The byte cost of a batch
 is charged at the sender, so with large requests the serialization gap
 is what separates the two modes.
+
+There is at most one pending batch-cut decision (a pump) per tick.
+Arrivals and decisions ask for one at the end of the current tick, and a
+busy sender defers it to the tick its link frees up; an earlier request
+supersedes a later one, whose heap entry then fires as a no-op.
 """
 
 from __future__ import annotations
@@ -226,14 +231,18 @@ class BatchingLeader:
         if self._pump_at is not None and self._pump_at <= at:
             return
         self._pump_at = at
-        self.sim.schedule(at, self._run_pump)
+        self.sim.schedule(at, lambda: self._run_pump(at))
 
-    def _run_pump(self) -> None:
+    def _run_pump(self, at: int) -> None:
+        # an entry superseded by an earlier pump is stale: it neither runs
+        # nor reschedules
+        if self._pump_at != at:
+            return
         self._pump_at = None
         self._pump()
 
     def _sender_idle(self) -> bool:
-        return self.sim._busy_until.get(0, 0) <= self.sim.now
+        return self.sim.sender_free_at(0) <= self.sim.now
 
     def _pump(self) -> None:
         while self.queue:
@@ -242,9 +251,7 @@ class BatchingLeader:
                     return
             elif len(self.queue) < self.cap and not self._sender_idle():
                 # sender busy with earlier batches: revisit once it frees up
-                self._schedule_pump(
-                    max(self.sim.now + 1, self.sim._busy_until.get(0, 0))
-                )
+                self._schedule_pump(max(self.sim.now + 1, self.sim.sender_free_at(0)))
                 return
             k = min(len(self.queue), self.cap)
             items = tuple(self.queue.popleft() for _ in range(k))

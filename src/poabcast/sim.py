@@ -135,7 +135,8 @@ class Simulator:
         self.now = 0
         self.trace = Trace()
         self.actors: Dict[int, Any] = {}
-        self._heap: List[Tuple[int, int, Callable[[], None]]] = []
+        # (time, insertion handle, callback, bound actor or None)
+        self._heap: List[Tuple[int, int, Callable[[], None], Optional[int]]] = []
         self._insertion = 0
         self._event_index = 0
         self._msg_seq = 0
@@ -163,13 +164,7 @@ class Simulator:
             raise SchedulingError(f"cannot schedule at t={at} (now t={self.now})")
         self._insertion += 1
         handle = self._insertion
-
-        def fire():
-            if actor is not None and not self.alive(actor):
-                return
-            fn()
-
-        heapq.heappush(self._heap, (at, handle, fire))
+        heapq.heappush(self._heap, (at, handle, fn, actor))
         return handle
 
     # -- messaging ----------------------------------------------------------
@@ -193,6 +188,10 @@ class Simulator:
             deliver_at = max(deliver_at, floor)
             self._fifo_floor[(frm, to)] = deliver_at
         self.schedule(deliver_at, lambda: self._deliver(frm, to, msg), actor=to)
+
+    def sender_free_at(self, pid: int) -> int:
+        """Tick at which ``pid``'s outgoing link has sent everything queued."""
+        return self._busy_until.get(pid, 0)
 
     def _deliver(self, frm: int, to: int, msg: Any) -> None:
         actor = self.actors.get(to)
@@ -237,10 +236,16 @@ class Simulator:
                 starter = getattr(self.actors[aid], "on_start", None)
                 if starter is not None:
                     self.schedule(0, starter, actor=aid)
-        while self._heap and self._heap[0][0] <= until:
-            at, _, fire = heapq.heappop(self._heap)
+        heap, crashes = self._heap, self.crashes
+        while heap and heap[0][0] <= until:
+            at, _, fn, actor = heapq.heappop(heap)
             self.now = at
-            fire()
+            if actor is not None:
+                # an actor-bound event at or after its actor's crash is dropped
+                crash_at = crashes.get(actor)
+                if crash_at is not None and at >= crash_at:
+                    continue
+            fn()
         self.now = until
         self.trace.summary.setdefault("horizon", until)
         return self.trace

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 
@@ -32,6 +33,12 @@ class Batch:
     items: Tuple[AppValue, ...]
 
     def digest(self) -> str:
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
+        # a batch is described at every propose, write and decide: hash its
+        # items once and keep the result on the instance
         h = hashlib.sha256("|".join(v.digest() for v in self.items).encode())
         return "b" + h.hexdigest()[:11]
 

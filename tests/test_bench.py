@@ -1,5 +1,7 @@
 """Benchmark plumbing: metrics rows, CSV schema, batching leader mechanics."""
 
+import pytest
+
 from poabcast.bench import (
     CSV_COLUMNS,
     MetricsRow,
@@ -81,3 +83,42 @@ def test_table1_rows_cover_all_four_protocols():
     ]
     assert all(r.stable_latency is not None for r in rows)
     assert all(r.leader_change_idle is not None for r in rows)
+
+
+@pytest.mark.parametrize(
+    "mode, clients, size, throughput, lat_mean",
+    [
+        ("parallel", 192, 1024, 3125.0, 61.44),
+        ("sequential", 192, 1024, 1787.5, 107.52),
+        ("parallel", 64, 1024, 2129.75, 30.0),
+        ("sequential", 64, 1024, 1280.0, 50.0),
+        ("parallel", 48, 0, 2178.0, 22.0),
+    ],
+)
+def test_sweep_points_keep_their_virtual_time_results(mode, clients, size, throughput, lat_mean):
+    row = run_throughput(mode, clients, size)
+    assert row.throughput_per_1k == throughput
+    assert row.lat_mean == pytest.approx(lat_mean, abs=1e-9)
+
+
+def test_one_live_pump_per_batch_cut(monkeypatch):
+    from poabcast.bench import BatchingLeader
+    from poabcast.paxos import PaxosNode
+    from poabcast.values import Batch
+
+    counts = {"pumps": 0, "batches": 0}
+    pump, propose = BatchingLeader._pump, PaxosNode.propose
+
+    def counted_pump(self):
+        counts["pumps"] += 1
+        return pump(self)
+
+    def counted_propose(self, value, *args):
+        counts["batches"] += isinstance(value, Batch)
+        return propose(self, value, *args)
+
+    monkeypatch.setattr(BatchingLeader, "_pump", counted_pump)
+    monkeypatch.setattr(PaxosNode, "propose", counted_propose)
+    run_throughput("parallel", 192, 1024)
+    assert counts["batches"] > 0
+    assert counts["pumps"] <= 2 * counts["batches"]

@@ -166,6 +166,32 @@ def test_primary_integrity_catches_broadcast_before_delivery():
     assert report.verdicts["primary-integrity"] is not None
 
 
+def test_a_broadcast_after_its_first_delivery_is_a_global_order_violation():
+    # integrity asks only that a delivered value was broadcast at some time:
+    # moving a primary's broadcast of the first delivered value into its later
+    # epoch keeps every other ordering property and breaks global primary order
+    from poabcast.checker import TraceIndex
+    from poabcast.runner import run
+    from poabcast.scenario import random_scenario
+
+    trace = run(random_scenario(37, "tau-paxos"))
+    first = TraceIndex(trace).order[0]
+    moved = next(e for e in trace.by_kind("broadcast") if e.actor == 1 and e.data["value"] == first)
+    later_begin = [e for e in trace.by_kind("primary-begin") if e.actor == 1][-1]
+    events = [e for e in trace if e is not moved]
+    events.insert(events.index(later_begin) + 1, moved)
+    rows = [(e.time, e.actor, e.kind, e.data) for e in events]
+    perturbed = make_trace(rows)
+    perturbed.summary.update(trace.summary)
+
+    report = check_all(perturbed)
+    assert not report.ok
+    assert set(report.violations) == {"global-primary-order"}
+    assert f"{first} was delivered before it was broadcast" in report.violations[
+        "global-primary-order"
+    ]
+
+
 def test_local_primary_order_catches_skipped_middle_value():
     rows = [
         (0, 0, "primary-begin", {}),

@@ -78,6 +78,30 @@ def test_crashed_sender_sends_nothing():
     assert rec.messages == []
 
 
+def test_actor_bound_event_at_the_crash_tick_is_dropped():
+    sim = make_sim(crashes={1: 12})
+    fired = []
+    sim.schedule(12, lambda: fired.append("at crash"), actor=1)
+    sim.run(100)
+    assert fired == []
+
+
+def test_actor_bound_event_a_tick_before_the_crash_fires():
+    sim = make_sim(crashes={1: 12})
+    fired = []
+    sim.schedule(11, lambda: fired.append(sim.now), actor=1)
+    sim.run(100)
+    assert fired == [11]
+
+
+def test_unbound_event_fires_after_every_process_crashed():
+    sim = make_sim(crashes={0: 5, 1: 5, 2: 5})
+    fired = []
+    sim.schedule(50, lambda: fired.append(sim.now))
+    sim.run(100)
+    assert fired == [50]
+
+
 def test_self_send_is_immediate():
     sim = make_sim(delta=10)
     times = []
