@@ -11,41 +11,29 @@ the stronger layers close.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
-from .broadcast import NotPrimaryError, NullDelegate
-from .paxos import PaxosNode
+from .broadcast import PrimaryOrderLayer
 from .sim import Simulator
 from .values import Noop, describe
 
 
-class NaiveAbcast:
+class NaiveAbcast(PrimaryOrderLayer):
     def __init__(self, sim: Simulator, pid: int, n: int):
-        self.sim = sim
-        self.pid = pid
-        self.n = n
-        self.paxos = PaxosNode(sim, pid, n, deliver=self.on_decide)
-        self.delegate = NullDelegate()
-        self.leader: Optional[int] = None
-        self._primary = False
+        super().__init__(sim, pid, n)
         self.prop = 0
         self.dec = 0
         self.outstanding: Dict[int, Any] = {}  # instance -> our undecided value
 
-    def is_primary(self) -> bool:
-        return self.leader == self.pid
-
     # -- oracle -------------------------------------------------------------
 
     def on_omega(self, leader: int) -> None:
-        prev = self.leader
-        self.leader = leader
-        if leader == self.pid and prev != self.pid:
-            self.paxos.ensure_leadership()
-        elif leader != self.pid and prev == self.pid:
+        gained = self._follow(leader)
+        if gained:
+            # the oracle alone makes a primary: no barrier, no election
+            self._set_primary(True)
+        elif gained is False:
             self.outstanding.clear()
-            self.paxos.relinquish()
-        self._refresh()
 
     # -- consensus decisions ----------------------------------------------------
 
@@ -67,24 +55,8 @@ class NaiveAbcast:
     # -- broadcasting ---------------------------------------------------------------
 
     def poabcast(self, value: Any) -> None:
-        if not self.is_primary():
-            raise NotPrimaryError(f"process {self.pid} is not a primary")
+        self._require_primary()
         self.prop = max(self.prop + 1, self.dec + 1)
         self.outstanding[self.prop] = value
         self.sim.emit("broadcast", self.pid, instance=self.prop, value=describe(value))
         self.paxos.propose(value, self.prop)
-
-    # -- primary bookkeeping -----------------------------------------------------------
-
-    def _refresh(self) -> None:
-        cur = self.is_primary()
-        if cur == self._primary:
-            return
-        self._primary = cur
-        self.sim.emit("primary-begin" if cur else "primary-end", self.pid)
-        self.delegate.on_primary_change(cur)
-
-    # -- simulator plumbing -------------------------------------------------------------
-
-    def on_message(self, frm: int, msg: Any) -> None:
-        self.paxos.on_message(frm, msg)

@@ -15,24 +15,16 @@ totally ordered across processes.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
-from .broadcast import NotPrimaryError, NullDelegate
-from .paxos import PaxosNode
+from .broadcast import PrimaryOrderLayer
 from .sim import Simulator
 from .values import NewEpoch, Noop, ValTuple, describe
 
 
-class BarrierFreeBroadcast:
+class BarrierFreeBroadcast(PrimaryOrderLayer):
     def __init__(self, sim: Simulator, pid: int, n: int):
-        self.sim = sim
-        self.pid = pid
-        self.n = n
-        self.paxos = PaxosNode(sim, pid, n, deliver=self.on_decide)
-        self.delegate = NullDelegate()
-
-        self.leader: Optional[int] = None
-        self.primary = False
+        super().__init__(sim, pid, n)
         self.epoch = 0  # last established epoch, 0 before any election
         self.tent_epoch = 0  # epoch this process is trying to establish
         self.attempt = 0
@@ -43,20 +35,11 @@ class BarrierFreeBroadcast:
         self.dec_array: Dict[int, Any] = {}  # seqno -> decided value, buffered
         self.prop_array: Dict[int, Tuple[Any, int]] = {}  # instance -> (value, seqno)
 
-    def is_primary(self) -> bool:
-        return self.primary
-
     # -- oracle -------------------------------------------------------------
 
     def on_omega(self, leader: int) -> None:
-        prev = self.leader
-        self.leader = leader
-        if leader == self.pid and prev != self.pid:
-            self.paxos.ensure_leadership()
+        if self._follow(leader):
             self._try_primary()
-        elif leader != self.pid and prev == self.pid:
-            self._set_primary(False)
-            self.paxos.relinquish()
 
     def _try_primary(self) -> None:
         self.attempt += 1
@@ -117,8 +100,7 @@ class BarrierFreeBroadcast:
     # -- broadcasting -----------------------------------------------------------
 
     def poabcast(self, value: Any) -> None:
-        if not self.primary:
-            raise NotPrimaryError(f"process {self.pid} is not a primary")
+        self._require_primary()
         self.sim.emit(
             "broadcast", self.pid, instance=self.prop, seqno=self.seqno,
             epoch=self.epoch, value=describe(value),
@@ -127,17 +109,3 @@ class BarrierFreeBroadcast:
         self.paxos.propose(ValTuple(value, self.epoch, self.seqno), self.prop)
         self.prop += 1
         self.seqno += 1
-
-    # -- primary bookkeeping ------------------------------------------------------
-
-    def _set_primary(self, primary: bool) -> None:
-        if primary == self.primary:
-            return
-        self.primary = primary
-        self.sim.emit("primary-begin" if primary else "primary-end", self.pid)
-        self.delegate.on_primary_change(primary)
-
-    # -- simulator plumbing ----------------------------------------------------------
-
-    def on_message(self, frm: int, msg: Any) -> None:
-        self.paxos.on_message(frm, msg)

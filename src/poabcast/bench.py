@@ -195,14 +195,6 @@ def bench_table1(delta: int = 10, clients: int = 5) -> List[MetricsRow]:
 # -- throughput -----------------------------------------------------------------
 
 
-class _Follower:
-    def __init__(self, sim: Simulator, pid: int, n: int):
-        self.node = PaxosNode(sim, pid, n, deliver=lambda v, i: None)
-
-    def on_message(self, frm: int, msg: Any) -> None:
-        self.node.on_message(frm, msg)
-
-
 class BatchingLeader:
     def __init__(self, sim: Simulator, n: int, mode: str, cap: int = 50):
         if mode not in ("sequential", "parallel"):
@@ -322,7 +314,7 @@ def run_throughput(
     leader = BatchingLeader(sim, n, mode, cap=cap)
     sim.add_actor(0, leader)
     for pid in range(1, n):
-        sim.add_actor(pid, _Follower(sim, pid, n))
+        sim.add_actor(pid, PaxosNode(sim, pid, n, deliver=lambda v, i: None))
     load = [_LoadClient(sim, leader, i, request_size) for i in range(clients)]
     for c in load:
         c.start()

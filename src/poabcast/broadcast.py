@@ -1,6 +1,18 @@
-"""Shared bits of the broadcast layers."""
+"""The machine every primary-order broadcast layer shares.
+
+The layers differ only in how a process becomes primary: a barrier over
+consensus (``tau``), an election through consensus (``barrier_free``) or
+the leader oracle alone (``abcast``). ``PrimaryOrderLayer`` holds the
+rest: the consensus node, the delegate, the oracle's leader and the
+primary flag with its announcements.
+"""
 
 from __future__ import annotations
+
+from typing import Any, Optional
+
+from .paxos import PaxosNode
+from .sim import Simulator
 
 
 class NotPrimaryError(Exception):
@@ -18,3 +30,59 @@ class NullDelegate:
 
     def on_deliver(self, value) -> None:
         pass
+
+
+class PrimaryOrderLayer:
+    """Base of the broadcast layers; subclasses supply ``on_decide``,
+    ``poabcast`` and ``on_omega`` in their own bodies."""
+
+    def __init__(self, sim: Simulator, pid: int, n: int, **paxos_flags: Any):
+        self.sim = sim
+        self.pid = pid
+        self.n = n
+        self.paxos = PaxosNode(sim, pid, n, deliver=self.on_decide, **paxos_flags)
+        self.delegate = NullDelegate()
+        self.leader: Optional[int] = None
+        self.primary = False
+
+    def is_primary(self) -> bool:
+        return self.primary
+
+    def _require_primary(self) -> None:
+        if not self.is_primary():
+            raise NotPrimaryError(f"process {self.pid} is not a primary")
+
+    # -- oracle -------------------------------------------------------------
+
+    def _follow(self, leader: int) -> Optional[bool]:
+        """Record the oracle's output and move consensus leadership with it.
+
+        Returns True when this process just became the leader and False
+        when it just stopped being it; a demoted process is no longer a
+        primary. Returns None when neither happened.
+        """
+        prev = self.leader
+        self.leader = leader
+        if leader == self.pid and prev != self.pid:
+            self.paxos.ensure_leadership()
+            return True
+        if leader != self.pid and prev == self.pid:
+            self.paxos.relinquish()
+            self._set_primary(False)
+            return False
+        return None
+
+    # -- primary bookkeeping ------------------------------------------------
+
+    def _set_primary(self, primary: bool) -> None:
+        """Announce a change of the primary flag; a repeat does nothing."""
+        if primary == self.primary:
+            return
+        self.primary = primary
+        self.sim.emit("primary-begin" if primary else "primary-end", self.pid)
+        self.delegate.on_primary_change(primary)
+
+    # -- simulator plumbing -------------------------------------------------
+
+    def on_message(self, frm: int, msg: Any) -> None:
+        self.paxos.on_message(frm, msg)

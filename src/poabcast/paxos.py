@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from .sim import Simulator
-from .values import NOOP, AppValue, Batch, ValTuple, describe, inner_digest, payload_size
+from .values import NOOP, describe, inner_digest, is_app, payload_size
 
 
 class WhiteboxDisabledError(Exception):
@@ -31,14 +31,6 @@ WRITING = "writing"
 # outstanding work and no progress for this long re-runs its read phase
 # with a higher ballot.
 RETRY_DELAYS = 6
-
-
-def is_app(value: Any) -> bool:
-    if isinstance(value, (AppValue, Batch)):
-        return True
-    if isinstance(value, ValTuple):
-        return is_app(value.value)
-    return False
 
 
 @dataclass(frozen=True)
@@ -299,11 +291,11 @@ class PaxosNode:
         self._send(frm, WriteAck(msg.ballot, msg.instance))
 
     def _on_write_ack(self, frm: int, msg: WriteAck) -> None:
-        if not self.active or msg.ballot != self.ballot:
+        if not self.active or msg.ballot != self.ballot or msg.instance in self.decided:
             return
         acks = self.write_acks.setdefault(msg.instance, set())
         acks.add(frm)
-        if len(acks) >= self.quorum and msg.instance not in self.decided:
+        if len(acks) >= self.quorum:
             self._learn(msg.instance, self.written[msg.instance], announce=True)
 
     # -- learning -------------------------------------------------------
@@ -312,6 +304,9 @@ class PaxosNode:
         if instance in self.decided:
             return
         self.decided[instance] = value
+        # written and write_acks hold only undecided instances
+        self.written.pop(instance, None)
+        self.write_acks.pop(instance, None)
         self._progress += 1
         self.sim.emit(
             "decide", self.pid, instance=instance, value=describe(value),
@@ -351,11 +346,7 @@ class PaxosNode:
         self._watchdog_armed = False
         if not self.active:
             return
-        outstanding = (
-            self.phase == READING
-            or bool(self.queued)
-            or any(i not in self.decided for i in self.written)
-        )
+        outstanding = self.phase == READING or bool(self.queued) or bool(self.written)
         if not outstanding:
             return
         if self._progress == stamp:

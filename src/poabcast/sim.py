@@ -152,10 +152,9 @@ class Simulator:
     def add_actor(self, actor_id: int, actor: Any) -> None:
         self.actors[actor_id] = actor
 
-    def alive(self, actor_id: int, at: Optional[int] = None) -> bool:
-        t = self.now if at is None else at
+    def alive(self, actor_id: int) -> bool:
         crash_at = self.crashes.get(actor_id)
-        return crash_at is None or t < crash_at
+        return crash_at is None or self.now < crash_at
 
     # -- scheduling ---------------------------------------------------------
 

@@ -17,38 +17,31 @@ discards any decisions inside the gap.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
-from .broadcast import NotPrimaryError, NullDelegate
-from .paxos import PaxosNode, WRITING
+from .broadcast import PrimaryOrderLayer
+from .paxos import WRITING
 from .sim import Simulator
 from .values import Noop, Skip, describe
 
 TOP = float("inf")  # barrier value meaning "not currently passable"
 
 
-class TauBroadcast:
+class TauBroadcast(PrimaryOrderLayer):
     def __init__(self, sim: Simulator, pid: int, n: int, mode: str = "seq"):
         if mode not in ("seq", "paxos"):
             raise ValueError(f"unknown barrier mode: {mode}")
-        self.sim = sim
-        self.pid = pid
-        self.n = n
-        self.mode = mode
-        self.paxos = PaxosNode(
+        super().__init__(
             sim,
             pid,
             n,
-            deliver=self.on_decide,
             whitebox=(mode == "paxos"),
             sequential=(mode == "seq"),
             on_phase_change=self._on_phase_change if mode == "paxos" else None,
         )
-        self.delegate = NullDelegate()
+        self.mode = mode
         self.prop = 0
         self.dec = 0
-        self.leader: Optional[int] = None
-        self._primary = False
         self._skips_pending = False  # paxos mode: waiting for the write phase
 
     # -- barrier ----------------------------------------------------------
@@ -62,21 +55,29 @@ class TauBroadcast:
         return TOP
 
     def is_primary(self) -> bool:
+        # a live test, not the announced flag: a watchdog re-read leaves the
+        # write phase without a phase callback
         return self.leader == self.pid and self.dec >= self.tau()
+
+    def _refresh(self) -> None:
+        primary = self.is_primary()
+        if primary and not self.primary:
+            self.sim.emit(
+                "barrier-crossed", self.pid, tau=int(self.tau()), dec=self.dec,
+                ballot=self.paxos.ballot,
+            )
+        self._set_primary(primary)
 
     # -- oracle and consensus callbacks ------------------------------------
 
     def on_omega(self, leader: int) -> None:
-        prev = self.leader
-        self.leader = leader
-        if leader == self.pid and prev != self.pid:
-            self.paxos.ensure_leadership()
+        gained = self._follow(leader)
+        if gained:
             self._propose_skips()
-        elif leader != self.pid and prev == self.pid:
+        elif gained is False:
             # a demoted process abandons outstanding work; clients retry
             # against the new primary
             self._skips_pending = False
-            self.paxos.relinquish()
         self._refresh()
 
     def _on_phase_change(self) -> None:
@@ -113,33 +114,10 @@ class TauBroadcast:
     # -- broadcasting -------------------------------------------------------
 
     def poabcast(self, value: Any) -> None:
-        if not self.is_primary():
-            raise NotPrimaryError(f"process {self.pid} is not a primary")
+        self._require_primary()
         self.prop = max(self.prop + 1, self.dec + 1)
         self.sim.emit(
             "broadcast", self.pid, instance=self.prop, value=describe(value)
         )
         self.paxos.propose(value, self.prop)
         self._refresh()
-
-    # -- primary bookkeeping -------------------------------------------------
-
-    def _refresh(self) -> None:
-        cur = self.is_primary()
-        if cur == self._primary:
-            return
-        self._primary = cur
-        if cur:
-            self.sim.emit(
-                "barrier-crossed", self.pid, tau=int(self.tau()), dec=self.dec,
-                ballot=self.paxos.ballot,
-            )
-            self.sim.emit("primary-begin", self.pid)
-        else:
-            self.sim.emit("primary-end", self.pid)
-        self.delegate.on_primary_change(cur)
-
-    # -- simulator plumbing ---------------------------------------------------
-
-    def on_message(self, frm: int, msg: Any) -> None:
-        self.paxos.on_message(frm, msg)

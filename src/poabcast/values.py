@@ -90,13 +90,21 @@ class ValTuple:
         return f"val({self.value.digest()},{self.epoch},{self.seqno})"
 
 
+def app_payload(value) -> AppValue | Batch | None:
+    """The application payload inside a consensus value, or None."""
+    if isinstance(value, ValTuple):
+        value = value.value
+    return value if isinstance(value, (AppValue, Batch)) else None
+
+
+def is_app(value) -> bool:
+    return app_payload(value) is not None
+
+
 def payload_size(value) -> int:
     """Billable byte size of a consensus payload for the cost model."""
-    if isinstance(value, (AppValue, Batch)):
-        return value.size
-    if isinstance(value, ValTuple):
-        return payload_size(value.value)
-    return 0
+    payload = app_payload(value)
+    return 0 if payload is None else payload.size
 
 
 def describe(value) -> str:
@@ -106,8 +114,5 @@ def describe(value) -> str:
 
 def inner_digest(value):
     """Digest of the application payload inside a consensus value, if any."""
-    if isinstance(value, (AppValue, Batch)):
-        return value.digest()
-    if isinstance(value, ValTuple):
-        return inner_digest(value.value)
-    return None
+    payload = app_payload(value)
+    return None if payload is None else payload.digest()

@@ -1,11 +1,14 @@
 """Benchmark plumbing: metrics rows, CSV schema, batching leader mechanics."""
 
+import hashlib
+
 import pytest
 
 from poabcast.bench import (
     CSV_COLUMNS,
     MetricsRow,
     bench_table1,
+    leaderchange_scenario,
     rows_to_csv,
     run_throughput,
     stable_metrics,
@@ -41,7 +44,8 @@ def test_throughput_row_shapes():
 
 
 def test_sequential_mode_keeps_one_instance_in_flight():
-    from poabcast.bench import BatchingLeader, _Follower, _LoadClient
+    from poabcast.bench import BatchingLeader, _LoadClient
+    from poabcast.paxos import PaxosNode
     from poabcast.sim import DelayModel, OmegaScript, Simulator
 
     sim = Simulator(
@@ -50,7 +54,7 @@ def test_sequential_mode_keeps_one_instance_in_flight():
     leader = BatchingLeader(sim, 3, "sequential")
     sim.add_actor(0, leader)
     for pid in (1, 2):
-        sim.add_actor(pid, _Follower(sim, pid, 3))
+        sim.add_actor(pid, PaxosNode(sim, pid, 3, deliver=lambda v, i: None))
     clients = [_LoadClient(sim, leader, i, 0) for i in range(8)]
     for c in clients:
         c.start()
@@ -83,6 +87,27 @@ def test_table1_rows_cover_all_four_protocols():
     ]
     assert all(r.stable_latency is not None for r in rows)
     assert all(r.leader_change_idle is not None for r in rows)
+
+
+# sha256 of the fixed-delay table1 traces; a change that moves any of them
+# on purpose re-pins it and says why
+TABLE1_TRACES = {
+    ("stable", "naive"): "59aa68ba4ab5c52b900d5da6fe2e58bcc8c0106f08177f42284c20346b7edab8",
+    ("leaderchange", "naive"): "96d854947b3e3d28f9e8b3eb2790f14e380551eff898971ce1e04c4355834678",
+    ("stable", "tau-seq"): "97ff5e579347674b7637f389774444304f1e8fe9b61045393940f5777b101530",
+    ("leaderchange", "tau-seq"): "61d517f62905e7e1d07942ac0e7f364f5a5e8b24f2c8bdf10f16a93968964b78",
+    ("stable", "tau-paxos"): "b2556d9d0585ef6276fc3641e66fb874d288415f243dcd1f9fcdbd9844619c86",
+    ("leaderchange", "tau-paxos"): "b4287e60a6f136132792c3ca9c75289d962abfdb8cb3594fedb6d38ad65dd35c",
+    ("stable", "barrier-free"): "19756e158f8513e0468630c9a1ebd4206078fcd7e8cc0f1f61124ae8e9e63e2f",
+    ("leaderchange", "barrier-free"): "15c8aff659ed953d5f4af4689f0d4adefb81af5e1051d59d421b02a81912ec8e",
+}
+
+
+@pytest.mark.parametrize("kind, protocol", sorted(TABLE1_TRACES))
+def test_table1_traces_are_pinned(kind, protocol):
+    make = stable_scenario if kind == "stable" else leaderchange_scenario
+    digest = hashlib.sha256(run(make(protocol)).to_jsonl().encode()).hexdigest()
+    assert digest == TABLE1_TRACES[(kind, protocol)]
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ from poabcast.paxos import (
     READING,
 )
 from poabcast.sim import DelayModel, OmegaScript, Simulator
-from poabcast.values import NOOP, AppValue
+from poabcast.values import NOOP, AppValue, Batch, NewEpoch, Skip, ValTuple, app_payload
 
 
 class Node:
@@ -117,6 +117,20 @@ def test_majority_write_decides_at_every_correct_process():
     sim.run(500)
     for nd in nodes:
         assert nd.delivered == [(1, v)]
+
+
+def test_stable_leader_keeps_no_decided_instance_in_flight():
+    # the watchdog tests `written` for outstanding work, so a decided
+    # instance must leave it, and a late ack must not bring it back
+    sim, nodes = make_cluster()
+    leader = nodes[0].node
+    leader.ensure_leadership()
+    for i in range(1, 6):
+        sim.schedule(5 * i, lambda i=i: leader.propose(AppValue(f"v{i}"), i))
+    sim.run(500)
+    assert sorted(leader.decided) == [1, 2, 3, 4, 5]
+    assert leader.written == {}
+    assert leader.write_acks == {}
 
 
 def test_decide_stream_reorders_into_gap_free_sequence():
@@ -223,3 +237,12 @@ def test_two_racing_leaders_decide_one_value_per_instance():
     assert check_consensus(trace) is None
     decided = {nd.delivered[0] for nd in nodes if nd.delivered}
     assert len(decided) == 1
+
+
+def test_app_payload_unwraps_one_val_tuple():
+    v, b = AppValue("v", size=3), Batch((AppValue("x", size=1), AppValue("y", size=2)))
+    assert app_payload(v) is v
+    assert app_payload(b) is b
+    assert app_payload(ValTuple(b, 4, 1)) is b
+    for wrapper in (NOOP, Skip(3), NewEpoch(4)):
+        assert app_payload(wrapper) is None
