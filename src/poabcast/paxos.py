@@ -224,27 +224,26 @@ class PaxosNode:
     # -- message handling -------------------------------------------------
 
     def on_message(self, frm: int, msg: Any) -> None:
-        if isinstance(msg, Ordered):
-            buf = self._recv_buf.setdefault(frm, {})
-            buf[msg.seq] = msg.msg
-            while self._recv_next.get(frm, 0) in buf:
-                seq = self._recv_next.get(frm, 0)
-                self._recv_next[frm] = seq + 1
-                self._dispatch(frm, buf.pop(seq))
+        if type(msg) is not Ordered:
+            self._dispatch(frm, msg)
             return
-        self._dispatch(frm, msg)
+        seq = self._recv_next.get(frm, 0)
+        if msg.seq != seq:
+            # ahead of a gap the network opened: hold it until the gap closes
+            self._recv_buf.setdefault(frm, {})[msg.seq] = msg.msg
+            return
+        self._recv_next[frm] = seq + 1
+        self._dispatch(frm, msg.msg)
+        buf = self._recv_buf.get(frm)
+        while buf and seq + 1 in buf:
+            seq += 1
+            self._recv_next[frm] = seq + 1
+            self._dispatch(frm, buf.pop(seq))
 
     def _dispatch(self, frm: int, msg: Any) -> None:
-        if isinstance(msg, ReadMsg):
-            self._on_read(frm, msg)
-        elif isinstance(msg, ReadAck):
-            self._on_read_ack(frm, msg)
-        elif isinstance(msg, WriteMsg):
-            self._on_write(frm, msg)
-        elif isinstance(msg, WriteAck):
-            self._on_write_ack(frm, msg)
-        elif isinstance(msg, DecideMsg):
-            self._learn(msg.instance, msg.value, announce=False)
+        handler = self._HANDLERS.get(type(msg))
+        if handler is not None:
+            handler(self, frm, msg)
 
     def _on_read(self, frm: int, msg: ReadMsg) -> None:
         self._note_ballot(msg.ballot)
@@ -297,6 +296,17 @@ class PaxosNode:
         acks.add(frm)
         if len(acks) >= self.quorum:
             self._learn(msg.instance, self.written[msg.instance], announce=True)
+
+    def _on_decide(self, frm: int, msg: DecideMsg) -> None:
+        self._learn(msg.instance, msg.value, announce=False)
+
+    _HANDLERS: Dict[type, Callable[["PaxosNode", int, Any], None]] = {
+        ReadMsg: _on_read,
+        ReadAck: _on_read_ack,
+        WriteMsg: _on_write,
+        WriteAck: _on_write_ack,
+        DecideMsg: _on_decide,
+    }
 
     # -- learning -------------------------------------------------------
 

@@ -44,11 +44,22 @@ class DelayModel:
         else:
             raise ValueError(f"unknown delay model kind: {self.kind}")
 
-    def delay(self, seq: int) -> int:
+    def delay(self, seq: int, rng: random.Random) -> int:
+        """Delay of message ``seq``; a jitter draw reseeds ``rng`` first.
+
+        The draw equals ``random.Random((seed << 32) ^ seq).randint(min,
+        max)``: reseeding through the C base class skips ``Random.seed``'s
+        Python wrapper, and the loop is ``randint``'s own rejection loop.
+        """
         if self.kind == "fixed":
             return self.delta
-        rng = random.Random((self.seed << 32) ^ seq)
-        return rng.randint(self.min_delay, self.max_delay)
+        super(random.Random, rng).seed((self.seed << 32) ^ seq)
+        width = self.max_delay - self.min_delay + 1
+        bits = width.bit_length()
+        r = rng.getrandbits(bits)
+        while r >= width:
+            r = rng.getrandbits(bits)
+        return self.min_delay + r
 
     @property
     def base(self) -> int:
@@ -135,11 +146,14 @@ class Simulator:
         self.now = 0
         self.trace = Trace()
         self.actors: Dict[int, Any] = {}
-        # (time, insertion handle, callback, bound actor or None)
-        self._heap: List[Tuple[int, int, Callable[[], None], Optional[int]]] = []
+        # (time, insertion handle, bound actor or None, callback, sender,
+        # message); a message has no callback and is bound to its receiver
+        self._heap: List[tuple] = []
         self._insertion = 0
         self._event_index = 0
         self._msg_seq = 0
+        # reseeded for every jitter draw, so its state never carries over
+        self._rng = random.Random(0)
         self._fifo_floor: Dict[Tuple[int, int], int] = {}
         self._busy_until: Dict[int, int] = {}
         self._omega_view: Dict[int, Optional[int]] = {}
@@ -163,39 +177,39 @@ class Simulator:
             raise SchedulingError(f"cannot schedule at t={at} (now t={self.now})")
         self._insertion += 1
         handle = self._insertion
-        heapq.heappush(self._heap, (at, handle, fn, actor))
+        heapq.heappush(self._heap, (at, handle, actor, fn, None, None))
         return handle
 
     # -- messaging ----------------------------------------------------------
 
     def send(self, frm: int, to: int, msg: Any, size: int = 0) -> None:
-        if not self.alive(frm):
+        now = self.now
+        crash_at = self.crashes.get(frm)
+        if crash_at is not None and now >= crash_at:
             return
+        self._insertion += 1
         if frm == to:
             # local self-delivery: immediate, no link traversal
-            self.schedule(self.now, lambda: self._deliver(frm, to, msg), actor=to)
+            heapq.heappush(self._heap, (now, self._insertion, to, None, frm, msg))
             return
         self._msg_seq += 1
-        seq = self._msg_seq
-        departure = max(self.now, self._busy_until.get(frm, 0))
-        cost = int(round(size * self.per_byte))
-        departure += cost
+        departure = self._busy_until.get(frm, 0)
+        if departure < now:
+            departure = now
+        if size:
+            departure += int(round(size * self.per_byte))
         self._busy_until[frm] = departure
-        deliver_at = departure + self.delay_model.delay(seq)
+        deliver_at = departure + self.delay_model.delay(self._msg_seq, self._rng)
         if not self.reorder:
             floor = self._fifo_floor.get((frm, to), 0)
-            deliver_at = max(deliver_at, floor)
+            if deliver_at < floor:
+                deliver_at = floor
             self._fifo_floor[(frm, to)] = deliver_at
-        self.schedule(deliver_at, lambda: self._deliver(frm, to, msg), actor=to)
+        heapq.heappush(self._heap, (deliver_at, self._insertion, to, None, frm, msg))
 
     def sender_free_at(self, pid: int) -> int:
         """Tick at which ``pid``'s outgoing link has sent everything queued."""
         return self._busy_until.get(pid, 0)
-
-    def _deliver(self, frm: int, to: int, msg: Any) -> None:
-        actor = self.actors.get(to)
-        if actor is not None:
-            actor.on_message(frm, msg)
 
     # -- omega --------------------------------------------------------------
 
@@ -235,16 +249,22 @@ class Simulator:
                 starter = getattr(self.actors[aid], "on_start", None)
                 if starter is not None:
                     self.schedule(0, starter, actor=aid)
-        heap, crashes = self._heap, self.crashes
+        heap, crashes, actors = self._heap, self.crashes, self.actors
         while heap and heap[0][0] <= until:
-            at, _, fn, actor = heapq.heappop(heap)
+            at, _, actor, fn, frm, msg = heapq.heappop(heap)
             self.now = at
             if actor is not None:
                 # an actor-bound event at or after its actor's crash is dropped
                 crash_at = crashes.get(actor)
                 if crash_at is not None and at >= crash_at:
                     continue
-            fn()
+            if fn is not None:
+                fn()
+            else:
+                # a message to an id with no actor is dropped
+                receiver = actors.get(actor)
+                if receiver is not None:
+                    receiver.on_message(frm, msg)
         self.now = until
         self.trace.summary.setdefault("horizon", until)
         return self.trace

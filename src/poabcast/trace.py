@@ -12,6 +12,10 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List
 
 
+# what json.dumps(obj, sort_keys=True, separators=(",", ":")) builds on each call
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 @dataclass(frozen=True)
 class TraceEvent:
     time: int
@@ -21,14 +25,11 @@ class TraceEvent:
     data: Dict[str, Any]
 
     def to_json(self) -> str:
-        rec = {
-            "t": self.time,
-            "i": self.index,
-            "p": self.actor,
-            "kind": self.kind,
-            "data": self.data,
-        }
-        return json.dumps(rec, sort_keys=True, separators=(",", ":"))
+        # the record's keys in sorted order; the three int fields print as JSON does
+        return (
+            f'{{"data":{_ENCODE(self.data)},"i":{self.index},'
+            f'"kind":{_ENCODE(self.kind)},"p":{self.actor},"t":{self.time}}}'
+        )
 
 
 @dataclass
@@ -51,9 +52,7 @@ class Trace:
 
     def to_jsonl(self) -> str:
         lines = [e.to_json() for e in self.events]
-        lines.append(
-            json.dumps({"summary": self.summary}, sort_keys=True, separators=(",", ":"))
-        )
+        lines.append(_ENCODE({"summary": self.summary}))
         return "\n".join(lines) + "\n"
 
     @classmethod

@@ -1,5 +1,7 @@
 """Simulation kernel: scheduling, links, crashes, oracle script, determinism."""
 
+import random
+
 import pytest
 
 from poabcast.sim import DelayModel, OmegaScript, SchedulingError, Simulator
@@ -148,8 +150,9 @@ def test_per_byte_cost_serializes_the_sender():
 def test_jitter_is_a_pure_function_of_seed_and_seq():
     m1 = DelayModel.jitter(8, 12, seed=1)
     m2 = DelayModel.jitter(8, 12, seed=1)
-    assert [m1.delay(s) for s in range(50)] == [m2.delay(s) for s in range(50)]
-    assert all(8 <= m1.delay(s) <= 12 for s in range(200))
+    r1, r2 = random.Random(), random.Random()
+    assert [m1.delay(s, r1) for s in range(50)] == [m2.delay(s, r2) for s in range(50)]
+    assert all(8 <= m1.delay(s, r1) <= 12 for s in range(200))
 
 
 def test_jitter_bounds_validated():
@@ -227,3 +230,57 @@ def test_run_is_deterministic():
 
     s = random_scenario(3, "tau-paxos")
     assert run(s).to_jsonl() == run(s).to_jsonl()
+
+
+# (min, max) pairs: width 1, power-of-two widths (where randint's rejection
+# loop repeats most), a wide range, and every bound random_scenario draws
+DELAY_BOUNDS = [(1, 1), (7, 7), (1, 2), (3, 6), (1, 8), (5, 20), (1, 1024), (2, 1000)] + [
+    (5, hi) for hi in range(8, 21)
+]
+DELAY_SEEDS = [0, 1, 7, 99, 999, 2**31 - 1, 2**40 + 3, 2**64 + 5, -7]
+
+
+def test_jitter_draw_equals_a_fresh_generators_randint():
+    rng = random.Random()  # one reused generator, as the simulator keeps it
+    for lo, hi in DELAY_BOUNDS:
+        for seed in DELAY_SEEDS:
+            model = DelayModel.jitter(lo, hi, seed=seed)
+            for seq in (1, 2, 3, 17, 255, 256, 4096, 2**32 - 1, 2**32, 2**33 + 1):
+                reference = random.Random((seed << 32) ^ seq).randint(lo, hi)
+                assert model.delay(seq, rng) == reference, (lo, hi, seed, seq)
+
+
+def test_message_to_an_id_with_no_actor_is_dropped_silently():
+    sim = make_sim(delta=10)
+    rec = Recorder()
+    sim.add_actor(1, rec)
+    sim.schedule(5, lambda: (sim.send(0, 2, "lost"), sim.send(0, 1, "kept")))
+    sim.schedule(5, lambda: sim.send(2, 2, "self, lost"))
+    sim.run(100)
+    assert rec.messages == [(0, "kept")]
+
+
+@pytest.mark.parametrize("message_first", [True, False])
+def test_message_and_callback_due_at_the_same_tick_fire_in_insertion_order(message_first):
+    sim = make_sim(delta=10)
+    order = []
+
+    class Probe:
+        def on_message(self, frm, msg):
+            order.append(msg)
+
+    sim.add_actor(1, Probe())
+
+    def queue_both():
+        # the message is due at 5 + 10 = 15, the callback is scheduled for 15
+        if message_first:
+            sim.send(0, 1, "message")
+            sim.schedule(15, lambda: order.append("callback"), actor=1)
+        else:
+            sim.schedule(15, lambda: order.append("callback"), actor=1)
+            sim.send(0, 1, "message")
+
+    sim.schedule(5, queue_both)
+    sim.run(100)
+    expected = ["message", "callback"] if message_first else ["callback", "message"]
+    assert order == expected
