@@ -6,6 +6,9 @@ from its lowest undecided one, then writes picked values (gaps filled
 with no-ops) and any queued proposals. Ballots are leader-wide: a single
 promise guards all instances.
 
+Nodes rely on the simulator's FIFO links between processes: the no-op gap
+rule is unsound without them. This module holds protocol state only.
+
 The only surface beyond propose/decide is ``whitebox_observe``, which is
 feature-gated so that black-box deployments cannot reach it.
 """
@@ -31,21 +34,6 @@ WRITING = "writing"
 # outstanding work and no progress for this long re-runs its read phase
 # with a higher ballot.
 RETRY_DELAYS = 6
-
-
-@dataclass(frozen=True)
-class Ordered:
-    """Transport framing restoring per-peer FIFO order over the network.
-
-    The read phase's no-op gap rule is only sound if each acceptor's
-    accepted instances are prefix-closed per primary, which needs in-order
-    links between nodes (in deployments this comes from TCP). Nodes number
-    their messages per peer and receivers reassemble, so the protocol
-    tolerates a network that reorders individual messages.
-    """
-
-    seq: int
-    msg: Any
 
 
 @dataclass(frozen=True)
@@ -118,10 +106,6 @@ class PaxosNode:
         self._max_round = 0
         self._progress = 0
         self._watchdog_armed = False
-        # per-peer FIFO transport state
-        self._send_seq: Dict[int, int] = {}
-        self._recv_next: Dict[int, int] = {}
-        self._recv_buf: Dict[int, Dict[int, Any]] = {}
 
     # -- helpers --------------------------------------------------------
 
@@ -134,14 +118,6 @@ class PaxosNode:
 
     def _note_ballot(self, ballot: int) -> None:
         self._max_round = max(self._max_round, self._round(ballot))
-
-    def _send(self, to: int, msg: Any, size: int = 0) -> None:
-        if to == self.pid:
-            self.sim.send(self.pid, to, msg, size=size)
-            return
-        seq = self._send_seq.get(to, 0)
-        self._send_seq[to] = seq + 1
-        self.sim.send(self.pid, to, Ordered(seq, msg), size=size)
 
     # -- leadership -----------------------------------------------------
 
@@ -163,7 +139,7 @@ class PaxosNode:
         self.write_acks = {}
         self.sim.emit("paxos-read", self.pid, ballot=self.ballot, lo=self.read_lo)
         for q in range(self.n):
-            self._send(q, ReadMsg(self.ballot, self.read_lo))
+            self.sim.send(self.pid, q, ReadMsg(self.ballot, self.read_lo))
         self._arm_watchdog()
 
     def relinquish(self) -> None:
@@ -218,29 +194,12 @@ class PaxosNode:
         )
         size = payload_size(value)
         for q in range(self.n):
-            self._send(q, WriteMsg(self.ballot, instance, value), size=size)
+            self.sim.send(self.pid, q, WriteMsg(self.ballot, instance, value), size=size)
         self._arm_watchdog()
 
     # -- message handling -------------------------------------------------
 
     def on_message(self, frm: int, msg: Any) -> None:
-        if type(msg) is not Ordered:
-            self._dispatch(frm, msg)
-            return
-        seq = self._recv_next.get(frm, 0)
-        if msg.seq != seq:
-            # ahead of a gap the network opened: hold it until the gap closes
-            self._recv_buf.setdefault(frm, {})[msg.seq] = msg.msg
-            return
-        self._recv_next[frm] = seq + 1
-        self._dispatch(frm, msg.msg)
-        buf = self._recv_buf.get(frm)
-        while buf and seq + 1 in buf:
-            seq += 1
-            self._recv_next[frm] = seq + 1
-            self._dispatch(frm, buf.pop(seq))
-
-    def _dispatch(self, frm: int, msg: Any) -> None:
         handler = self._HANDLERS.get(type(msg))
         if handler is not None:
             handler(self, frm, msg)
@@ -253,7 +212,7 @@ class PaxosNode:
         report = tuple(
             (i, acc) for i, acc in sorted(self.accepted.items()) if i >= msg.lo
         )
-        self._send(frm, ReadAck(msg.ballot, report))
+        self.sim.send(self.pid, frm, ReadAck(msg.ballot, report))
 
     def _on_read_ack(self, frm: int, msg: ReadAck) -> None:
         if not self.active or self.phase != READING or msg.ballot != self.ballot:
@@ -287,7 +246,7 @@ class PaxosNode:
             return
         self.promised = msg.ballot
         self.accepted[msg.instance] = (msg.value, msg.ballot)
-        self._send(frm, WriteAck(msg.ballot, msg.instance))
+        self.sim.send(self.pid, frm, WriteAck(msg.ballot, msg.instance))
 
     def _on_write_ack(self, frm: int, msg: WriteAck) -> None:
         if not self.active or msg.ballot != self.ballot or msg.instance in self.decided:
@@ -325,7 +284,7 @@ class PaxosNode:
         if announce:
             for q in range(self.n):
                 if q != self.pid:
-                    self._send(q, DecideMsg(instance, value))
+                    self.sim.send(self.pid, q, DecideMsg(instance, value))
         self.queued.pop(instance, None)
         while self._next_decide in self.decided:
             i = self._next_decide

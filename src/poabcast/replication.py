@@ -183,8 +183,6 @@ class Replica:
     def on_message(self, frm: int, msg: Any) -> None:
         if isinstance(msg, Request):
             self.on_request(msg)
-        elif isinstance(msg, Reply):
-            pass  # stray reply routed to a replica id; ignore
         else:
             self.layer.on_message(frm, msg)
 

@@ -55,9 +55,11 @@ class Scenario:
             raise ScenarioError("n must be an odd number >= 3")
         if len(self.crashes) > (self.n - 1) // 2:
             raise ScenarioError("crashes must leave a quorum of correct processes")
-        for p in self.crashes:
+        for p, t in self.crashes.items():
             if not 0 <= p < self.n:
                 raise ScenarioError(f"crash names unknown process {p}")
+            if t < 0:
+                raise ScenarioError(f"crash of process {p} at negative tick {t}")
         seen = set()
         for c in self.clients:
             if c.cid < self.n or c.cid in seen:
@@ -65,6 +67,9 @@ class Scenario:
             seen.add(c.cid)
             if c.kind not in ("loop", "scripted"):
                 raise ScenarioError(f"unknown client kind: {c.kind}")
+            for at, to, *_ in c.sends:
+                if at < 0 or not 0 <= to < self.n:
+                    raise ScenarioError(f"client {c.cid}: send at t={at} to {to} is out of range")
         try:
             self.omega.validate(self.n, self.crashes)
         except ValueError as e:

@@ -1,9 +1,10 @@
 """Deterministic discrete-event simulation kernel.
 
 Virtual time is integral ticks. Events scheduled at equal times fire in
-insertion order, so a run is a pure function of its inputs. Message loss
-happens only through crashes; links are reliable and FIFO per pair unless
-per-message reordering is switched on.
+insertion order, so a run is a pure function of its inputs. Links lose
+messages only at a crashed receiver. Links between processes (ids below
+``n``) are FIFO, as TCP makes them; with ``reorder`` on, a client link
+gives each message its own delay, so it may overtake an earlier one.
 """
 
 from __future__ import annotations
@@ -147,14 +148,24 @@ class Simulator:
         self.trace = Trace()
         self.actors: Dict[int, Any] = {}
         # (time, insertion handle, bound actor or None, callback, sender,
-        # message); a message has no callback and is bound to its receiver
+        # message, link seq); a message has no callback and is bound to its
+        # receiver, and only a resequenced one has a link seq
         self._heap: List[tuple] = []
         self._insertion = 0
         self._event_index = 0
         self._msg_seq = 0
         # reseeded for every jitter draw, so its state never carries over
         self._rng = random.Random(0)
+        # FIFO links, per (frm, to): without reorder no message is due
+        # before the one sent ahead of it; with reorder a process link
+        # numbers its messages and the receiver holds a frame ahead of a
+        # gap until the gap closes. Consensus needs FIFO process links: the
+        # read phase's no-op gap rule is sound only if each acceptor's
+        # accepted instances are prefix-closed per primary.
         self._fifo_floor: Dict[Tuple[int, int], int] = {}
+        self._link_sent: Dict[Tuple[int, int], int] = {}
+        self._link_next: Dict[Tuple[int, int], int] = {}
+        self._link_held: Dict[Tuple[int, int], Dict[int, Any]] = {}
         self._busy_until: Dict[int, int] = {}
         self._omega_view: Dict[int, Optional[int]] = {}
         self._started = False
@@ -177,7 +188,7 @@ class Simulator:
             raise SchedulingError(f"cannot schedule at t={at} (now t={self.now})")
         self._insertion += 1
         handle = self._insertion
-        heapq.heappush(self._heap, (at, handle, actor, fn, None, None))
+        heapq.heappush(self._heap, (at, handle, actor, fn, None, None, None))
         return handle
 
     # -- messaging ----------------------------------------------------------
@@ -190,7 +201,7 @@ class Simulator:
         self._insertion += 1
         if frm == to:
             # local self-delivery: immediate, no link traversal
-            heapq.heappush(self._heap, (now, self._insertion, to, None, frm, msg))
+            heapq.heappush(self._heap, (now, self._insertion, to, None, frm, msg, None))
             return
         self._msg_seq += 1
         departure = self._busy_until.get(frm, 0)
@@ -200,12 +211,32 @@ class Simulator:
             departure += int(round(size * self.per_byte))
         self._busy_until[frm] = departure
         deliver_at = departure + self.delay_model.delay(self._msg_seq, self._rng)
+        link_seq = None
         if not self.reorder:
             floor = self._fifo_floor.get((frm, to), 0)
             if deliver_at < floor:
                 deliver_at = floor
             self._fifo_floor[(frm, to)] = deliver_at
-        heapq.heappush(self._heap, (deliver_at, self._insertion, to, None, frm, msg))
+        elif frm < self.n and to < self.n:
+            link_seq = self._link_sent.get((frm, to), 0)
+            self._link_sent[(frm, to)] = link_seq + 1
+        heapq.heappush(self._heap, (deliver_at, self._insertion, to, None, frm, msg, link_seq))
+
+    def _resequence(self, receiver: Any, frm: int, to: int, seq: int, msg: Any) -> None:
+        """Dispatch frame ``seq`` of link (frm, to) in send order; the frame
+        that closes a gap is followed, in this event, by those it unblocks."""
+        link = (frm, to)
+        if seq != self._link_next.get(link, 0):
+            self._link_held.setdefault(link, {})[seq] = msg
+            return
+        held = self._link_held.get(link)
+        while True:
+            self._link_next[link] = seq + 1
+            receiver.on_message(frm, msg)
+            if not held or seq + 1 not in held:
+                return
+            seq += 1
+            msg = held.pop(seq)
 
     def sender_free_at(self, pid: int) -> int:
         """Tick at which ``pid``'s outgoing link has sent everything queued."""
@@ -251,20 +282,23 @@ class Simulator:
                     self.schedule(0, starter, actor=aid)
         heap, crashes, actors = self._heap, self.crashes, self.actors
         while heap and heap[0][0] <= until:
-            at, _, actor, fn, frm, msg = heapq.heappop(heap)
+            at, _, actor, fn, frm, msg, link_seq = heapq.heappop(heap)
             self.now = at
             if actor is not None:
-                # an actor-bound event at or after its actor's crash is dropped
+                # an actor-bound event at or after its actor's crash is
+                # dropped; so are the frames held behind a dropped one
                 crash_at = crashes.get(actor)
                 if crash_at is not None and at >= crash_at:
                     continue
             if fn is not None:
                 fn()
-            else:
+            elif link_seq is None:
                 # a message to an id with no actor is dropped
                 receiver = actors.get(actor)
                 if receiver is not None:
                     receiver.on_message(frm, msg)
+            elif actor in actors:
+                self._resequence(actors[actor], frm, actor, link_seq, msg)
         self.now = until
         self.trace.summary.setdefault("horizon", until)
         return self.trace

@@ -2,6 +2,8 @@
 
 import os
 
+import pytest
+
 from poabcast.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
@@ -60,6 +62,24 @@ def test_run_missing_scenario_is_a_usage_error(capsys):
 def test_run_malformed_file_is_a_usage_error(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("name: x\nprotocol: nope\nn: 3\nhorizon: 10\n")
+    assert main(["run", str(bad)]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        "crashes: {2: -5}",
+        "clients: [{id: 3, kind: scripted, sends: [{at: -5, to: 0, reqid: 1, op: x}]}]",
+        "clients: [{id: 3, kind: scripted, sends: [{at: 5, to: 7, reqid: 1, op: x}]}]",
+    ],
+    ids=["negative-crash-tick", "negative-send-time", "send-target-out-of-range"],
+)
+def test_run_rejects_bad_timing_or_target_as_a_usage_error(tmp_path, patch):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(
+        "name: x\nprotocol: naive\nn: 3\nhorizon: 100\nomega: [{at: 0, leader: 0}]\n"
+        + patch + "\n"
+    )
     assert main(["run", str(bad)]) == EXIT_USAGE
 
 

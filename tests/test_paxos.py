@@ -191,19 +191,6 @@ def test_conflicting_queued_proposal_rejected():
         leader.propose(AppValue("v2"), 1)
 
 
-def test_transport_reassembles_reordered_messages():
-    sim, nodes = make_cluster()
-    from poabcast.paxos import Ordered
-
-    node = nodes[1].node
-    v = AppValue("v")
-    # instance-7 write arrives before instance-6: reassembly must hold it back
-    node.on_message(0, Ordered(1, WriteMsg(ballot=3, instance=7, value=v)))
-    assert node.accepted == {}
-    node.on_message(0, Ordered(0, WriteMsg(ballot=3, instance=6, value=v)))
-    assert sorted(node.accepted) == [6, 7]
-
-
 def test_reordered_network_preserves_local_primary_order():
     """Regression: a promise landing between an old primary's two writes must
     not let the second value be delivered without the first."""

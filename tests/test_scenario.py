@@ -62,6 +62,9 @@ def test_non_mapping_file_is_a_scenario_error():
         "n: 1",  # too small
         "crashes: {0: 10, 1: 20}",  # majority crashed for n=3
         "crashes: {7: 10}",  # unknown process
+        "crashes: {1: -5}",  # negative crash tick
+        "clients: [{id: 3, kind: scripted, sends: [{at: -5, to: 0, reqid: 1, op: x}]}]",
+        "clients: [{id: 3, kind: scripted, sends: [{at: 5, to: 7, reqid: 1, op: x}]}]",
     ],
 )
 def test_validation_rejects_bad_scenarios(patch):

@@ -284,3 +284,61 @@ def test_message_and_callback_due_at_the_same_tick_fire_in_insertion_order(messa
     sim.run(100)
     expected = ["message", "callback"] if message_first else ["callback", "message"]
     assert order == expected
+
+
+# jitter seed 3 draws 20 ticks for message 1 and 6 for message 2, so two
+# messages sent together arrive in the opposite order
+def make_reordering_sim(**kw):
+    sim = Simulator(
+        n=3,
+        delay_model=DelayModel.jitter(5, 20, seed=3),
+        omega=OmegaScript.single(3, 0),
+        reorder=True,
+        **kw,
+    )
+    rng = random.Random()
+    assert sim.delay_model.delay(1, rng) == 20 and sim.delay_model.delay(2, rng) == 6
+    return sim
+
+
+def test_reorder_resequences_a_process_link_within_one_event():
+    sim = make_reordering_sim()
+    got = []
+
+    class Probe:
+        def on_message(self, frm, msg):
+            got.append((msg, sim.now))
+
+    sim.add_actor(1, Probe())
+
+    def send_both():
+        sim.send(0, 1, "first")  # due at 25
+        sim.send(0, 1, "second")  # due at 11, held until "first" arrives
+        # inserted after both messages: a held frame pushed back on the heap
+        # at tick 25 would fire after this callback
+        sim.schedule(25, lambda: got.append(("callback", sim.now)))
+
+    sim.schedule(5, send_both)
+    sim.run(100)
+    assert got == [("first", 25), ("second", 25), ("callback", 25)]
+
+
+def test_reorder_leaves_client_links_unsequenced():
+    sim = make_reordering_sim()
+    rec = Recorder()
+    sim.add_actor(1, rec)
+    # actor 3 is a client (id >= n): its later message overtakes the earlier
+    sim.schedule(5, lambda: (sim.send(3, 1, "first"), sim.send(3, 1, "second")))
+    sim.run(100)
+    assert rec.messages == [(3, "second"), (3, "first")]
+
+
+def test_frame_held_at_a_receiver_that_crashes_is_never_dispatched():
+    # "second" arrives at 11 and waits for "first", due at 25; the receiver
+    # crashes at 20, so the gap never closes
+    sim = make_reordering_sim(crashes={1: 20})
+    rec = Recorder()
+    sim.add_actor(1, rec)
+    sim.schedule(5, lambda: (sim.send(0, 1, "first"), sim.send(0, 1, "second")))
+    sim.run(100)
+    assert rec.messages == []
