@@ -52,10 +52,7 @@ def render_report(report: Report, expect_violation: bool) -> str:
             lines.append(f"PASS {prop}")
         else:
             lines.append(f"FAIL {prop}: {verdict}")
-    if report.linearizable is not None:
-        lines.append(
-            "PASS linearizable" if report.linearizable else "FAIL linearizable"
-        )
+    lines.append("PASS linearizable" if report.linearizable else "FAIL linearizable")
     lines.append(f"liveness: {report.liveness}")
     if expect_violation:
         lines.append(
@@ -125,10 +122,13 @@ def cmd_report(args) -> int:
     try:
         with open(args.trace) as f:
             trace = Trace.from_jsonl(f.read())
+        report = check_all(trace)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    report = check_all(trace)
+    except (KeyError, TypeError, ValueError) as e:  # a line that is not JSON or lacks a field
+        print(f"error: {args.trace} is not a trace: {e!r}", file=sys.stderr)
+        return EXIT_USAGE
     sys.stdout.write(
         render_report(report, bool(trace.summary.get("expect_violation")))
     )

@@ -53,6 +53,8 @@ class Scenario:
             raise ScenarioError(f"unknown protocol: {self.protocol}")
         if self.n < 3 or self.n % 2 == 0:
             raise ScenarioError("n must be an odd number >= 3")
+        if self.per_byte < 0:
+            raise ScenarioError(f"per_byte must not be negative, got {self.per_byte}")
         if len(self.crashes) > (self.n - 1) // 2:
             raise ScenarioError("crashes must leave a quorum of correct processes")
         for p, t in self.crashes.items():
@@ -67,9 +69,13 @@ class Scenario:
             seen.add(c.cid)
             if c.kind not in ("loop", "scripted"):
                 raise ScenarioError(f"unknown client kind: {c.kind}")
-            for at, to, *_ in c.sends:
+            if c.op_size < 0 or c.retry_every < 0:
+                raise ScenarioError(f"client {c.cid}: size and retry_every must not be negative")
+            for at, to, _, _, size in c.sends:
                 if at < 0 or not 0 <= to < self.n:
                     raise ScenarioError(f"client {c.cid}: send at t={at} to {to} is out of range")
+                if size < 0:
+                    raise ScenarioError(f"client {c.cid}: send at t={at} has size {size} < 0")
         try:
             self.omega.validate(self.n, self.crashes)
         except ValueError as e:
@@ -82,69 +88,67 @@ class Scenario:
             protocol = raw["protocol"]
             n = int(raw["n"])
             horizon = int(raw["horizon"])
-        except KeyError as e:
-            raise ScenarioError(f"scenario is missing required key: {e}") from e
-
-        if "jitter" in raw and raw["jitter"]:
-            j = raw["jitter"]
-            delay = DelayModel.jitter(int(j["min"]), int(j["max"]), int(j.get("seed", 0)))
-        else:
-            delay = DelayModel.fixed(int(raw.get("delta", 10)))
-
-        segments = []
-        for seg in raw.get("omega", [{"at": 0, "leader": 0}]):
-            at = int(seg["at"])
-            if "outputs" in seg:
-                outputs = {int(p): int(l) for p, l in seg["outputs"].items()}
+            if "jitter" in raw and raw["jitter"]:
+                j = raw["jitter"]
+                delay = DelayModel.jitter(int(j["min"]), int(j["max"]), int(j.get("seed", 0)))
             else:
-                outputs = {p: int(seg["leader"]) for p in range(n)}
-            segments.append((at, outputs))
-        omega = OmegaScript(segments)
+                delay = DelayModel.fixed(int(raw.get("delta", 10)))
 
-        clients = []
-        for c in raw.get("clients", []):
-            sends = []
-            for s in c.get("sends", []):
-                sends.append(
-                    (
-                        int(s["at"]),
-                        int(s["to"]),
-                        int(s["reqid"]),
-                        str(s["op"]),
-                        int(s.get("size", 0)),
+            segments = []
+            for seg in raw.get("omega", [{"at": 0, "leader": 0}]):
+                at = int(seg["at"])
+                if "outputs" in seg:
+                    outputs = {int(p): int(l) for p, l in seg["outputs"].items()}
+                else:
+                    outputs = {p: int(seg["leader"]) for p in range(n)}
+                segments.append((at, outputs))
+            omega = OmegaScript(segments)
+
+            clients = []
+            for c in raw.get("clients", []):
+                sends = [
+                    (int(s["at"]), int(s["to"]), int(s["reqid"]), str(s["op"]),
+                     int(s.get("size", 0)))
+                    for s in c.get("sends", [])
+                ]
+                clients.append(
+                    ClientSpec(
+                        cid=int(c["id"]),
+                        kind=c.get("kind", "loop"),
+                        ops=[str(o) for o in c.get("ops", [])],
+                        sends=sends,
+                        retry_every=int(c.get("retry_every", 0)),
+                        op_size=int(c.get("size", 0)),
+                        start_at=int(c.get("start_at", 0)),
                     )
                 )
-            clients.append(
-                ClientSpec(
-                    cid=int(c["id"]),
-                    kind=c.get("kind", "loop"),
-                    ops=[str(o) for o in c.get("ops", [])],
-                    sends=sends,
-                    retry_every=int(c.get("retry_every", 0)),
-                    op_size=int(c.get("size", 0)),
-                    start_at=int(c.get("start_at", 0)),
-                )
-            )
 
-        scenario = cls(
-            name=name,
-            protocol=protocol,
-            n=n,
-            horizon=horizon,
-            delay=delay,
-            omega=omega,
-            crashes={int(p): int(t) for p, t in (raw.get("crashes") or {}).items()},
-            reorder=bool(raw.get("reorder", False)),
-            per_byte=float(raw.get("per_byte", 0.0)),
-            clients=clients,
-            expect_violation=bool(raw.get("expect_violation", False)),
-        )
+            scenario = cls(
+                name=name,
+                protocol=protocol,
+                n=n,
+                horizon=horizon,
+                delay=delay,
+                omega=omega,
+                crashes={int(p): int(t) for p, t in (raw.get("crashes") or {}).items()},
+                reorder=bool(raw.get("reorder", False)),
+                per_byte=float(raw.get("per_byte", 0.0)),
+                clients=clients,
+                expect_violation=bool(raw.get("expect_violation", False)),
+            )
+        except KeyError as e:
+            raise ScenarioError(f"scenario is missing required key: {e}") from e
+        except (AttributeError, TypeError, ValueError) as e:  # a value of the wrong shape
+            raise ScenarioError(f"malformed scenario: {e}") from e
         scenario.validate()
         return scenario
 
     @classmethod
     def from_yaml(cls, text: str) -> "Scenario":
-        raw = yaml.safe_load(text)
+        try:
+            raw = yaml.safe_load(text)
+        except yaml.YAMLError as e:
+            raise ScenarioError(f"scenario is not valid YAML: {e}") from e
         if not isinstance(raw, dict):
             raise ScenarioError("scenario file must contain a mapping")
         return cls.from_dict(raw)

@@ -3,7 +3,8 @@
 1. Latency table exactness (deterministic, zero tolerance)
 2. The poisoned-apply counterexample and its absence under the real protocols
 3. Randomized safety corpus: thousands of seeded adversarial runs, zero violations
-4. Linearizability oracle: small histories pass, corrupted replies fail
+4. Linearizability of every run: the digest-chain walk passes the whole
+   corpus and agrees with an exhaustive oracle; corrupted replies fail
 5. Election-protocol lemmas over the barrier-free corpus (checked in 3)
 6. Sequentiality of the black-box barrier protocol (checked in 3)
 7. Sequential-vs-parallel throughput ratio and empty-request parity
@@ -26,17 +27,13 @@ from poabcast.checker import (
     check_linearizable,
     extract_history,
 )
-from poabcast.cli import load_scenario
+from poabcast.cli import bundled_scenarios, load_scenario
 from poabcast.runner import run
 from poabcast.scenario import random_scenario
 
+from oracle import exhaustive_linearizable
+
 VARIANTS = ("tau-seq", "tau-paxos", "barrier-free")
-CORPUS_SEEDS = range(1000)
-
-
-def corpus(protocol):
-    for seed in CORPUS_SEEDS:
-        yield run(random_scenario(seed, protocol))
 
 
 # -- 1: latency table ---------------------------------------------------------
@@ -82,14 +79,12 @@ def test_same_schedule_is_harmless_under_every_real_variant(variant):
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_randomized_corpus_has_zero_safety_violations(variant):
+def test_randomized_corpus_has_zero_safety_violations(corpus, variant):
     checked = set()
-    for trace in corpus(variant):
-        report = check_all(trace, linearizability=False)
-        assert report.violations == {}, (
-            f"{trace.summary['scenario']}: {report.violations}"
-        )
-        checked.update(report.verdicts)
+    for r in corpus[variant]:
+        assert r.report.violations == {}, f"{r.scenario}: {r.report.violations}"
+        assert r.report.linearizable is True, r.scenario
+        checked.update(r.report.verdicts)
     # the corpus exercised the full property catalogue; the barrier contract
     # only exists for the tau protocols, the election lemmas (5) for
     # barrier-free and proposal sequentiality (6) for tau-seq
@@ -114,11 +109,35 @@ def test_small_histories_linearize(variant):
         assert check_linearizable(history) is True
 
 
+def corrupted_history(name, field, value):
+    """The history of a bundled scenario with its first response's ``field``
+    overwritten, as a corrupted reply table would."""
+    trace = run(load_scenario(name))
+    trace.by_kind("response")[0].data[field] = value
+    return extract_history(trace)
+
+
+# a reply table rebuilt from a bad digest, and one that forged a record
+CORRUPTED = [
+    ("stable-tau-seq", "post", "0" * 12),
+    ("stable-tau-paxos", "record", "r(999:999:forged)"),
+]
+
+
 def test_corrupted_reply_table_fails_linearizability():
-    trace = run(load_scenario("stable-tau-seq"))
-    victim = trace.by_kind("response")[0]
-    victim.data["post"] = "0" * 12  # reply table rebuilt from a bad digest
-    assert check_linearizable(extract_history(trace)) is False
+    for case in CORRUPTED:
+        assert check_linearizable(corrupted_history(*case)) is False, case
+
+
+def test_chain_walk_agrees_with_the_exhaustive_oracle(corpus):
+    # random_scenario gives 120 of the 3000 runs 11-12 ops, past the oracle's reach
+    small = [r.history for runs in corpus.values() for r in runs if len(r.history) <= 10]
+    assert len(small) == 2880
+    bundled = [extract_history(run(load_scenario(name))) for name in bundled_scenarios()]
+    assert len(bundled) == 13
+    corrupted = [corrupted_history(*case) for case in CORRUPTED]
+    for history in small + bundled + corrupted:
+        assert check_linearizable(history) == exhaustive_linearizable(history), history
 
 
 # -- 7: throughput ratio ------------------------------------------------------------------

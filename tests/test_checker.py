@@ -1,13 +1,15 @@
 """Checker soundness: every property catches its hand-built counterexample."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poabcast import checker
 from poabcast.checker import (
     AmbiguousMappingError,
     HistoryOp,
-    OversizedHistoryError,
     check_abcast,
     check_all,
     check_barrier,
@@ -23,6 +25,8 @@ from poabcast.checker import (
 )
 from poabcast.replication import INITIAL_STATE
 from poabcast.trace import Trace, TraceEvent
+
+from oracle import exhaustive_linearizable
 
 
 def make_trace(rows):
@@ -404,14 +408,64 @@ def test_pending_operation_may_or_may_not_take_effect():
     assert check_linearizable([pending, o2, o3]) is True  # pending ran after o2
 
 
-def test_oversized_history_raises():
+def test_history_past_the_old_exhaustive_reach_linearizes():
     ops = []
     state = INITIAL_STATE
-    for k in range(11):
-        o, state = op(3, k + 1, f"op{k}", 2 * k, 2 * k + 1, state)
+    for k in range(12):
+        o, state = op(3 + k % 2, k + 1, f"op{k}", 2 * k, 2 * k + 1, state)
         ops.append(o)
-    with pytest.raises(OversizedHistoryError):
-        check_linearizable(ops)
+    assert check_linearizable(ops) is True
+
+
+def concurrent_history(clients, ops, seed=0):
+    """Sequential clients whose ops take effect in one random interleaving.
+    The op at place i in it responds at 3i+1, and its client invokes the next
+    op at 3i+2, so each op overlaps the ops of every client placed meanwhile."""
+    order = [c for c in range(clients) for _ in range(ops)]
+    random.Random(seed).shuffle(order)
+    invoked = {c: -1 - c for c in range(clients)}
+    issued = {c: 0 for c in range(clients)}
+    history, state = [], INITIAL_STATE
+    for i, c in enumerate(order):
+        issued[c] += 1
+        o, state = op(c, issued[c], "x", invoked[c], 3 * i + 1, state)
+        history.append(o)
+        invoked[c] = 3 * i + 2
+    return sorted(history, key=lambda o: o.invoked)
+
+
+def test_concurrent_history_walks_the_chain_in_ops_times_clients_hashes(monkeypatch):
+    history = concurrent_history(clients=16, ops=100)
+    calls = []
+    original = checker._chain
+
+    def counted(state, record):
+        calls.append(state)
+        return original(state, record)
+
+    monkeypatch.setattr(checker, "_chain", counted)
+    assert check_linearizable(history) is True
+    assert len(history) <= len(calls) <= len(history) * 16
+
+
+def test_pending_operation_bridges_a_gap_mid_history():
+    o1, s1 = op(3, 1, "a", 0, 1, INITIAL_STATE)
+    pending = HistoryOp(4, 1, "p", 2, None, None, None)
+    o2, s2 = op(5, 1, "b", 3, 4, _chain(s1, pending.expected_record()))
+    o3, _ = op(3, 2, "c", 5, 6, s2)
+    history = [o1, pending, o2, o3]
+    assert check_linearizable(history) is True
+    assert exhaustive_linearizable(history) is True
+    # without the pending op nothing bridges s1 to o2's pre-state
+    assert check_linearizable([o1, o2, o3]) is False
+
+
+def test_ready_operation_off_the_chain_fails():
+    o1, _ = op(3, 1, "a", 0, 3, INITIAL_STATE)
+    # concurrent with o1, so ready, but its post extends a state the chain never reaches
+    o2, _ = op(4, 1, "b", 1, 2, _chain(INITIAL_STATE, "r(9:9:elsewhere)"))
+    assert check_linearizable([o1, o2]) is False
+    assert exhaustive_linearizable([o1, o2]) is False
 
 
 @settings(max_examples=30, deadline=None)
@@ -425,6 +479,33 @@ def test_any_sequential_execution_linearizes(names):
         o, state = op(3 + (k % 2), k + 1, name, 2 * k, 2 * k + 1, state)
         ops.append(o)
     assert check_linearizable(ops) is True
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_chain_walk_agrees_with_the_oracle_on_random_windows(data):
+    """Property: ops run in a drawn order (a pending one may not take effect)
+    and get drawn invocation/response windows, so some histories linearize
+    and some do not; the walk and the exhaustive oracle agree on each."""
+    n = data.draw(st.integers(1, 6))
+    order = data.draw(st.permutations(range(n)))
+    pending = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    took_effect = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    posts, state = {}, INITIAL_STATE
+    for i in order:
+        if not pending[i] or took_effect[i]:
+            state = _chain(state, f"r({3 + i}:1:x)")
+            posts[i] = state
+    history = []
+    for i in range(n):
+        invoked = data.draw(st.integers(0, 3 * n))
+        if pending[i]:
+            history.append(HistoryOp(3 + i, 1, "x", invoked, None, None, None))
+        else:
+            responded = invoked + data.draw(st.integers(1, 3 * n))
+            record = f"r({3 + i}:1:x)"
+            history.append(HistoryOp(3 + i, 1, "x", invoked, responded, record, posts[i]))
+    assert check_linearizable(history) == exhaustive_linearizable(history)
 
 
 def test_corrupted_reply_fails_linearizability():

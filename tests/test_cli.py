@@ -83,6 +83,59 @@ def test_run_rejects_bad_timing_or_target_as_a_usage_error(tmp_path, patch):
     assert main(["run", str(bad)]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "patch",
+    [
+        "per_byte: 1.0\nclients: [{id: 3, kind: scripted, sends: "
+        "[{at: 50, to: 0, reqid: 1, op: x, size: -200}]}]",
+        "per_byte: 1.0\nclients: [{id: 3, kind: loop, ops: [a], size: -200}]",
+        "per_byte: -1.0\nclients: [{id: 3, kind: scripted, sends: "
+        "[{at: 50, to: 0, reqid: 1, op: x, size: 200}]}]",
+        "clients: [{id: 3, kind: loop, ops: [a], retry_every: -5}]",
+        "delta: 0",
+        "jitter: {min: 0, max: 5}",
+        "clients: [{id: 3",
+        "omega: [{leader: 0}]",
+        "n: three",
+    ],
+    ids=[
+        "negative-send-size",
+        "negative-client-size",
+        "negative-per-byte",
+        "negative-retry-every",
+        "zero-delta",
+        "zero-jitter-min",
+        "yaml-syntax-error",
+        "omega-segment-without-at",
+        "non-integer-n",
+    ],
+)
+def test_run_rejects_negative_or_malformed_values_as_a_usage_error(tmp_path, capsys, patch):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(
+        "name: x\nprotocol: naive\nn: 3\nhorizon: 100\nomega: [{at: 0, leader: 0}]\n"
+        + patch + "\n"
+    )
+    assert main(["run", str(bad)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"t": 0, "i": 0',
+        '{"t": 0, "i": 0, "p": 0, "data": {}}',
+        '{"t": 0, "i": 0, "p": 0, "kind": "deliver", "data": {}}',
+    ],
+    ids=["not-json", "lacks-kind", "deliver-lacks-value"],
+)
+def test_report_on_a_malformed_trace_is_a_usage_error(tmp_path, capsys, line):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(line + "\n")
+    assert main(["report", str(bad)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_no_command_prints_help_and_exits_usage(capsys):
     assert main([]) == EXIT_USAGE
 

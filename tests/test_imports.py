@@ -1,12 +1,18 @@
-"""Every name a module imports is used in it (a stdlib stand-in for a linter)."""
+"""A stdlib stand-in for a linter: every name a module imports is used in it,
+and every top-level function or class of the package is named somewhere."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "poabcast").glob("*.py"))
+READERS = sorted(
+    path for top in ("src", "tests", "perfbench") for path in (ROOT / top).rglob("*.py")
+)
 
 
 def unused_imports(source: str) -> list:
@@ -38,3 +44,47 @@ def test_the_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def mentions(tree: ast.AST) -> Counter:
+    """Identifiers named in a tree: names, attributes, imported names and
+    string constants (``getattr`` targets, ``__all__`` entries)."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found[node.name] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found[node.value] += 1
+    return found
+
+
+def dead_definitions(modules: dict, package: list) -> list:
+    """Top-level functions and classes of the ``package`` modules that no
+    module in ``modules`` (path -> source) names outside the definition."""
+    trees = {path: ast.parse(source) for path, source in modules.items()}
+    named = sum((mentions(tree) for tree in trees.values()), Counter())
+    return sorted(
+        f"{path}: {node.name}"
+        for path in package
+        for node in trees[path].body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and named[node.name] - mentions(node)[node.name] <= 0
+    )
+
+
+def test_the_checker_finds_a_dead_definition():
+    modules = {
+        "lib": "def used():\n    return 1\n\ndef recursive(n):\n    return recursive(n - 1)\n"
+        "\nclass Spare:\n    pass\n",
+        "user": "from lib import used\nprint(used())\n",
+    }
+    assert dead_definitions(modules, ["lib"]) == ["lib: Spare", "lib: recursive"]
+
+
+def test_every_package_definition_is_named_outside_itself():
+    modules = {path: path.read_text() for path in READERS}
+    assert dead_definitions(modules, PACKAGE) == []

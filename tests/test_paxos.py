@@ -198,7 +198,7 @@ def test_reordered_network_preserves_local_primary_order():
     from poabcast.checker import check_all
 
     trace = run(random_scenario(531, "tau-paxos"))
-    report = check_all(trace, linearizability=False)
+    report = check_all(trace)
     assert report.violations == {}
 
 

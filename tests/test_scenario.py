@@ -65,6 +65,10 @@ def test_non_mapping_file_is_a_scenario_error():
         "crashes: {1: -5}",  # negative crash tick
         "clients: [{id: 3, kind: scripted, sends: [{at: -5, to: 0, reqid: 1, op: x}]}]",
         "clients: [{id: 3, kind: scripted, sends: [{at: 5, to: 7, reqid: 1, op: x}]}]",
+        "clients: [{id: 3, kind: scripted, sends: [{at: 5, to: 0, reqid: 1, op: x, size: -1}]}]",
+        "clients: [{id: 3, kind: loop, ops: [a], size: -1}]",
+        "clients: [{id: 3, kind: loop, ops: [a], retry_every: -5}]",
+        "per_byte: -1.0",
     ],
 )
 def test_validation_rejects_bad_scenarios(patch):
