@@ -28,7 +28,7 @@ from itertools import takewhile
 from operator import attrgetter
 from typing import Dict, List, Optional, Set, Tuple, Union
 
-from .replication import INITIAL_STATE, _digest as _chain  # one step of the service
+from .replication import INITIAL_STATE, _digest as _chain, op_record  # the service's steps
 from .trace import Trace, TraceEvent
 
 SAFETY_PROPERTIES = (
@@ -64,23 +64,10 @@ class Epoch:
 
 
 @dataclass
-class PrimaryMapping:
-    epochs: List[Epoch]
-
-    def identified(self) -> List[Epoch]:
-        return sorted(
-            (e for e in self.epochs if e.ident is not None), key=lambda e: e.ident
-        )
-
-
-@dataclass
 class Report:
     verdicts: Dict[str, Optional[str]] = field(default_factory=dict)
     liveness: str = "skipped"  # "pass" | "inconclusive" | "skipped"
     linearizable: bool = True  # set by check_all; the per-family reports leave it
-
-    def record(self, prop: str, violation: Optional[str]) -> None:
-        self.verdicts[prop] = violation
 
     @property
     def violations(self) -> Dict[str, str]:
@@ -92,6 +79,18 @@ class Report:
 
 
 # -- trace digestion ---------------------------------------------------------
+
+
+def _prefix_chain(seqs: Dict[int, List[str]]) -> Tuple[List[str], Optional[Tuple]]:
+    """The longest of the per-process sequences (the first, on a tie) and the
+    first (process, position, item, longest's item) at which another one
+    leaves it, or None if every sequence is a prefix of it."""
+    longest = max(seqs.values(), key=len, default=[])
+    for p, seq in seqs.items():
+        for i, (x, y) in enumerate(zip(seq, longest)):
+            if x != y:
+                return longest, (p, i, x, y)
+    return longest, None
 
 
 class TraceIndex:
@@ -123,17 +122,12 @@ class TraceIndex:
 
         # the global delivery order: per-process delivery sequences must form
         # a prefix chain of the longest one
-        longest = max(self.deliveries.values(), key=len, default=[])
-        self.order = [e.data["value"] for e in longest]
+        self.order, first_break = _prefix_chain(
+            {p: [e.data["value"] for e in evs] for p, evs in self.deliveries.items()}
+        )
         self.position = {v: i for i, v in enumerate(self.order)}
-        self.chain_violation: Optional[str] = next(
-            (
-                f"process {p} delivery #{i} is {e.data['value']}, global order has {v}"
-                for p, evs in self.deliveries.items()
-                for i, (e, v) in enumerate(zip(evs, self.order))
-                if e.data["value"] != v
-            ),
-            None,
+        self.chain_violation: Optional[str] = None if first_break is None else (
+            "process {} delivery #{} is {}, global order has {}".format(*first_break)
         )
         broadcast_values = {e.data["value"] for e in self.by_kind("broadcast")}
         self.integrity: Optional[str] = next(
@@ -195,12 +189,9 @@ class TraceIndex:
         return epochs
 
 
-def collect_epochs(trace: Union[Trace, TraceIndex]) -> List[Epoch]:
-    return TraceIndex.of(trace).epochs
-
-
-def derive_primary_mapping(trace: Union[Trace, TraceIndex], protocol: str) -> PrimaryMapping:
-    """Assign identifiers to epochs that had at least one value delivered.
+def derive_primary_mapping(trace: Union[Trace, TraceIndex], protocol: str) -> List[Epoch]:
+    """Assign identifiers to epochs that had at least one value delivered,
+    and return those epochs in identifier order.
 
     tau-seq and naive: the decided instance of the epoch's first delivered
     value. tau-paxos: the ballot the primary crossed the barrier with.
@@ -239,7 +230,7 @@ def derive_primary_mapping(trace: Union[Trace, TraceIndex], protocol: str) -> Pr
                 f"{seen[epoch.ident].process} and {epoch.process}"
             )
         seen[epoch.ident] = epoch
-    return PrimaryMapping(epochs)
+    return sorted(seen.values(), key=attrgetter("ident"))
 
 
 # -- atomic broadcast properties --------------------------------------------
@@ -247,33 +238,30 @@ def derive_primary_mapping(trace: Union[Trace, TraceIndex], protocol: str) -> Pr
 
 def check_abcast(trace: Union[Trace, TraceIndex]) -> Report:
     idx = TraceIndex.of(trace)
-    report = Report()
-    report.record("integrity", idx.integrity)
-    if idx.chain_violation is None:
-        report.record("total-order", None)
-        report.record("agreement", None)
-    else:
+    conflict = False
+    if idx.chain_violation is not None:
         # classify: an order conflict is a total-order violation, a gap in an
         # otherwise order-consistent sequence breaks agreement
-        conflict = False
         for evs in idx.deliveries.values():
             indices = [idx.position.get(e.data["value"]) for e in evs]
             indices = [i for i in indices if i is not None]
             conflict = conflict or indices != sorted(indices)
-        report.record("total-order", idx.chain_violation if conflict else None)
-        report.record("agreement", None if conflict else idx.chain_violation)
-    return report
+    return Report({
+        "integrity": idx.integrity,
+        "total-order": idx.chain_violation if conflict else None,
+        "agreement": None if conflict else idx.chain_violation,
+    })
 
 
 # -- primary order properties -------------------------------------------------
 
 
-def check_poabcast(trace: Union[Trace, TraceIndex], mapping: PrimaryMapping) -> Report:
+def check_poabcast(trace: Union[Trace, TraceIndex], ordered: List[Epoch]) -> Report:
+    """The primary-order properties over ``ordered``, the identified epochs in
+    identifier order that ``derive_primary_mapping`` returns."""
     idx = TraceIndex.of(trace)
-    report = Report()
     pos = idx.position
 
-    ordered = mapping.identified()
     # per epoch, the global delivery positions of its broadcasts, in broadcast order
     ranks = [
         [pos[b.data["value"]] for b in e.broadcasts if b.data["value"] in pos] for e in ordered
@@ -296,7 +284,6 @@ def check_poabcast(trace: Union[Trace, TraceIndex], mapping: PrimaryMapping) -> 
         if positions != sorted(positions):
             lpo = f"epoch {epoch.ident}: deliveries out of broadcast order"
             break
-    report.record("local-primary-order", lpo)
 
     # global primary order: all deliveries of an earlier epoch precede all
     # deliveries of a later one
@@ -318,9 +305,9 @@ def check_poabcast(trace: Union[Trace, TraceIndex], mapping: PrimaryMapping) -> 
             if all(v is None for v in others):
                 gpo += f"; {early} was delivered before it was broadcast"
             break
-    report.record("global-primary-order", gpo)
-    report.record("primary-integrity", pi)
-    return report
+    return Report(
+        {"local-primary-order": lpo, "global-primary-order": gpo, "primary-integrity": pi}
+    )
 
 
 def _primary_integrity(idx: TraceIndex, ordered: List[Epoch]) -> Optional[str]:
@@ -350,12 +337,12 @@ def _primary_integrity(idx: TraceIndex, ordered: List[Epoch]) -> Optional[str]:
     return None
 
 
-def check_barrier(trace: Union[Trace, TraceIndex], mapping: PrimaryMapping) -> Optional[str]:
+def check_barrier(trace: Union[Trace, TraceIndex], ordered: List[Epoch]) -> Optional[str]:
     """Each crossing's decided watermark covers every instance at which an
-    earlier epoch's value was decided (finite-trace restriction)."""
+    earlier epoch's value was decided (finite-trace restriction); ``ordered``
+    as in ``check_poabcast``."""
     decided_at = TraceIndex.of(trace).decided_instance
     highest = float("-inf")  # over the values of the epochs before the current one
-    ordered = mapping.identified()
     for i, epoch in enumerate(ordered):
         if epoch.crossing is not None and highest > epoch.crossing.data["dec"]:
             dec = epoch.crossing.data["dec"]
@@ -378,14 +365,11 @@ def check_barrier(trace: Union[Trace, TraceIndex], mapping: PrimaryMapping) -> O
 
 def check_replication(trace: Union[Trace, TraceIndex]) -> Report:
     idx = TraceIndex.of(trace)
-    report = Report()
-
     bots = idx.by_kind("apply-bot")
-    report.record(
-        "no-failed-applies",
+    failed = (
         f"process {bots[0].actor} hit a failed apply at t={bots[0].time}"
         if bots
-        else None,
+        else None
     )
 
     # at-most-once: a request key is applied at most once per replica, and
@@ -404,20 +388,16 @@ def check_replication(trace: Union[Trace, TraceIndex]) -> Report:
         if outcome.setdefault(key, result) != result:
             amo = f"request {key} applied with diverging results"
             break
-    report.record("at-most-once", amo)
 
     # digest convergence: per-replica applied state chains form a prefix chain
     chains: Dict[int, List[str]] = {}
     for e in idx.by_kind("applied"):
         chains.setdefault(e.actor, []).append(e.data["state"])
-    longest = max(chains.values(), key=len, default=[])
-    conv = None
-    for p, c in chains.items():
-        if c != longest[: len(c)]:
-            conv = f"process {p} state chain diverges from the common chain"
-            break
-    report.record("digest-convergence", conv)
-    return report
+    first_break = _prefix_chain(chains)[1]
+    conv = None if first_break is None else (
+        f"process {first_break[0]} state chain diverges from the common chain"
+    )
+    return Report({"no-failed-applies": failed, "at-most-once": amo, "digest-convergence": conv})
 
 
 # -- protocol-specific invariants ----------------------------------------------
@@ -545,7 +525,7 @@ class HistoryOp:
     post: Optional[str]
 
     def expected_record(self) -> str:
-        return f"r({self.client}:{self.reqid}:{self.op})"
+        return op_record(self.client, self.reqid, self.op)
 
 
 def extract_history(trace: Union[Trace, TraceIndex]) -> List[HistoryOp]:
@@ -630,17 +610,16 @@ def _extend(
 def check_all(trace: Union[Trace, TraceIndex]) -> Report:
     idx = TraceIndex.of(trace)
     protocol = idx.summary.get("protocol", "naive")
-    report = Report()
-    report.record("consensus-agreement", check_consensus(idx))
+    report = Report({"consensus-agreement": check_consensus(idx)})
     report.verdicts.update(check_abcast(idx).verdicts)
-    mapping = derive_primary_mapping(idx, protocol)
-    report.verdicts.update(check_poabcast(idx, mapping).verdicts)
+    ordered = derive_primary_mapping(idx, protocol)
+    report.verdicts.update(check_poabcast(idx, ordered).verdicts)
     if protocol in ("tau-seq", "tau-paxos"):
-        report.record("barrier", check_barrier(idx, mapping))
+        report.verdicts["barrier"] = check_barrier(idx, ordered)
     if protocol == "tau-seq":
-        report.record("sequential-instances", check_sequentiality(idx))
+        report.verdicts["sequential-instances"] = check_sequentiality(idx)
     if protocol == "barrier-free":
-        report.record("election-order", check_barrier_free(idx))
+        report.verdicts["election-order"] = check_barrier_free(idx)
     report.verdicts.update(check_replication(idx).verdicts)
     report.liveness = check_liveness(idx)
     report.linearizable = check_linearizable(extract_history(idx))

@@ -1,9 +1,10 @@
 """Command-line harness: run scenarios, check traces, run benchmarks.
 
-Exit codes: 0 ok, 1 safety violation, 2 usage or parse error,
-3 liveness inconclusive (safety passed but the horizon was too short to
-demonstrate progress). A scenario marked expect_violation exits 0 only
-if a violation actually occurred.
+Exit codes: 0 ok, 1 safety violation (or a trace whose primary epochs
+cannot be mapped), 2 usage or parse error, 3 liveness inconclusive
+(safety passed but the horizon was too short to demonstrate progress).
+A scenario marked expect_violation exits 0 only if a violation actually
+occurred.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from importlib import resources
 from typing import List, Optional
 
 from . import bench
-from .checker import Report, check_all
+from .checker import CheckerError, Report, check_all
 from .runner import run
 from .scenario import Scenario, ScenarioError
 from .trace import Trace
@@ -203,6 +204,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ScenarioError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except CheckerError as e:  # the trace parsed, but its epochs are a protocol fault
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_VIOLATION
 
 
 if __name__ == "__main__":

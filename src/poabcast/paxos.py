@@ -98,7 +98,6 @@ class PaxosNode:
         self.ballot = 0
         self.read_lo = 1
         self.read_acks: Dict[int, Dict[int, Tuple[Any, int]]] = {}
-        self.picked: Dict[int, Tuple[Any, int]] = {}
         self.watermark = 0
         self.queued: Dict[int, Any] = {}
         self.written: Dict[int, Any] = {}
@@ -133,7 +132,6 @@ class PaxosNode:
         self.phase = READING
         self.read_lo = self._next_decide
         self.read_acks = {}
-        self.picked = {}
         self.watermark = 0
         self.written = {}
         self.write_acks = {}
@@ -176,9 +174,10 @@ class PaxosNode:
         for i in sorted(self.queued):
             if i in self.decided:
                 continue
-            if i in self.written or i in self.picked:
-                # this instance was resolved by the read phase; the caller
-                # learns about the losing proposal through the decide stream
+            if i in self.written:
+                # this instance was resolved by the read phase (its pick stays
+                # written until decided); the caller learns about the losing
+                # proposal through the decide stream
                 continue
             if self.sequential and self._next_decide < i:
                 break
@@ -220,22 +219,23 @@ class PaxosNode:
         self.read_acks[frm] = dict(msg.accepted)
         if len(self.read_acks) < self.quorum:
             return
+        picked: Dict[int, Tuple[Any, int]] = {}
         for report in self.read_acks.values():
             for i, (value, ballot) in report.items():
-                cur = self.picked.get(i)
+                cur = picked.get(i)
                 if cur is None or ballot > cur[1]:
-                    self.picked[i] = (value, ballot)
-        self.watermark = max(self.picked, default=0)
+                    picked[i] = (value, ballot)
+        self.watermark = max(picked, default=0)
         for i in range(self.read_lo, self.watermark + 1):
-            self.picked.setdefault(i, (NOOP, 0))
+            picked.setdefault(i, (NOOP, 0))
         self.phase = WRITING
         self._progress += 1
         self.sim.emit(
             "paxos-writing", self.pid, ballot=self.ballot, watermark=self.watermark
         )
-        for i in sorted(self.picked):
+        for i in sorted(picked):
             if i not in self.decided:
-                self._write(i, self.picked[i][0])
+                self._write(i, picked[i][0])
         if self.on_phase_change is not None:
             self.on_phase_change()
         self._drain_queued()

@@ -1,13 +1,14 @@
 """Passive replication on top of a primary-order broadcast layer.
 
 The primary executes client operations against a shadow state and
-broadcasts the resulting state updates; every replica applies delivered
-updates to its actual state. An update carries the digests of the states
-before and after execution: applying it on any other state is a hard
-fault, so a replica that receives a mismatching update halts and the
-trace records it. The replicated "service" is a digest chain, which makes
-execution deterministic and mismatches detectable without modelling a
-real data structure.
+broadcasts each resulting ``StateUpdate`` as itself: an update is an
+application value whose body is the operation's record. Every replica
+applies delivered updates to its actual state. An update carries the
+digests of the states before and after execution: applying it on any
+other state is a hard fault, so a replica that receives a mismatching
+update halts and the trace records it. The replicated "service" is a
+digest chain, which makes execution deterministic and mismatches
+detectable without modelling a real data structure.
 
 Duplicate suppression is two-level: a replied table keyed by
 (client, request id) across the whole run, and a per-epoch executed set
@@ -30,13 +31,24 @@ def _digest(pre: str, record: str) -> str:
     return hashlib.sha256(f"{pre}|{record}".encode()).hexdigest()[:12]
 
 
-@dataclass(frozen=True)
-class StateUpdate:
+def op_record(client: int, reqid: int, op: str) -> str:
+    """What executing an operation appends to the service's chain."""
+    return f"r({client}:{reqid}:{op})"
+
+
+@dataclass(frozen=True, kw_only=True)
+class StateUpdate(AppValue):
+    """A primary's state update, broadcast as itself; its body is the record.
+    Its digest is ``AppValue``'s, over the vid and the record."""
+
     client: int
     reqid: int
     pre: str
-    record: str
     post: str
+
+    @property
+    def record(self) -> str:
+        return self.body
 
 
 @dataclass(frozen=True)
@@ -55,25 +67,12 @@ class Reply:
     post: str
 
 
-def execute(state: str, req: Request) -> StateUpdate:
-    record = f"r({req.client}:{req.reqid}:{req.op})"
-    return StateUpdate(req.client, req.reqid, state, record, _digest(state, record))
-
-
-def update_to_value(update: StateUpdate, vid: str, size: int = 0) -> AppValue:
-    meta = (
-        ("client", update.client),
-        ("reqid", update.reqid),
-        ("pre", update.pre),
-        ("record", update.record),
-        ("post", update.post),
+def execute(state: str, req: Request, vid: str) -> StateUpdate:
+    record = op_record(req.client, req.reqid, req.op)
+    return StateUpdate(
+        vid=vid, body=record, size=req.size, client=req.client, reqid=req.reqid,
+        pre=state, post=_digest(state, record),
     )
-    return AppValue(vid=vid, body=update.record, size=size, meta=meta)
-
-
-def value_to_update(value: AppValue) -> StateUpdate:
-    m = dict(value.meta)
-    return StateUpdate(m["client"], m["reqid"], m["pre"], m["record"], m["post"])
 
 
 class Replica:
@@ -86,12 +85,11 @@ class Replica:
         layer.delegate = self
 
         self.state = INITIAL_STATE
-        self.shadow: Optional[str] = None
-        self.initialized = False
+        self.shadow: Optional[str] = None  # the primary's executed state; None at a backup
         self.halted = False
         self.replied: Dict[Tuple[int, int], Reply] = {}
         self.executed_epoch: Set[Tuple[int, int]] = set()
-        self.pending: List[Request] = []
+        self.pending: Dict[Tuple[int, int], Request] = {}  # in arrival order
         self._seq = 0
 
     # -- broadcast layer callbacks -------------------------------------------
@@ -99,20 +97,18 @@ class Replica:
     def on_primary_change(self, primary: bool) -> None:
         if primary:
             self.shadow = self.state
-            self.initialized = True
             self.executed_epoch = set()
-            for req in list(self.pending):
+            for req in list(self.pending.values()):
                 self._maybe_execute(req)
         else:
-            self.initialized = False
             self.shadow = None
 
     def on_deliver(self, value: Any) -> None:
         if self.halted:
             return
         items = value.items if hasattr(value, "items") else (value,)
-        for item in items:
-            self._apply(value_to_update(item))
+        for update in items:
+            self._apply(update)
 
     def _apply(self, update: StateUpdate) -> None:
         key = (update.client, update.reqid)
@@ -133,7 +129,7 @@ class Replica:
         self.state = update.post
         reply = Reply(update.client, update.reqid, update.record, update.post)
         self.replied[key] = reply
-        self.pending = [r for r in self.pending if (r.client, r.reqid) != key]
+        self.pending.pop(key, None)
         self.sim.emit(
             "applied", self.pid, client=update.client, reqid=update.reqid,
             record=update.record, state=self.state,
@@ -145,35 +141,31 @@ class Replica:
     def on_request(self, req: Request) -> None:
         if self.halted:
             return
-        self._handle_request(req)
-
-    def _handle_request(self, req: Request) -> None:
         key = (req.client, req.reqid)
         if key in self.replied:
             self.sim.send(self.pid, req.client, self.replied[key])
             return
         # a request stays pending until its update is applied; if the epoch
         # ends with the update undecided, the next epoch re-executes it
-        if all((r.client, r.reqid) != key for r in self.pending):
-            self.pending.append(req)
+        self.pending.setdefault(key, req)
         self._maybe_execute(req)
 
     def _maybe_execute(self, req: Request) -> None:
         key = (req.client, req.reqid)
         if key in self.replied or key in self.executed_epoch:
             return
-        if not (self.initialized and self.layer.is_primary()):
+        if self.shadow is None or not self.layer.is_primary():
             return
         self.executed_epoch.add(key)
-        update = execute(self.shadow, req)
-        self.shadow = update.post
         self._seq += 1
         vid = f"u{req.client}.{req.reqid}.{self.pid}.{self._seq}"
+        update = execute(self.shadow, req, vid)
+        self.shadow = update.post
         self.sim.emit(
             "execute", self.pid, client=req.client, reqid=req.reqid,
             pre=update.pre, post=update.post,
         )
-        self.layer.poabcast(update_to_value(update, vid, size=req.size))
+        self.layer.poabcast(update)
 
     # -- simulator plumbing ------------------------------------------------------
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 import yaml
 
@@ -28,7 +28,8 @@ class ClientSpec:
     cid: int
     kind: str  # "loop" | "scripted"
     ops: List[str] = field(default_factory=list)
-    sends: List[Dict[str, Any]] = field(default_factory=list)
+    # scripted sends, each (at, to, reqid, op, size)
+    sends: List[Tuple[int, int, int, str, int]] = field(default_factory=list)
     retry_every: int = 0
     op_size: int = 0
     start_at: int = 0

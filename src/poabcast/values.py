@@ -19,7 +19,6 @@ class AppValue:
     vid: str
     body: str = ""
     size: int = 0
-    meta: tuple = ()  # optional (key, value) pairs, e.g. client id / seqno
 
     def digest(self) -> str:
         h = hashlib.sha256(f"{self.vid}|{self.body}".encode()).hexdigest()

@@ -17,8 +17,9 @@ from poabcast.checker import (
     check_linearizable,
     check_liveness,
     check_poabcast,
+    check_replication,
     check_sequentiality,
-    collect_epochs,
+    TraceIndex,
     derive_primary_mapping,
     extract_history,
     _chain,
@@ -91,6 +92,30 @@ def test_agreement_catches_a_gap_in_an_order_consistent_prefix():
     assert report.verdicts["total-order"] is None
 
 
+def test_a_chain_break_names_the_first_process_to_leave_the_longest_sequence():
+    # process 0's sequence is the longest; processes 1 and 2 both leave it,
+    # and process 1 is named because it delivered first
+    rows = [(0, 0, "broadcast", {"value": v, "instance": 1}) for v in ("v1", "v2", "v3")]
+    rows += [(1, 0, "deliver", {"value": "v1", "instance": 1})]
+    rows += [(2, 1, "deliver", {"value": v, "instance": 1}) for v in ("v1", "v3")]
+    rows += [(3, 2, "deliver", {"value": "v2", "instance": 1})]
+    rows += [(4, 0, "deliver", {"value": v, "instance": 1}) for v in ("v2", "v3")]
+    report = check_abcast(make_trace(rows))
+    assert report.verdicts["agreement"] == "process 1 delivery #1 is v3, global order has v2"
+
+
+def test_digest_convergence_names_the_first_replica_off_the_longest_chain():
+    # processes 0 and 1 tie for longest: the first, process 0, is the chain
+    def applied(p, reqid, state):
+        return (reqid, p, "applied", {"client": 9, "reqid": reqid, "record": "r", "state": state})
+
+    rows = [applied(0, 1, "s1"), applied(0, 2, "s2"), applied(1, 1, "s1"), applied(1, 2, "x")]
+    rows += [applied(2, 1, "y")]
+    assert check_replication(make_trace(rows)).verdicts["digest-convergence"] == (
+        "process 1 state chain diverges from the common chain"
+    )
+
+
 # -- primary mapping -----------------------------------------------------------
 
 
@@ -110,14 +135,23 @@ def test_epochs_without_deliveries_get_no_identifier():
         (1, 0, "broadcast", {"value": "lost", "instance": 1}),
         (2, 0, "primary-end", {}),
     ]
-    mapping = derive_primary_mapping(make_trace(rows), "tau-seq")
-    assert mapping.identified() == []
+    assert derive_primary_mapping(make_trace(rows), "tau-seq") == []
 
 
 def test_identifier_is_the_first_delivered_instance_for_tau_seq():
     rows = primary_epoch_rows(0, 0, ["v1", "v2"], [5, 6])
-    mapping = derive_primary_mapping(make_trace(rows), "tau-seq")
-    assert [e.ident for e in mapping.identified()] == [5]
+    assert [e.ident for e in derive_primary_mapping(make_trace(rows), "tau-seq")] == [5]
+
+
+def test_identified_epochs_come_in_identifier_order_not_trace_order():
+    # tau-paxos identifies an epoch by its crossing ballot: here the later
+    # epoch crossed with the lower ballot
+    rows = [(0, 0, "barrier-crossed", {"tau": 0, "dec": 0, "ballot": 9})]
+    rows += primary_epoch_rows(0, 0, ["v1"], [1])
+    rows += [(9, 1, "barrier-crossed", {"tau": 1, "dec": 1, "ballot": 4})]
+    rows += primary_epoch_rows(1, 10, ["v2"], [2])
+    ordered = derive_primary_mapping(make_trace(rows), "tau-paxos")
+    assert [(e.ident, e.process) for e in ordered] == [(4, 1), (9, 0)]
 
 
 def test_colliding_identifiers_raise_ambiguous_mapping():
@@ -145,7 +179,7 @@ def test_forged_epoch_without_establishment_raises():
 def test_nested_primary_begin_is_rejected():
     rows = [(0, 0, "primary-begin", {}), (1, 0, "primary-begin", {})]
     with pytest.raises(Exception):
-        collect_epochs(make_trace(rows))
+        TraceIndex(make_trace(rows)).epochs
 
 
 # -- primary order properties -----------------------------------------------------
@@ -174,7 +208,6 @@ def test_a_broadcast_after_its_first_delivery_is_a_global_order_violation():
     # integrity asks only that a delivered value was broadcast at some time:
     # moving a primary's broadcast of the first delivered value into its later
     # epoch keeps every other ordering property and breaks global primary order
-    from poabcast.checker import TraceIndex
     from poabcast.runner import run
     from poabcast.scenario import random_scenario
 
@@ -260,7 +293,7 @@ def three_tau_seq_epochs(b_instance, a_late_instance, c_dec):
 def test_barrier_names_an_offending_epoch_two_epochs_back():
     # epoch 2 is covered by dec=3; epoch 1's late value at instance 4 is not
     trace, mapping = three_tau_seq_epochs(b_instance=2, a_late_instance=4, c_dec=3)
-    assert [e.ident for e in mapping.identified()] == [1, 2, 5]
+    assert [e.ident for e in mapping] == [1, 2, 5]
     assert check_barrier(trace, mapping) == (
         "epoch 5 crossed with dec=3 but earlier epoch 1's value a2 was decided "
         "at instance 4"

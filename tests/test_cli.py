@@ -1,9 +1,12 @@
 """CLI harness: exit codes, artifacts, bundled scenarios, bench output."""
 
+import json
 import os
 
 import pytest
 
+from poabcast import cli
+from poabcast.checker import AmbiguousMappingError
 from poabcast.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
@@ -134,6 +137,50 @@ def test_report_on_a_malformed_trace_is_a_usage_error(tmp_path, capsys, line):
     bad.write_text(line + "\n")
     assert main(["report", str(bad)]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def event(i, p, kind, **data):
+    return json.dumps({"t": i, "i": i, "p": p, "kind": kind, "data": data})
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (
+            [event(0, 0, "primary-begin"), event(1, 0, "primary-begin")],
+            "nested primary-begin at process 0",
+        ),
+        (
+            [
+                event(0, p, kind, value=f"v{p}", instance=5)
+                for p in (0, 1)
+                for kind in ("primary-begin", "broadcast", "decide", "deliver")
+            ],
+            "identifier 5 claimed by epochs at processes 0 and 1",
+        ),
+    ],
+    ids=["nested-epochs", "ambiguous-mapping"],
+)
+def test_report_on_unmappable_epochs_is_a_violation_not_a_crash(tmp_path, capsys, lines, message):
+    # the file is a trace, but its primary epochs cannot be mapped: for a trace
+    # the kit produced, that is a protocol fault
+    path = tmp_path / "epochs.jsonl"
+    path.write_text("\n".join(lines + ['{"summary": {"protocol": "tau-seq"}}']) + "\n")
+    assert main(["report", str(path)]) == EXIT_VIOLATION
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert "Traceback" not in err
+
+
+def test_run_whose_epochs_cannot_be_mapped_exits_one(monkeypatch, capsys):
+    def unmappable(trace):
+        raise AmbiguousMappingError("identifier 3 claimed by epochs at processes 0 and 2")
+
+    monkeypatch.setattr(cli, "check_all", unmappable)
+    assert main(["run", "stable-tau-seq"]) == EXIT_VIOLATION
+    assert capsys.readouterr().err == (
+        "error: identifier 3 claimed by epochs at processes 0 and 2\n"
+    )
 
 
 def test_no_command_prints_help_and_exits_usage(capsys):

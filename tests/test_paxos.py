@@ -71,7 +71,7 @@ def test_read_ack_picks_highest_ballot_per_instance():
     v1, v2 = AppValue("v1"), AppValue("v2")
     leader._on_read_ack(0, ReadAck(b, ((7, (v1, 2)),)))
     leader._on_read_ack(1, ReadAck(b, ((7, (v2, 5)),)))
-    assert leader.picked[7] == (v2, 5)
+    assert leader.written[7] == v2
 
 
 def test_read_ack_gaps_fill_with_noops_and_set_watermark():
@@ -83,7 +83,7 @@ def test_read_ack_gaps_fill_with_noops_and_set_watermark():
     leader._on_read_ack(0, ReadAck(b, ((1, (v, 1)), (2, (v, 1)), (4, (v, 1)))))
     leader._on_read_ack(1, ReadAck(b, ()))
     assert leader.watermark == 4
-    assert leader.picked[3] == (NOOP, 0)
+    assert leader.written[3] == NOOP
     assert leader.phase == WRITING
 
 
@@ -95,7 +95,7 @@ def test_empty_read_acks_leave_watermark_zero():
     leader._on_read_ack(0, ReadAck(b, ()))
     leader._on_read_ack(1, ReadAck(b, ()))
     assert leader.watermark == 0
-    assert leader.picked == {}
+    assert leader.written == {}
 
 
 def test_acceptor_rejects_writes_below_its_promise():

@@ -9,28 +9,29 @@ from poabcast.replication import (
     Request,
     StateUpdate,
     execute,
-    update_to_value,
-    value_to_update,
 )
 from poabcast.runner import run
 from poabcast.sim import DelayModel, OmegaScript, Simulator
+from poabcast.values import AppValue
 
 
 def test_execute_produces_a_chained_update():
-    u = execute(INITIAL_STATE, Request(3, 1, "append x"))
+    u = execute(INITIAL_STATE, Request(3, 1, "append x"), "u1")
     assert u.pre == INITIAL_STATE
     assert u.record == "r(3:1:append x)"
     assert u.post != u.pre
     # executing the follow-up from the new state chains the digests
-    u2 = execute(u.post, Request(3, 2, "append y"))
+    u2 = execute(u.post, Request(3, 2, "append y"), "u2")
     assert u2.pre == u.post
 
 
-def test_update_value_roundtrip():
-    u = execute(INITIAL_STATE, Request(4, 7, "op"))
-    v = update_to_value(u, vid="u4.7.0.1", size=100)
-    assert v.size == 100
-    assert value_to_update(v) == u
+def test_an_update_is_the_value_it_is_broadcast_as():
+    u = execute(INITIAL_STATE, Request(4, 7, "op", size=100), vid="u4.7.0.1")
+    assert isinstance(u, AppValue)
+    assert (u.vid, u.body, u.size) == ("u4.7.0.1", u.record, 100)
+    assert (u.client, u.reqid, u.pre) == (4, 7, INITIAL_STATE)
+    # the digest is the plain value's: the update's own fields do not enter it
+    assert u.digest() == AppValue("u4.7.0.1", u.record).digest()
 
 
 class FakeLayer:
@@ -64,8 +65,8 @@ def make_replica():
 
 def test_apply_on_matching_state_advances_and_replies():
     sim, replica, layer = make_replica()
-    u = execute(INITIAL_STATE, Request(3, 1, "op"))
-    replica.on_deliver(update_to_value(u, "u1"))
+    u = execute(INITIAL_STATE, Request(3, 1, "op"), "u1")
+    replica.on_deliver(u)
     assert replica.state == u.post
     assert replica.replied[(3, 1)] == Reply(3, 1, u.record, u.post)
     assert not replica.halted
@@ -73,21 +74,23 @@ def test_apply_on_matching_state_advances_and_replies():
 
 def test_apply_on_mismatching_state_halts_the_replica():
     sim, replica, layer = make_replica()
-    bad = StateUpdate(3, 1, pre="not-the-state", record="r", post="p")
-    replica.on_deliver(update_to_value(bad, "u1"))
+    bad = StateUpdate(vid="u1", body="r", client=3, reqid=1, pre="not-the-state", post="p")
+    replica.on_deliver(bad)
     assert replica.halted
     assert sim.trace.by_kind("apply-bot")
     assert sim.trace.summary["halted"] == [0]
     # a halted replica stops processing entirely
     before = replica.state
-    replica.on_deliver(update_to_value(execute(before, Request(3, 2, "op")), "u2"))
+    replica.on_deliver(execute(before, Request(3, 2, "op"), "u2"))
     assert replica.state == before
 
 
 def test_identity_update_applies_cleanly():
     sim, replica, layer = make_replica()
-    same = StateUpdate(3, 1, pre=INITIAL_STATE, record="r(3:1:noop-op)", post=INITIAL_STATE)
-    replica.on_deliver(update_to_value(same, "u1"))
+    same = StateUpdate(
+        vid="u1", body="r(3:1:noop-op)", client=3, reqid=1, pre=INITIAL_STATE, post=INITIAL_STATE
+    )
+    replica.on_deliver(same)
     assert not replica.halted
     assert replica.state == INITIAL_STATE
 
@@ -96,7 +99,16 @@ def test_request_at_backup_is_buffered_not_executed():
     sim, replica, layer = make_replica()
     replica.on_request(Request(3, 1, "op"))
     assert layer.sent == []
-    assert len(replica.pending) == 1
+    assert list(replica.pending) == [(3, 1)]
+
+
+def test_pending_requests_keep_arrival_order_until_applied():
+    sim, replica, layer = make_replica()
+    for client in (4, 3, 4):  # the repeat of (4, 1) keeps its first place
+        replica.on_request(Request(client, 1, "op"))
+    assert list(replica.pending) == [(4, 1), (3, 1)]
+    replica.on_deliver(execute(INITIAL_STATE, Request(4, 1, "op"), "u1"))
+    assert list(replica.pending) == [(3, 1)]
 
 
 def test_request_before_initialization_is_buffered():
@@ -104,7 +116,7 @@ def test_request_before_initialization_is_buffered():
     layer.primary = True  # oracle points here, but no primary-change yet
     replica.on_request(Request(3, 1, "op"))
     assert layer.sent == []
-    # becoming initialized re-executes the buffered request
+    # becoming primary re-executes the buffered request
     replica.on_primary_change(True)
     assert len(layer.sent) == 1
 
@@ -116,16 +128,14 @@ def test_primary_executes_and_broadcasts_once():
     replica.on_request(Request(3, 1, "op"))
     replica.on_request(Request(3, 1, "op"))  # duplicate in the same epoch
     assert len(layer.sent) == 1
-    u = value_to_update(layer.sent[0])
-    assert u.pre == INITIAL_STATE
+    assert layer.sent[0].pre == INITIAL_STATE
 
 
 def test_duplicate_after_reply_resends_stored_answer():
     sim, replica, layer = make_replica()
     sent = []
     sim.send = lambda frm, to, msg, size=0: sent.append((to, msg))
-    u = execute(INITIAL_STATE, Request(3, 1, "op"))
-    replica.on_deliver(update_to_value(u, "u1"))
+    replica.on_deliver(execute(INITIAL_STATE, Request(3, 1, "op"), "u1"))
     replica.on_request(Request(3, 1, "op"))
     replies = [m for to, m in sent if isinstance(m, Reply)]
     assert len(replies) == 2  # one from the apply, one stored resend
@@ -143,7 +153,7 @@ def test_new_epoch_reexecutes_pending_requests_from_committed_state():
     replica.on_primary_change(False)
     replica.on_primary_change(True)
     assert len(layer.sent) == 2
-    assert value_to_update(layer.sent[1]).pre == INITIAL_STATE
+    assert layer.sent[1].pre == INITIAL_STATE
 
 
 def test_client_retransmits_until_answered_and_executes_once():

@@ -1,0 +1,63 @@
+"""Checkers with teeth: known-bad protocols are flagged within the corpus, and
+the verdict texts the weak control earns are pinned."""
+
+import hashlib
+from collections import Counter
+
+from poabcast.barrier_free import BarrierFreeBroadcast
+from poabcast.checker import check_all
+from poabcast.cli import render_report
+from poabcast.runner import run
+from poabcast.scenario import random_scenario
+from poabcast.tau import TauBroadcast
+from poabcast.values import ValTuple
+
+
+def flagged(protocol, seeds):
+    """Seed -> sorted violated properties, for the seeds whose run violates any."""
+    out = {}
+    for seed in seeds:
+        report = check_all(run(random_scenario(seed, protocol)))
+        if report.violations:
+            out[seed] = sorted(report.violations)
+    return out
+
+
+def test_a_zero_barrier_is_caught_by_the_barrier_check(monkeypatch):
+    # tau = 0 lets every leader cross at once, over values its predecessor
+    # may still get decided
+    monkeypatch.setattr(TauBroadcast, "tau", lambda self: 0)
+    expected = {"tau-paxos": [1, 3, 4, 9, 10, 16, 17], "tau-seq": [0, 1, 2, 3, 4, 9, 10, 16, 17]}
+    for protocol, seeds in expected.items():
+        runs = flagged(protocol, range(20))
+        assert [seed for seed, props in runs.items() if "barrier" in props] == seeds
+
+
+def test_delivering_on_decide_without_seqno_order_is_caught(monkeypatch):
+    # a tuple of the current epoch is handed to the delegate as soon as it is
+    # decided, whatever seqnos are still missing before it
+    on_decide = BarrierFreeBroadcast.on_decide
+
+    def eager(self, value, instance):
+        if isinstance(value, ValTuple) and value.epoch == self.epoch:
+            self.deliv_seqno = value.seqno
+        on_decide(self, value, instance)
+
+    monkeypatch.setattr(BarrierFreeBroadcast, "on_decide", eager)
+    assert flagged("barrier-free", range(1000)) == {
+        499: ["election-order", "local-primary-order", "no-failed-applies"]
+    }
+
+
+def test_the_naive_controls_verdicts_are_pinned():
+    counts, violating, digest = Counter(), 0, hashlib.sha256()
+    for seed in range(300):
+        report = check_all(run(random_scenario(seed, "naive")))
+        digest.update(render_report(report, False).encode())
+        violating += bool(report.violations)
+        counts.update(report.violations.keys())
+    assert violating == 125
+    assert counts == {"primary-integrity": 125, "local-primary-order": 45, "no-failed-applies": 6}
+    assert digest.hexdigest() == (
+        "f894fe6d070de0822a34419b7c2c5dab6940ed3541842cf5c2e1d6ea55333ae4"
+    )
