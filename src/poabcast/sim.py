@@ -16,6 +16,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .trace import Trace, TraceEvent
 
+_reseed = super(random.Random, random.Random).seed  # the C seed under Random.seed
+
 
 class SchedulingError(Exception):
     """Raised when an event is scheduled in the virtual past."""
@@ -49,12 +51,13 @@ class DelayModel:
         """Delay of message ``seq``; a jitter draw reseeds ``rng`` first.
 
         The draw equals ``random.Random((seed << 32) ^ seq).randint(min,
-        max)``: reseeding through the C base class skips ``Random.seed``'s
-        Python wrapper, and the loop is ``randint``'s own rejection loop.
+        max)``: the reseed is the C base class's ``seed``, bound once at import
+        (no ``Random.seed`` wrapper, no ``super`` object per draw), and the
+        loop is ``randint``'s own rejection loop.
         """
         if self.kind == "fixed":
             return self.delta
-        super(random.Random, rng).seed((self.seed << 32) ^ seq)
+        _reseed(rng, (self.seed << 32) ^ seq)
         width = self.max_delay - self.min_delay + 1
         bits = width.bit_length()
         r = rng.getrandbits(bits)
@@ -139,6 +142,7 @@ class Simulator:
     ):
         self.n = n
         self.delay_model = delay_model
+        self._delay = delay_model.delay
         self.omega_script = omega
         self.crashes = dict(crashes or {})
         self.reorder = reorder
@@ -152,7 +156,6 @@ class Simulator:
         # receiver, and only a resequenced one has a link seq
         self._heap: List[tuple] = []
         self._insertion = 0
-        self._event_index = 0
         self._msg_seq = 0
         # reseeded for every jitter draw, so its state never carries over
         self._rng = random.Random(0)
@@ -210,7 +213,7 @@ class Simulator:
         if size:
             departure += int(round(size * self.per_byte))
         self._busy_until[frm] = departure
-        deliver_at = departure + self.delay_model.delay(self._msg_seq, self._rng)
+        deliver_at = departure + self._delay(self._msg_seq, self._rng)
         link_seq = None
         if not self.reorder:
             floor = self._fifo_floor.get((frm, to), 0)
@@ -264,9 +267,9 @@ class Simulator:
     # -- trace --------------------------------------------------------------
 
     def emit(self, kind: str, actor: int, **data: Any) -> None:
-        ev = TraceEvent(self.now, self._event_index, actor, kind, data)
-        self._event_index += 1
-        self.trace.append(ev)
+        # one call per event, straight onto the trace; index = position
+        events = self.trace.events
+        events.append(TraceEvent(self.now, len(events), actor, kind, data))
 
     # -- main loop ----------------------------------------------------------
 

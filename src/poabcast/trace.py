@@ -2,22 +2,31 @@
 
 A trace is the single source of truth for every checker: a globally
 ordered list of events, serializable to line-delimited JSON so that
-identical runs compare byte-for-byte.
+identical runs compare byte-for-byte. Events are tuple records; each line
+is ``{"data","i","kind","p","t"}`` as ``json.dumps`` sorts and packs it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List
+from typing import Any, Dict, Iterable, Iterator, List, NamedTuple
 
 
 # what json.dumps(obj, sort_keys=True, separators=(",", ":")) builds on each call
 _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# _ENCODE's C encoder, built once: (obj, 0) -> chunks of the same text; it
+# keeps no circular-reference markers, as trace data is a tree
+_ITERENCODE = json.encoder.c_make_encoder(
+    None, _ENCODE.__self__.default, json.encoder.encode_basestring_ascii, None, ":", ",",
+    True, False, True,
+) if json.encoder.c_make_encoder else lambda obj, _level: (_ENCODE(obj),)
+_KINDS: Dict[str, str] = {}  # event kind -> its JSON string
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
+    """One trace record, an immutable tuple in this field order."""
+
     time: int
     index: int  # global tie-break order within the run
     actor: int  # replica / client id, -1 for run-level events
@@ -25,11 +34,19 @@ class TraceEvent:
     data: Dict[str, Any]
 
     def to_json(self) -> str:
-        # the record's keys in sorted order; the three int fields print as JSON does
-        return (
-            f'{{"data":{_ENCODE(self.data)},"i":{self.index},'
-            f'"kind":{_ENCODE(self.kind)},"p":{self.actor},"t":{self.time}}}'
-        )
+        return _lines((self,))[0]
+
+
+def _lines(events: Iterable[TraceEvent]) -> List[str]:
+    """Each event's JSON line, keys sorted; the int fields print as in JSON."""
+    kinds, encode, join = _KINDS, _ITERENCODE, "".join
+    out = []
+    for t, i, p, kind, data in events:
+        k = kinds.get(kind)
+        if k is None:
+            k = kinds[kind] = join(encode(kind, 0))
+        out.append(f'{{"data":{join(encode(data, 0))},"i":{i},"kind":{k},"p":{p},"t":{t}}}')
+    return out
 
 
 @dataclass
@@ -51,8 +68,8 @@ class Trace:
         return [e for e in self.events if e.kind in want]
 
     def to_jsonl(self) -> str:
-        lines = [e.to_json() for e in self.events]
-        lines.append(_ENCODE({"summary": self.summary}))
+        lines = _lines(self.events)
+        lines.append("".join(_ITERENCODE({"summary": self.summary}, 0)))
         return "\n".join(lines) + "\n"
 
     @classmethod

@@ -134,7 +134,7 @@ def test_chain_walk_agrees_with_the_exhaustive_oracle(corpus):
     small = [r.history for runs in corpus.values() for r in runs if len(r.history) <= 10]
     assert len(small) == 2880
     bundled = [extract_history(run(load_scenario(name))) for name in bundled_scenarios()]
-    assert len(bundled) == 13
+    assert len(bundled) == 14
     corrupted = [corrupted_history(*case) for case in CORRUPTED]
     for history in small + bundled + corrupted:
         assert check_linearizable(history) == exhaustive_linearizable(history), history

@@ -4,6 +4,9 @@ import random
 
 import pytest
 
+from poabcast.bench import bench_throughput
+from poabcast.runner import run
+from poabcast.scenario import random_scenario
 from poabcast.sim import DelayModel, OmegaScript, SchedulingError, Simulator
 
 
@@ -226,8 +229,6 @@ def test_empty_workload_trace_contains_only_omega_events():
 
 
 def test_run_is_deterministic():
-    from poabcast import random_scenario, run
-
     s = random_scenario(3, "tau-paxos")
     assert run(s).to_jsonl() == run(s).to_jsonl()
 
@@ -342,3 +343,43 @@ def test_frame_held_at_a_receiver_that_crashes_is_never_dispatched():
     sim.schedule(5, lambda: (sim.send(0, 1, "first"), sim.send(0, 1, "second")))
     sim.run(100)
     assert rec.messages == []
+
+
+# -- call counts the benchmark reads ------------------------------------------
+
+def counted(monkeypatch, owner, attr):
+    """Count the calls of class attribute ``owner.attr`` for the test."""
+    original = getattr(owner, attr)
+    calls = [0]
+
+    def wrapper(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("workload", ["corpus", "throughput"])
+def test_emit_runs_once_per_event_and_delay_once_per_link_message(monkeypatch, workload):
+    # the benchmark counts trace events and delay draws by wrapping these two
+    # class attributes, so no path may go round them
+    sims = []
+    init = Simulator.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        sims.append(self)
+
+    monkeypatch.setattr(Simulator, "__init__", recording_init)
+    emits = counted(monkeypatch, Simulator, "emit")
+    delays = counted(monkeypatch, DelayModel, "delay")
+    if workload == "corpus":
+        for seed in range(3):
+            for variant in ("tau-seq", "tau-paxos", "barrier-free"):
+                run(random_scenario(seed, variant))
+    else:
+        bench_throughput(request_size=1024, clients_sweep=[8])
+    assert sims
+    assert emits[0] == sum(len(sim.trace) for sim in sims) > 0
+    assert delays[0] == sum(sim._msg_seq for sim in sims) > 0

@@ -131,3 +131,17 @@ def test_demoted_leader_ends_its_epoch():
     assert any(e.time >= 100 for e in ends)
     begins = [e for e in trace.by_kind("primary-begin") if e.actor == 1]
     assert any(e.time >= 100 for e in begins)
+
+
+def test_bundled_skip_scenario_decides_a_skip_and_is_live():
+    # process 0's write of `a` is refused while 1 leads; re-elected at t=100,
+    # it reads watermark 0 under tau = prop = 1 and closes the gap with skip(1)
+    trace = run(load_scenario("skip-tau-seq"))
+    skips = [e for e in trace.by_kind("decide") if e.data["value"] == "skip(1)"]
+    assert {e.actor for e in skips} == {0, 1, 2}
+    assert all(e.data["instance"] == 1 for e in skips)
+    assert min(e.time for e in skips) == 140
+    report = check_all(trace)
+    assert report.violations == {}
+    assert report.liveness == "pass"
+    assert report.linearizable is True
