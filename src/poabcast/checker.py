@@ -420,6 +420,23 @@ def check_sequentiality(trace: Union[Trace, TraceIndex]) -> Optional[str]:
     return None
 
 
+def check_single_ballot_epochs(trace: Union[Trace, TraceIndex]) -> Optional[str]:
+    """tau-paxos: a primary epoch spans one ballot, so no read phase starts at
+    a process inside its own open primary epoch."""
+    in_epoch: Set[int] = set()
+    for e in TraceIndex.of(trace).by_kind("primary-begin", "primary-end", "paxos-read"):
+        if e.kind == "primary-begin":
+            in_epoch.add(e.actor)
+        elif e.kind == "primary-end":
+            in_epoch.discard(e.actor)
+        elif e.actor in in_epoch:
+            return (
+                f"process {e.actor} began a read phase with ballot "
+                f"{e.data['ballot']} inside its primary epoch at t={e.time}"
+            )
+    return None
+
+
 def check_consensus(trace: Union[Trace, TraceIndex]) -> Optional[str]:
     """Agreement at the consensus level: one value per decided instance."""
     chosen: Dict[int, str] = {}
@@ -618,6 +635,8 @@ def check_all(trace: Union[Trace, TraceIndex]) -> Report:
         report.verdicts["barrier"] = check_barrier(idx, ordered)
     if protocol == "tau-seq":
         report.verdicts["sequential-instances"] = check_sequentiality(idx)
+    if protocol == "tau-paxos":
+        report.verdicts["single-ballot-epochs"] = check_single_ballot_epochs(idx)
     if protocol == "barrier-free":
         report.verdicts["election-order"] = check_barrier_free(idx)
     report.verdicts.update(check_replication(idx).verdicts)

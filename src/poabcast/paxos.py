@@ -9,8 +9,9 @@ promise guards all instances.
 Nodes rely on the simulator's FIFO links between processes: the no-op gap
 rule is unsound without them. This module holds protocol state only.
 
-The only surface beyond propose/decide is ``whitebox_observe``, which is
-feature-gated so that black-box deployments cannot reach it.
+The surface beyond propose/decide is ``whitebox_observe``, feature-gated
+so that black-box deployments cannot reach it, and the ``on_phase_change``
+callback, called as each read phase starts and as its write phase begins.
 """
 
 from __future__ import annotations
@@ -135,6 +136,9 @@ class PaxosNode:
         self.watermark = 0
         self.written = {}
         self.write_acks = {}
+        if self.on_phase_change is not None:
+            # the write phase, if any, is over before the new ballot's read
+            self.on_phase_change()
         self.sim.emit("paxos-read", self.pid, ballot=self.ballot, lo=self.read_lo)
         for q in range(self.n):
             self.sim.send(self.pid, q, ReadMsg(self.ballot, self.read_lo))
@@ -292,10 +296,6 @@ class PaxosNode:
             self.deliver(self.decided[i], i)
         if self.active and self.phase == WRITING:
             self._drain_queued()
-
-    def advance_to(self, instance: int) -> None:
-        """Fast-forward the gap-free decide stream past ``instance``."""
-        self._next_decide = max(self._next_decide, instance + 1)
 
     # -- watchdog ---------------------------------------------------------
 

@@ -154,7 +154,7 @@ class Replica:
         key = (req.client, req.reqid)
         if key in self.replied or key in self.executed_epoch:
             return
-        if self.shadow is None or not self.layer.is_primary():
+        if self.shadow is None:
             return
         self.executed_epoch.add(key)
         self._seq += 1

@@ -8,11 +8,14 @@ in two flavours:
   the cost is that instances are forced to run one at a time.
 - ``paxos``: the barrier peeks inside the consensus leader. It is the
   read-phase watermark while this process leads and is in its write
-  phase, and unreachable otherwise. Instances run in parallel.
+  phase, and unreachable otherwise. Instances run in parallel. The read
+  phase is the barrier: it fills every gap up to the watermark with
+  picked values or no-ops, and every read phase, a watchdog re-read
+  included, ends the primary epoch.
 
-On election the new primary closes the gap up to the barrier with skip
-values; deciding skip(k) fast-forwards the decided watermark to k and
-discards any decisions inside the gap.
+Skips are ``seq`` only. A ``seq`` primary has at most one undecided
+proposal, so on election the gap up to the barrier is one instance, and
+the new primary closes it with a skip value at that instance.
 """
 
 from __future__ import annotations
@@ -37,12 +40,11 @@ class TauBroadcast(PrimaryOrderLayer):
             n,
             whitebox=(mode == "paxos"),
             sequential=(mode == "seq"),
-            on_phase_change=self._on_phase_change if mode == "paxos" else None,
+            on_phase_change=self._refresh if mode == "paxos" else None,
         )
         self.mode = mode
         self.prop = 0
         self.dec = 0
-        self._skips_pending = False  # paxos mode: waiting for the write phase
 
     # -- barrier ----------------------------------------------------------
 
@@ -54,14 +56,12 @@ class TauBroadcast(PrimaryOrderLayer):
             return watermark
         return TOP
 
-    def is_primary(self) -> bool:
-        # a live test, not the announced flag: a watchdog re-read leaves the
-        # write phase without a phase callback
-        return self.leader == self.pid and self.dec >= self.tau()
-
     def _refresh(self) -> None:
-        primary = self.is_primary()
+        primary = self.leader == self.pid and self.dec >= self.tau()
         if primary and not self.primary:
+            # the epoch broadcasts from dec on: a prop left over from an
+            # earlier epoch would open a gap no one fills
+            self.prop = self.dec
             self.sim.emit(
                 "barrier-crossed", self.pid, tau=int(self.tau()), dec=self.dec,
                 ballot=self.paxos.ballot,
@@ -71,42 +71,21 @@ class TauBroadcast(PrimaryOrderLayer):
     # -- oracle and consensus callbacks ------------------------------------
 
     def on_omega(self, leader: int) -> None:
-        gained = self._follow(leader)
-        if gained:
-            self._propose_skips()
-        elif gained is False:
-            # a demoted process abandons outstanding work; clients retry
-            # against the new primary
-            self._skips_pending = False
+        if self._follow(leader) and self.mode == "seq":
+            self._propose_skip()
         self._refresh()
 
-    def _on_phase_change(self) -> None:
-        if self._skips_pending:
-            self._propose_skips()
-        self._refresh()
-
-    def _propose_skips(self) -> None:
-        if self.mode == "paxos":
-            phase, _ = self.paxos.whitebox_observe()
-            if not (self.leader == self.pid and phase == WRITING):
-                self._skips_pending = True
-                return
-            self._skips_pending = False
+    def _propose_skip(self) -> None:
         target = self.tau()
         if target <= self.dec:
             return
+        # prop <= dec + 1 always holds, so the gap is the one instance prop
         self.sim.emit("skip-proposed", self.pid, lo=self.dec + 1, target=target)
-        for i in range(self.dec + 1, int(target) + 1):
-            self.paxos.propose(Skip(int(target)), i)
+        self.paxos.propose(Skip(target), target)
 
     def on_decide(self, value: Any, instance: int) -> None:
-        if isinstance(value, Skip):
-            self.dec = max(self.dec, value.target)
-            self.paxos.advance_to(value.target)
-        elif isinstance(value, Noop):
-            self.dec = instance
-        else:
-            self.dec = instance
+        self.dec = instance
+        if not isinstance(value, (Noop, Skip)):
             self.sim.emit("deliver", self.pid, instance=instance, value=describe(value))
             self.delegate.on_deliver(value)
         self._refresh()

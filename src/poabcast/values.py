@@ -48,7 +48,7 @@ class Batch:
 
 @dataclass(frozen=True)
 class Skip:
-    """Closes the instance gap [dec+1, target] without delivering values."""
+    """tau-seq's filler for the one-instance gap at ``target``; delivers nothing."""
 
     target: int
 

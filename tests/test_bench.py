@@ -97,7 +97,7 @@ TABLE1_TRACES = {
     ("stable", "tau-seq"): "97ff5e579347674b7637f389774444304f1e8fe9b61045393940f5777b101530",
     ("leaderchange", "tau-seq"): "61d517f62905e7e1d07942ac0e7f364f5a5e8b24f2c8bdf10f16a93968964b78",
     ("stable", "tau-paxos"): "b2556d9d0585ef6276fc3641e66fb874d288415f243dcd1f9fcdbd9844619c86",
-    ("leaderchange", "tau-paxos"): "b4287e60a6f136132792c3ca9c75289d962abfdb8cb3594fedb6d38ad65dd35c",
+    ("leaderchange", "tau-paxos"): "eea3664bad486f8712ff7465294f635391a2a41f057aa2c2728e7a0593598e22",
     ("stable", "barrier-free"): "19756e158f8513e0468630c9a1ebd4206078fcd7e8cc0f1f61124ae8e9e63e2f",
     ("leaderchange", "barrier-free"): "15c8aff659ed953d5f4af4689f0d4adefb81af5e1051d59d421b02a81912ec8e",
 }

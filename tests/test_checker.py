@@ -19,6 +19,7 @@ from poabcast.checker import (
     check_poabcast,
     check_replication,
     check_sequentiality,
+    check_single_ballot_epochs,
     TraceIndex,
     derive_primary_mapping,
     extract_history,
@@ -375,6 +376,18 @@ def test_sequentiality_catches_two_outstanding_proposals():
         (2, 0, "broadcast", {"value": "v2", "instance": 2}),
     ]
     assert check_sequentiality(make_trace(rows_ok)) is None
+
+
+def test_single_ballot_epochs_catches_a_read_phase_inside_an_epoch():
+    rows = [
+        (0, 0, "paxos-read", {"ballot": 3, "lo": 1}),
+        (1, 0, "primary-begin", {}),
+        (2, 1, "paxos-read", {"ballot": 4, "lo": 1}),  # another process: fine
+        (3, 0, "paxos-read", {"ballot": 6, "lo": 1}),
+    ]
+    assert "ballot 6" in check_single_ballot_epochs(make_trace(rows))
+    rows_ok = rows[:3] + [(3, 0, "primary-end", {}), (3, 0, "paxos-read", {"ballot": 6, "lo": 1})]
+    assert check_single_ballot_epochs(make_trace(rows_ok)) is None
 
 
 def test_barrier_free_checker_catches_seqno_gap():

@@ -35,15 +35,12 @@ def test_an_update_is_the_value_it_is_broadcast_as():
 
 
 class FakeLayer:
-    """Stand-in broadcast layer: records poabcast calls, controllable primary."""
+    """Stand-in broadcast layer: records poabcast calls; the tests announce
+    primary changes to the replica themselves."""
 
     def __init__(self):
-        self.primary = False
         self.sent = []
         self.delegate = None
-
-    def is_primary(self):
-        return self.primary
 
     def poabcast(self, value):
         self.sent.append(value)
@@ -113,7 +110,7 @@ def test_pending_requests_keep_arrival_order_until_applied():
 
 def test_request_before_initialization_is_buffered():
     sim, replica, layer = make_replica()
-    layer.primary = True  # oracle points here, but no primary-change yet
+    # no primary change announced yet
     replica.on_request(Request(3, 1, "op"))
     assert layer.sent == []
     # becoming primary re-executes the buffered request
@@ -123,7 +120,6 @@ def test_request_before_initialization_is_buffered():
 
 def test_primary_executes_and_broadcasts_once():
     sim, replica, layer = make_replica()
-    layer.primary = True
     replica.on_primary_change(True)
     replica.on_request(Request(3, 1, "op"))
     replica.on_request(Request(3, 1, "op"))  # duplicate in the same epoch
@@ -145,7 +141,6 @@ def test_duplicate_after_reply_resends_stored_answer():
 
 def test_new_epoch_reexecutes_pending_requests_from_committed_state():
     sim, replica, layer = make_replica()
-    layer.primary = True
     replica.on_primary_change(True)
     replica.on_request(Request(3, 1, "op"))
     assert len(layer.sent) == 1

@@ -1,14 +1,17 @@
 """Barrier-based primary-order broadcast, both barrier flavours."""
 
+from dataclasses import replace
+
 import pytest
 
 from poabcast.broadcast import NotPrimaryError
 from poabcast.checker import check_all
 from poabcast.cli import load_scenario
 from poabcast.runner import run
+from poabcast.scenario import random_scenario
 from poabcast.sim import DelayModel, OmegaScript, Simulator
 from poabcast.tau import TOP, TauBroadcast
-from poabcast.values import AppValue
+from poabcast.values import AppValue, Skip
 
 
 class Host:
@@ -74,14 +77,14 @@ def test_paxos_barrier_is_top_outside_the_write_phase():
 def test_election_with_gap_proposes_skips():
     sim, hosts = make_cluster("seq", omega=OmegaScript.single(3, 2))
     layer = hosts[2].layer
-    layer.dec = 2
-    layer.paxos.advance_to(2)  # consensus agrees: instances 1-2 are settled
-    layer.prop = 5  # pretend earlier broadcasts are still undecided
+    layer.prop = 1  # pretend an earlier broadcast is still undecided
     layer.on_omega(2)
     skips = sim.trace.by_kind("skip-proposed")
-    assert [(e.data["lo"], e.data["target"]) for e in skips] == [(3, 5)]
+    # prop <= dec + 1, so the gap is the one instance prop
+    assert [(e.data["lo"], e.data["target"]) for e in skips] == [(1, 1)]
+    assert not layer.is_primary()
     sim.run(400)
-    assert layer.dec >= 5
+    assert layer.dec >= 1
     assert layer.is_primary()
 
 
@@ -91,16 +94,12 @@ def test_no_gap_means_no_skips():
     assert sim.trace.by_kind("skip-proposed") == []
 
 
-def test_deciding_skip_fast_forwards_and_drops_gap_values():
-    from poabcast.values import Skip
-
+def test_deciding_a_skip_closes_its_instance_without_a_delivery():
     sim, hosts = make_cluster("seq")
     layer = hosts[1].layer
-    layer.on_decide(Skip(5), 3)
-    assert layer.dec == 5
-    # instances 4 and 5 were consumed by the skip: the paxos stream will not
-    # hand them to the layer again
-    assert layer.paxos._next_decide >= 6
+    layer.on_decide(Skip(1), 1)
+    assert layer.dec == 1
+    assert sim.trace.by_kind("deliver") == []
 
 
 @pytest.mark.parametrize("mode", ["seq", "paxos"])
@@ -137,6 +136,9 @@ def test_bundled_skip_scenario_decides_a_skip_and_is_live():
     # process 0's write of `a` is refused while 1 leads; re-elected at t=100,
     # it reads watermark 0 under tau = prop = 1 and closes the gap with skip(1)
     trace = run(load_scenario("skip-tau-seq"))
+    # a seq primary has at most one undecided proposal: the gap is one instance
+    proposed = trace.by_kind("skip-proposed")
+    assert proposed and all(e.data["lo"] == e.data["target"] == 1 for e in proposed)
     skips = [e for e in trace.by_kind("decide") if e.data["value"] == "skip(1)"]
     assert {e.actor for e in skips} == {0, 1, 2}
     assert all(e.data["instance"] == 1 for e in skips)
@@ -145,3 +147,31 @@ def test_bundled_skip_scenario_decides_a_skip_and_is_live():
     assert report.violations == {}
     assert report.liveness == "pass"
     assert report.linearizable is True
+
+
+@pytest.mark.parametrize("protocol", ["naive", "tau-seq", "tau-paxos", "barrier-free"])
+def test_the_re_read_schedule_under_each_protocol(protocol):
+    scenario = replace(load_scenario("reread-tau-paxos"), protocol=protocol)
+    report = check_all(run(scenario))
+    if protocol == "naive":
+        assert sorted(report.violations) == ["local-primary-order", "no-failed-applies"]
+        return
+    assert report.violations == {}
+    assert report.linearizable is True
+    # tau-seq's black-box consensus drops process 0's refused proposal of `a`
+    # at the re-read, so 0's barrier stays at 1 and `a`, `b` and `c`, sent to
+    # 0 alone, are never answered
+    assert report.liveness == ("inconclusive" if protocol == "tau-seq" else "pass")
+
+
+# tau-paxos seeds that a re-read inside an open primary epoch made unsafe
+# (8804-24542) or stalled (107, 233) before every read phase ended the epoch
+REREAD_SEEDS = [107, 233, 8804, 14135, 18077, 18262, 18277, 22815, 24542]
+
+
+@pytest.mark.parametrize("seed", REREAD_SEEDS)
+def test_re_read_seeds_are_safe_and_live(seed):
+    report = check_all(run(random_scenario(seed, "tau-paxos")))
+    assert report.violations == {}
+    assert report.linearizable is True
+    assert report.liveness == "pass"

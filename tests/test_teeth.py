@@ -7,6 +7,7 @@ from collections import Counter
 from poabcast.barrier_free import BarrierFreeBroadcast
 from poabcast.checker import check_all
 from poabcast.cli import render_report
+from poabcast.paxos import PaxosNode
 from poabcast.runner import run
 from poabcast.scenario import random_scenario
 from poabcast.tau import TauBroadcast
@@ -31,6 +32,23 @@ def test_a_zero_barrier_is_caught_by_the_barrier_check(monkeypatch):
     for protocol, seeds in expected.items():
         runs = flagged(protocol, range(20))
         assert [seed for seed, props in runs.items() if "barrier" in props] == seeds
+
+
+def test_a_silent_re_read_is_caught_by_the_single_ballot_check(monkeypatch):
+    # a watchdog re-read that does not tell the layer: the primary keeps its
+    # epoch across the new ballot's read phase. Over seeds 0-999 no other
+    # property flags this mutant
+    begin = PaxosNode.begin_read_phase
+
+    def silent(self):
+        hook, self.on_phase_change = self.on_phase_change, None
+        begin(self)
+        self.on_phase_change = hook
+
+    monkeypatch.setattr(PaxosNode, "begin_read_phase", silent)
+    assert flagged("tau-paxos", range(20)) == {
+        16: ["single-ballot-epochs"], 18: ["single-ballot-epochs"]
+    }
 
 
 def test_delivering_on_decide_without_seqno_order_is_caught(monkeypatch):
