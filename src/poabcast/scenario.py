@@ -54,6 +54,8 @@ class Scenario:
             raise ScenarioError(f"unknown protocol: {self.protocol}")
         if self.n < 3 or self.n % 2 == 0:
             raise ScenarioError("n must be an odd number >= 3")
+        if self.horizon < 1:
+            raise ScenarioError(f"horizon must be at least 1 tick, got {self.horizon}")
         if self.per_byte < 0:
             raise ScenarioError(f"per_byte must not be negative, got {self.per_byte}")
         if len(self.crashes) > (self.n - 1) // 2:

@@ -2,9 +2,10 @@
 
 Virtual time is integral ticks. Events scheduled at equal times fire in
 insertion order, so a run is a pure function of its inputs. Links lose
-messages only at a crashed receiver. Links between processes (ids below
-``n``) are FIFO, as TCP makes them; with ``reorder`` on, a client link
-gives each message its own delay, so it may overtake an earlier one.
+messages only at a crashed receiver. Every link is FIFO, as TCP makes
+it: a message is due no earlier than the one sent ahead of it on the same
+link. With ``reorder`` on, only client links (an end above ``n - 1``)
+drop that floor, so a request or reply may overtake an earlier one.
 """
 
 from __future__ import annotations
@@ -82,9 +83,10 @@ class DelayModel:
 class OmegaScript:
     """Scripted leader-oracle outputs: ordered (from_time, per-process output).
 
-    A segment may map different processes to different leaders; the final
-    segment must map every process to one common output for the oracle's
-    eventual-agreement contract to hold.
+    The first segment names every process; a later one that omits a process
+    keeps its previous output. A segment may map different processes to
+    different leaders; the final segment must map every process to one
+    common output for the oracle's eventual-agreement contract to hold.
     """
 
     segments: List[Tuple[int, Dict[int, int]]]
@@ -99,6 +101,8 @@ class OmegaScript:
             for p, out in outputs.items():
                 if not (0 <= p < n and 0 <= out < n):
                     raise ValueError("omega outputs must name processes in [0, n)")
+        if len(self.segments[0][1]) != n:
+            raise ValueError("the first omega segment must name every process in [0, n)")
         final = self.segments[-1][1]
         finals = {final.get(p) for p in range(n) if p not in crashes}
         finals.discard(None)
@@ -108,19 +112,11 @@ class OmegaScript:
             raise ValueError("final omega segment must name a correct process")
 
     def output(self, p: int, t: int) -> int:
-        current = None
-        for start, outputs in self.segments:
+        current = self.segments[0][1][p]
+        for start, outputs in self.segments[1:]:
             if start > t:
                 break
-            if p in outputs:
-                current = outputs[p]
-        if current is None:
-            # segments that omit a process keep its previous output; fall back
-            # to the first segment that mentions it
-            for _, outputs in self.segments:
-                if p in outputs:
-                    return outputs[p]
-            raise ValueError(f"omega script never names process {p}")
+            current = outputs.get(p, current)
         return current
 
     @classmethod
@@ -152,23 +148,18 @@ class Simulator:
         self.trace = Trace()
         self.actors: Dict[int, Any] = {}
         # (time, insertion handle, bound actor or None, callback, sender,
-        # message, link seq); a message has no callback and is bound to its
-        # receiver, and only a resequenced one has a link seq
+        # message); a message has no callback and is bound to its receiver
         self._heap: List[tuple] = []
         self._insertion = 0
         self._msg_seq = 0
         # reseeded for every jitter draw, so its state never carries over
         self._rng = random.Random(0)
-        # FIFO links, per (frm, to): without reorder no message is due
-        # before the one sent ahead of it; with reorder a process link
-        # numbers its messages and the receiver holds a frame ahead of a
-        # gap until the gap closes. Consensus needs FIFO process links: the
-        # read phase's no-op gap rule is sound only if each acceptor's
-        # accepted instances are prefix-closed per primary.
+        # per (frm, to), the delivery tick of the link's last message: no
+        # message is due before it. Reorder lifts the floor on client links
+        # only. Consensus needs FIFO process links: the read phase's no-op
+        # gap rule is sound only if each acceptor's accepted instances are
+        # prefix-closed per primary.
         self._fifo_floor: Dict[Tuple[int, int], int] = {}
-        self._link_sent: Dict[Tuple[int, int], int] = {}
-        self._link_next: Dict[Tuple[int, int], int] = {}
-        self._link_held: Dict[Tuple[int, int], Dict[int, Any]] = {}
         self._busy_until: Dict[int, int] = {}
         self._omega_view: Dict[int, Optional[int]] = {}
         self._started = False
@@ -191,7 +182,7 @@ class Simulator:
             raise SchedulingError(f"cannot schedule at t={at} (now t={self.now})")
         self._insertion += 1
         handle = self._insertion
-        heapq.heappush(self._heap, (at, handle, actor, fn, None, None, None))
+        heapq.heappush(self._heap, (at, handle, actor, fn, None, None))
         return handle
 
     # -- messaging ----------------------------------------------------------
@@ -204,7 +195,7 @@ class Simulator:
         self._insertion += 1
         if frm == to:
             # local self-delivery: immediate, no link traversal
-            heapq.heappush(self._heap, (now, self._insertion, to, None, frm, msg, None))
+            heapq.heappush(self._heap, (now, self._insertion, to, None, frm, msg))
             return
         self._msg_seq += 1
         departure = self._busy_until.get(frm, 0)
@@ -214,32 +205,12 @@ class Simulator:
             departure += int(round(size * self.per_byte))
         self._busy_until[frm] = departure
         deliver_at = departure + self._delay(self._msg_seq, self._rng)
-        link_seq = None
-        if not self.reorder:
+        if not self.reorder or (frm < self.n and to < self.n):
             floor = self._fifo_floor.get((frm, to), 0)
             if deliver_at < floor:
                 deliver_at = floor
             self._fifo_floor[(frm, to)] = deliver_at
-        elif frm < self.n and to < self.n:
-            link_seq = self._link_sent.get((frm, to), 0)
-            self._link_sent[(frm, to)] = link_seq + 1
-        heapq.heappush(self._heap, (deliver_at, self._insertion, to, None, frm, msg, link_seq))
-
-    def _resequence(self, receiver: Any, frm: int, to: int, seq: int, msg: Any) -> None:
-        """Dispatch frame ``seq`` of link (frm, to) in send order; the frame
-        that closes a gap is followed, in this event, by those it unblocks."""
-        link = (frm, to)
-        if seq != self._link_next.get(link, 0):
-            self._link_held.setdefault(link, {})[seq] = msg
-            return
-        held = self._link_held.get(link)
-        while True:
-            self._link_next[link] = seq + 1
-            receiver.on_message(frm, msg)
-            if not held or seq + 1 not in held:
-                return
-            seq += 1
-            msg = held.pop(seq)
+        heapq.heappush(self._heap, (deliver_at, self._insertion, to, None, frm, msg))
 
     def sender_free_at(self, pid: int) -> int:
         """Tick at which ``pid``'s outgoing link has sent everything queued."""
@@ -285,23 +256,20 @@ class Simulator:
                     self.schedule(0, starter, actor=aid)
         heap, crashes, actors = self._heap, self.crashes, self.actors
         while heap and heap[0][0] <= until:
-            at, _, actor, fn, frm, msg, link_seq = heapq.heappop(heap)
+            at, _, actor, fn, frm, msg = heapq.heappop(heap)
             self.now = at
             if actor is not None:
-                # an actor-bound event at or after its actor's crash is
-                # dropped; so are the frames held behind a dropped one
+                # an actor-bound event at or after its actor's crash is dropped
                 crash_at = crashes.get(actor)
                 if crash_at is not None and at >= crash_at:
                     continue
             if fn is not None:
                 fn()
-            elif link_seq is None:
+            else:
                 # a message to an id with no actor is dropped
                 receiver = actors.get(actor)
                 if receiver is not None:
                     receiver.on_message(frm, msg)
-            elif actor in actors:
-                self._resequence(actors[actor], frm, actor, link_seq, msg)
         self.now = until
         self.trace.summary.setdefault("horizon", until)
         return self.trace

@@ -33,9 +33,6 @@ class TraceEvent(NamedTuple):
     kind: str
     data: Dict[str, Any]
 
-    def to_json(self) -> str:
-        return _lines((self,))[0]
-
 
 def _lines(events: Iterable[TraceEvent]) -> List[str]:
     """Each event's JSON line, keys sorted; the int fields print as in JSON."""

@@ -99,6 +99,9 @@ def test_run_rejects_bad_timing_or_target_as_a_usage_error(tmp_path, patch):
         "jitter: {min: 0, max: 5}",
         "clients: [{id: 3",
         "omega: [{leader: 0}]",
+        "omega: [{at: 0, outputs: {0: 0}}, {at: 50, leader: 1}]",
+        "horizon: -5",
+        "horizon: 0",
         "n: three",
     ],
     ids=[
@@ -110,6 +113,9 @@ def test_run_rejects_bad_timing_or_target_as_a_usage_error(tmp_path, patch):
         "zero-jitter-min",
         "yaml-syntax-error",
         "omega-segment-without-at",
+        "omega-first-segment-names-one-process",
+        "negative-horizon",
+        "zero-horizon",
         "non-integer-n",
     ],
 )

@@ -1,6 +1,7 @@
 """A stdlib stand-in for a linter: every name a module imports is used in it,
-and every top-level function or class of the package has a caller in the
-package or the benchmark (a test alone does not keep a definition alive)."""
+and every top-level function or class of the package, and every method of
+such a class, has a caller in the package or the benchmark (a test alone
+does not keep a definition alive)."""
 
 import ast
 from collections import Counter
@@ -66,27 +67,46 @@ def mentions(tree: ast.AST) -> Counter:
     return found
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def definitions(tree: ast.Module):
+    """(qualified name, node) of each top-level function and class, and of
+    each method of those classes but the dunders, which the language calls."""
+    for node in tree.body:
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, FUNCTIONS) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}", item
+
+
 def dead_definitions(modules: dict, package: list) -> list:
-    """Top-level functions and classes of the ``package`` modules that no
-    module in ``modules`` (path -> source) names outside the definition."""
+    """Definitions of the ``package`` modules that no module in ``modules``
+    (path -> source) names outside the definition itself."""
     trees = {path: ast.parse(source) for path, source in modules.items()}
     named = sum((mentions(tree) for tree in trees.values()), Counter())
     return sorted(
-        f"{path}: {node.name}"
+        f"{path}: {name}"
         for path in package
-        for node in trees[path].body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and named[node.name] - mentions(node)[node.name] <= 0
+        for name, node in definitions(trees[path])
+        if named[node.name] - mentions(node)[node.name] <= 0
     )
 
 
 def test_the_checker_finds_a_dead_definition():
     modules = {
         "lib": "def used():\n    return 1\n\ndef recursive(n):\n    return recursive(n - 1)\n"
-        "\nclass Spare:\n    pass\n",
-        "user": "from lib import used\nprint(used())\n",
+        "\nclass Spare:\n    pass\n"
+        "\nclass Kept:\n    def __len__(self):\n        return 0\n"
+        "\n    def called(self):\n        return 1\n"
+        "\n    def spare(self):\n        return self.spare()\n",
+        "user": "from lib import Kept, used\nprint(used(), Kept().called())\n",
     }
-    assert dead_definitions(modules, ["lib"]) == ["lib: Spare", "lib: recursive"]
+    assert dead_definitions(modules, ["lib"]) == ["lib: Kept.spare", "lib: Spare", "lib: recursive"]
 
 
 def test_every_package_definition_is_named_outside_itself():

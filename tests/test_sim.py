@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poabcast.bench import bench_throughput
 from poabcast.runner import run
@@ -198,6 +200,9 @@ def test_omega_validation_rejects_bad_scripts():
     with pytest.raises(ValueError):
         # final segment disagrees about the leader
         OmegaScript([(0, {0: 0, 1: 1, 2: 1})]).validate(3, {})
+    with pytest.raises(ValueError, match="first omega segment"):
+        # process 1 and 2 have no output until t=50
+        OmegaScript([(0, {0: 0}), (50, {p: 1 for p in range(3)})]).validate(3, {})
     with pytest.raises(ValueError):
         # final leader is crashed
         OmegaScript.single(3, 0).validate(3, {0: 100})
@@ -302,7 +307,7 @@ def make_reordering_sim(**kw):
     return sim
 
 
-def test_reorder_resequences_a_process_link_within_one_event():
+def test_reorder_keeps_the_delivery_floor_on_a_process_link():
     sim = make_reordering_sim()
     got = []
 
@@ -314,14 +319,14 @@ def test_reorder_resequences_a_process_link_within_one_event():
 
     def send_both():
         sim.send(0, 1, "first")  # due at 25
-        sim.send(0, 1, "second")  # due at 11, held until "first" arrives
-        # inserted after both messages: a held frame pushed back on the heap
-        # at tick 25 would fire after this callback
+        # due at the same tick and inserted between the sends, so it fires
+        # between the two messages
         sim.schedule(25, lambda: got.append(("callback", sim.now)))
+        sim.send(0, 1, "second")  # drew 11; the floor makes it due at 25
 
     sim.schedule(5, send_both)
     sim.run(100)
-    assert got == [("first", 25), ("second", 25), ("callback", 25)]
+    assert got == [("first", 25), ("callback", 25), ("second", 25)]
 
 
 def test_reorder_leaves_client_links_unsequenced():
@@ -334,15 +339,67 @@ def test_reorder_leaves_client_links_unsequenced():
     assert rec.messages == [(3, "second"), (3, "first")]
 
 
-def test_frame_held_at_a_receiver_that_crashes_is_never_dispatched():
-    # "second" arrives at 11 and waits for "first", due at 25; the receiver
-    # crashes at 20, so the gap never closes
+def test_a_frame_due_after_its_receiver_crashes_is_never_dispatched():
+    # "first" is due at 25 and "second", which drew 11, at 25 by the floor;
+    # the receiver crashes at 20, so neither reaches it
     sim = make_reordering_sim(crashes={1: 20})
     rec = Recorder()
     sim.add_actor(1, rec)
     sim.schedule(5, lambda: (sim.send(0, 1, "first"), sim.send(0, 1, "second")))
     sim.run(100)
     assert rec.messages == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    sends=st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 4), st.integers(0, 4)).filter(
+            lambda s: s[1] != s[2]
+        ),
+        max_size=40,
+    ),
+)
+def test_reorder_floors_process_links_and_leaves_client_links_to_their_draws(seed, sends):
+    """Property: under jitter and reorder, with ids 3 and 4 clients of a
+    3-process system, message k of a process link is delivered at
+    max(its own draw, the tick of message k-1), so in send order, and a
+    message with a client end at its own draw."""
+    model = DelayModel.jitter(1, 20, seed)
+    sim = Simulator(n=3, delay_model=model, omega=OmegaScript.single(3, 0), reorder=True)
+    delivered = {}
+
+    class Probe:
+        def __init__(self, pid):
+            self.pid = pid
+
+        def on_message(self, frm, msg):
+            delivered.setdefault((frm, self.pid), []).append((msg, sim.now))
+
+    for pid in range(5):
+        sim.add_actor(pid, Probe(pid))
+    for k, (at, frm, to) in enumerate(sends):
+        sim.schedule(at, lambda frm=frm, to=to, k=k: sim.send(frm, to, k))
+
+    # sends fire by time, then insertion order; the kernel numbers messages
+    # from 1 in that order, and a draw is a pure function of the number
+    expected, rng = {}, random.Random()
+    order = sorted(range(len(sends)), key=lambda k: sends[k][0])
+    for seq, k in enumerate(order, start=1):
+        at, frm, to = sends[k]
+        due = at + model.delay(seq, rng)
+        link = expected.setdefault((frm, to), [])
+        if frm < 3 and to < 3 and link:
+            due = max(due, link[-1][1])
+        link.append((k, due))
+
+    sim.run(100)
+    for link, want in expected.items():
+        if link[0] < 3 and link[1] < 3:
+            assert delivered[link] == want
+        else:
+            assert sorted(delivered[link]) == sorted(want)
+    assert delivered.keys() == expected.keys()
 
 
 # -- call counts the benchmark reads ------------------------------------------

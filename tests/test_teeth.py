@@ -77,5 +77,5 @@ def test_the_naive_controls_verdicts_are_pinned():
     assert violating == 125
     assert counts == {"primary-integrity": 125, "local-primary-order": 45, "no-failed-applies": 6}
     assert digest.hexdigest() == (
-        "f894fe6d070de0822a34419b7c2c5dab6940ed3541842cf5c2e1d6ea55333ae4"
+        "145eef62b2be4862c684dabc2d6528090afe1f09310f62b9c2ac0ac311026550"
     )
