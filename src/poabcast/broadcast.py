@@ -4,14 +4,15 @@ The layers differ only in how a process becomes primary: a barrier over
 consensus (``tau``), an election through consensus (``barrier_free``) or
 the leader oracle alone (``abcast``). ``PrimaryOrderLayer`` holds the
 rest: the consensus node, the delegate, the oracle's leader and the
-primary flag with its announcements.
+primary flag with its announcements. Only tau's paxos barrier hooks the
+node's phases; the rest use consensus through propose and decide alone.
 """
 
 from __future__ import annotations
 
 from typing import Any, Optional
 
-from .paxos import PaxosNode
+from .paxos import PaxosNode, PhaseHook
 from .sim import Simulator
 
 
@@ -36,20 +37,19 @@ class PrimaryOrderLayer:
     """Base of the broadcast layers; subclasses supply ``on_decide``,
     ``poabcast`` and ``on_omega`` in their own bodies."""
 
-    def __init__(self, sim: Simulator, pid: int, n: int, **paxos_flags: Any):
+    def __init__(
+        self, sim: Simulator, pid: int, n: int, on_phase_change: Optional[PhaseHook] = None
+    ):
         self.sim = sim
         self.pid = pid
         self.n = n
-        self.paxos = PaxosNode(sim, pid, n, deliver=self.on_decide, **paxos_flags)
+        self.paxos = PaxosNode(sim, pid, n, self.on_decide, on_phase_change)
         self.delegate = NullDelegate()
         self.leader: Optional[int] = None
         self.primary = False
 
-    def is_primary(self) -> bool:
-        return self.primary
-
     def _require_primary(self) -> None:
-        if not self.is_primary():
+        if not self.primary:
             raise NotPrimaryError(f"process {self.pid} is not a primary")
 
     # -- oracle -------------------------------------------------------------

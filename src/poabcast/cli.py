@@ -145,15 +145,30 @@ def _emit_rows(rows, out: Optional[str], name: str) -> None:
     sys.stdout.write(csv)
 
 
+def _check_bench_args(args) -> Optional[List[int]]:
+    """Range-check the bench flags; returns the ``--sweep`` client counts."""
+    for flag, value, low in (("--delta", args.delta, 1), ("--clients", args.clients, 1),
+                             ("--size", args.size, 0)):
+        if value < low:
+            raise ValueError(f"{flag} must be at least {low}, got {value}")
+    entries = args.sweep.split(",") if args.sweep else []
+    for entry in entries:
+        if not entry.strip().isdigit() or int(entry) < 1:
+            raise ValueError(f"--sweep entries must be integers >= 1, got {entry!r}")
+    return [int(entry) for entry in entries] or None
+
+
 def cmd_bench(args) -> int:
+    try:
+        sweep = _check_bench_args(args)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     if args.what == "table1":
         rows = bench.bench_table1(delta=args.delta, clients=args.clients)
         _emit_rows(rows, args.out, "table1.csv")
         return EXIT_OK
     if args.what == "throughput":
-        sweep = (
-            [int(x) for x in args.sweep.split(",")] if args.sweep else None
-        )
         rows = bench.bench_throughput(
             request_size=args.size, clients_sweep=sweep, delta=args.delta
         )

@@ -9,9 +9,11 @@ promise guards all instances.
 Nodes rely on the simulator's FIFO links between processes: the no-op gap
 rule is unsound without them. This module holds protocol state only.
 
-The surface beyond propose/decide is ``whitebox_observe``, feature-gated
-so that black-box deployments cannot reach it, and the ``on_phase_change``
-callback, called as each read phase starts and as its write phase begins.
+A node is a black box: it neither orders nor holds back proposals, so a
+caller that wants one instance at a time proposes one at a time. The one
+surface beyond propose/decide is the optional ``on_phase_change`` hook,
+called with ``None`` as each read phase starts and with the read's
+watermark as its write phase begins.
 """
 
 from __future__ import annotations
@@ -23,10 +25,6 @@ from .sim import Simulator
 from .values import NOOP, describe, inner_digest, is_app, payload_size
 
 
-class WhiteboxDisabledError(Exception):
-    """The internal observation surface is off for this deployment."""
-
-
 IDLE = "idle"
 READING = "reading"
 WRITING = "writing"
@@ -35,6 +33,9 @@ WRITING = "writing"
 # outstanding work and no progress for this long re-runs its read phase
 # with a higher ballot.
 RETRY_DELAYS = 6
+
+# told None as a read phase starts and the read's watermark as its writes begin
+PhaseHook = Callable[[Optional[int]], None]
 
 
 @dataclass(frozen=True)
@@ -75,16 +76,12 @@ class PaxosNode:
         pid: int,
         n: int,
         deliver: Callable[[Any, int], None],
-        whitebox: bool = False,
-        sequential: bool = False,
-        on_phase_change: Optional[Callable[[], None]] = None,
+        on_phase_change: Optional[PhaseHook] = None,
     ):
         self.sim = sim
         self.pid = pid
         self.n = n
         self.deliver = deliver
-        self.whitebox = whitebox
-        self.sequential = sequential
         self.on_phase_change = on_phase_change
 
         # acceptor
@@ -94,7 +91,6 @@ class PaxosNode:
         self.decided: Dict[int, Any] = {}
         self._next_decide = 1
         # leader
-        self.active = False
         self.phase = IDLE
         self.ballot = 0
         self.read_lo = 1
@@ -122,11 +118,10 @@ class PaxosNode:
     # -- leadership -----------------------------------------------------
 
     def ensure_leadership(self) -> None:
-        if not self.active:
+        if self.phase == IDLE:
             self.begin_read_phase()
 
     def begin_read_phase(self) -> None:
-        self.active = True
         rnd = self._max_round + 1
         self._max_round = rnd
         self.ballot = rnd * self.n + self.pid
@@ -138,25 +133,15 @@ class PaxosNode:
         self.write_acks = {}
         if self.on_phase_change is not None:
             # the write phase, if any, is over before the new ballot's read
-            self.on_phase_change()
+            self.on_phase_change(None)
         self.sim.emit("paxos-read", self.pid, ballot=self.ballot, lo=self.read_lo)
         for q in range(self.n):
             self.sim.send(self.pid, q, ReadMsg(self.ballot, self.read_lo))
         self._arm_watchdog()
 
     def relinquish(self) -> None:
-        self.active = False
         self.phase = IDLE
         self.queued.clear()
-
-    def whitebox_observe(self) -> Tuple[str, int]:
-        if not self.whitebox:
-            raise WhiteboxDisabledError(
-                "internal consensus state is not observable in this mode"
-            )
-        if not self.active:
-            return (IDLE, 0)
-        return (self.phase, self.watermark)
 
     # -- proposing ------------------------------------------------------
 
@@ -171,7 +156,7 @@ class PaxosNode:
             "propose", self.pid, instance=instance, value=describe(value),
             app=is_app(value),
         )
-        if self.active and self.phase == WRITING:
+        if self.phase == WRITING:
             self._drain_queued()
 
     def _drain_queued(self) -> None:
@@ -183,8 +168,6 @@ class PaxosNode:
                 # written until decided); the caller learns about the losing
                 # proposal through the decide stream
                 continue
-            if self.sequential and self._next_decide < i:
-                break
             value = self.queued.pop(i)
             self._write(i, value)
 
@@ -218,7 +201,7 @@ class PaxosNode:
         self.sim.send(self.pid, frm, ReadAck(msg.ballot, report))
 
     def _on_read_ack(self, frm: int, msg: ReadAck) -> None:
-        if not self.active or self.phase != READING or msg.ballot != self.ballot:
+        if self.phase != READING or msg.ballot != self.ballot:
             return
         self.read_acks[frm] = dict(msg.accepted)
         if len(self.read_acks) < self.quorum:
@@ -241,7 +224,7 @@ class PaxosNode:
             if i not in self.decided:
                 self._write(i, picked[i][0])
         if self.on_phase_change is not None:
-            self.on_phase_change()
+            self.on_phase_change(self.watermark)
         self._drain_queued()
 
     def _on_write(self, frm: int, msg: WriteMsg) -> None:
@@ -253,7 +236,7 @@ class PaxosNode:
         self.sim.send(self.pid, frm, WriteAck(msg.ballot, msg.instance))
 
     def _on_write_ack(self, frm: int, msg: WriteAck) -> None:
-        if not self.active or msg.ballot != self.ballot or msg.instance in self.decided:
+        if self.phase == IDLE or msg.ballot != self.ballot or msg.instance in self.decided:
             return
         acks = self.write_acks.setdefault(msg.instance, set())
         acks.add(frm)
@@ -294,7 +277,7 @@ class PaxosNode:
             i = self._next_decide
             self._next_decide = i + 1
             self.deliver(self.decided[i], i)
-        if self.active and self.phase == WRITING:
+        if self.phase == WRITING:
             self._drain_queued()
 
     # -- watchdog ---------------------------------------------------------
@@ -313,7 +296,7 @@ class PaxosNode:
 
     def _watchdog(self, stamp: int) -> None:
         self._watchdog_armed = False
-        if not self.active:
+        if self.phase == IDLE:
             return
         outstanding = self.phase == READING or bool(self.queued) or bool(self.written)
         if not outstanding:

@@ -85,8 +85,9 @@ class OmegaScript:
 
     The first segment names every process; a later one that omits a process
     keeps its previous output. A segment may map different processes to
-    different leaders; the final segment must map every process to one
-    common output for the oracle's eventual-agreement contract to hold.
+    different leaders; from the final segment's start on, every correct
+    process's output must be one correct process, for the oracle's
+    eventual-agreement contract to hold.
     """
 
     segments: List[Tuple[int, Dict[int, int]]]
@@ -103,13 +104,11 @@ class OmegaScript:
                     raise ValueError("omega outputs must name processes in [0, n)")
         if len(self.segments[0][1]) != n:
             raise ValueError("the first omega segment must name every process in [0, n)")
-        final = self.segments[-1][1]
-        finals = {final.get(p) for p in range(n) if p not in crashes}
-        finals.discard(None)
+        finals = {self.output(p, times[-1]) for p in range(n) if p not in crashes}
         if len(finals) > 1:
-            raise ValueError("final omega segment must agree on one leader")
+            raise ValueError("final omega outputs must agree on one leader")
         if finals and next(iter(finals)) in crashes:
-            raise ValueError("final omega segment must name a correct process")
+            raise ValueError("final omega outputs must name a correct process")
 
     def output(self, p: int, t: int) -> int:
         current = self.segments[0][1][p]

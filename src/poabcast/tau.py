@@ -4,14 +4,15 @@ A process is a primary only while the leader oracle points at it *and*
 its decided watermark has caught up with the barrier. The barrier comes
 in two flavours:
 
-- ``seq``: barrier = max(proposed, decided). Consensus is a black box;
-  the cost is that instances are forced to run one at a time.
-- ``paxos``: the barrier peeks inside the consensus leader. It is the
-  read-phase watermark while this process leads and is in its write
-  phase, and unreachable otherwise. Instances run in parallel. The read
-  phase is the barrier: it fills every gap up to the watermark with
-  picked values or no-ops, and every read phase, a watchdog re-read
-  included, ends the primary epoch.
+- ``seq``: barrier = max(proposed, decided). Consensus is a black box
+  that runs instances in parallel; this barrier alone runs them one at a
+  time, as each broadcast ends the epoch until its instance is decided.
+- ``paxos``: the barrier is what consensus reports to ``on_phase_change``:
+  the read phase's watermark while this process leads and writes, and
+  unreachable otherwise. Instances run in parallel. The read phase is the
+  barrier: it fills every gap up to the watermark with picked values or
+  no-ops, and every read phase, a watchdog re-read included, reports
+  ``None`` and so ends the primary epoch.
 
 Skips are ``seq`` only. A ``seq`` primary has at most one undecided
 proposal, so on election the gap up to the barrier is one instance, and
@@ -20,10 +21,9 @@ the new primary closes it with a skip value at that instance.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Optional
 
 from .broadcast import PrimaryOrderLayer
-from .paxos import WRITING
 from .sim import Simulator
 from .values import Noop, Skip, describe
 
@@ -34,27 +34,26 @@ class TauBroadcast(PrimaryOrderLayer):
     def __init__(self, sim: Simulator, pid: int, n: int, mode: str = "seq"):
         if mode not in ("seq", "paxos"):
             raise ValueError(f"unknown barrier mode: {mode}")
-        super().__init__(
-            sim,
-            pid,
-            n,
-            whitebox=(mode == "paxos"),
-            sequential=(mode == "seq"),
-            on_phase_change=self._refresh if mode == "paxos" else None,
-        )
+        hook = self._on_phase_change if mode == "paxos" else None
+        super().__init__(sim, pid, n, on_phase_change=hook)
         self.mode = mode
         self.prop = 0
         self.dec = 0
+        # paxos mode: the watermark of the write phase under way, None in a read
+        self.watermark: Optional[int] = None
 
     # -- barrier ----------------------------------------------------------
 
     def tau(self):
         if self.mode == "seq":
             return max(self.prop, self.dec)
-        phase, watermark = self.paxos.whitebox_observe()
-        if self.leader == self.pid and phase == WRITING:
-            return watermark
+        if self.leader == self.pid and self.watermark is not None:
+            return self.watermark
         return TOP
+
+    def _on_phase_change(self, watermark: Optional[int]) -> None:
+        self.watermark = watermark
+        self._refresh()
 
     def _refresh(self) -> None:
         primary = self.leader == self.pid and self.dec >= self.tau()

@@ -192,6 +192,17 @@ def test_benchmark_csv_is_byte_identical_across_runs():
     assert rows_to_csv(bench_table1()) == rows_to_csv(bench_table1())
 
 
+# sha256 over the concatenated traces of the bundled scenarios, in name order
+BUNDLED_TRACES = "ae77c17471b047fc2e7d9efd842a371cc9e73c729f3e97909fc4d7b8b965af4a"
+
+
+def test_bundled_scenario_traces_are_pinned():
+    digest = hashlib.sha256()
+    for name in bundled_scenarios():
+        digest.update(run(load_scenario(name)).to_jsonl().encode())
+    assert digest.hexdigest() == BUNDLED_TRACES
+
+
 # sha256 over the concatenated traces of corpus seeds 0-29 x VARIANTS (seed
 # major) whose scenario draws reorder off (19 of the 30), then
 # random_scenario(99, "tau-paxos"): every one draws jitter, so a change that

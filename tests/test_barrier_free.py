@@ -52,7 +52,7 @@ def test_winning_election_sets_counters_and_primary():
     assert layer.epoch == 7
     assert layer.dec == 4
     assert layer.prop == layer.seqno == layer.deliv_seqno == 4
-    assert layer.is_primary()
+    assert layer.primary
 
 
 def test_follower_adopts_the_epoch_but_stays_backup():
@@ -61,7 +61,7 @@ def test_follower_adopts_the_epoch_but_stays_backup():
     follower.on_decide(NewEpoch(7), 3)
     assert follower.epoch == 7
     assert follower.dec == 4
-    assert not follower.is_primary()
+    assert not follower.primary
 
 
 def test_losing_election_retries_at_the_next_instance():

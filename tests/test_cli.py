@@ -100,6 +100,7 @@ def test_run_rejects_bad_timing_or_target_as_a_usage_error(tmp_path, patch):
         "clients: [{id: 3",
         "omega: [{leader: 0}]",
         "omega: [{at: 0, outputs: {0: 0}}, {at: 50, leader: 1}]",
+        "omega: [{at: 0, leader: 0}, {at: 50, outputs: {0: 1}}]",
         "horizon: -5",
         "horizon: 0",
         "n: three",
@@ -114,6 +115,7 @@ def test_run_rejects_bad_timing_or_target_as_a_usage_error(tmp_path, patch):
         "yaml-syntax-error",
         "omega-segment-without-at",
         "omega-first-segment-names-one-process",
+        "omega-final-outputs-disagree",
         "negative-horizon",
         "zero-horizon",
         "non-integer-n",
@@ -233,3 +235,33 @@ def test_bench_throughput_with_small_sweep(tmp_path, capsys):
     assert code == EXIT_OK
     csv = (tmp_path / "throughput-64.csv").read_text()
     assert len(csv.splitlines()) == 1 + 4  # header + 2 modes x 2 client counts
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["throughput", "--sweep", "a,b"],
+        ["throughput", "--sweep", "0"],
+        ["throughput", "--sweep", "1,,2"],
+        ["throughput", "--sweep", "2,-1"],
+        ["throughput", "--delta", "0", "--sweep", "1"],
+        ["table1", "--delta", "0"],
+        ["table1", "--clients", "0"],
+        ["throughput", "--size", "-100000", "--sweep", "1"],
+    ],
+    ids=[
+        "non-integer-sweep",
+        "zero-sweep",
+        "empty-sweep-entry",
+        "negative-sweep",
+        "zero-delta-throughput",
+        "zero-delta-table1",
+        "zero-clients",
+        "negative-size",
+    ],
+)
+def test_bench_rejects_out_of_range_arguments_as_a_usage_error(capsys, argv):
+    assert main(["bench", *argv]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

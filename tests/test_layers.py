@@ -34,8 +34,8 @@ def handover(at, n=3):
 def test_non_leader_broadcast_is_rejected(protocol):
     sim, layers = make_cluster(protocol, OmegaScript.single(3, 0))
     sim.run(200)
-    assert layers[0].is_primary()
-    assert not layers[1].is_primary()
+    assert layers[0].primary
+    assert not layers[1].primary
     with pytest.raises(NotPrimaryError):
         layers[1].poabcast(AppValue("x"))
     assert sim.trace.by_kind("broadcast") == []
@@ -50,8 +50,16 @@ def test_demotion_ends_the_primary_epoch_once(protocol):
     assert recorder.changes == [True, False]
     assert [e.actor for e in trace.by_kind("primary-begin")].count(0) == 1
     assert [e.actor for e in trace.by_kind("primary-end")] == [0]
-    assert not layers[0].is_primary()
-    assert layers[1].is_primary()
+    assert not layers[0].primary
+    assert layers[1].primary
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_only_tau_paxos_hears_the_consensus_phases(protocol):
+    # the other layers treat consensus as a black box: propose and decide
+    sim, layers = make_cluster(protocol, OmegaScript.single(3, 0))
+    hooked = [layer.paxos.on_phase_change is not None for layer in layers]
+    assert hooked == [protocol == "tau-paxos"] * 3
 
 
 def test_naive_value_that_loses_its_instance_is_reproposed():

@@ -1,4 +1,4 @@
-"""Consensus core: ballots, read/write phases, decide stream, whitebox gate."""
+"""Consensus core: ballots, read/write phases, decide stream, phase hook."""
 
 import pytest
 
@@ -7,10 +7,8 @@ from poabcast.paxos import (
     PaxosNode,
     ReadAck,
     ReadMsg,
-    WhiteboxDisabledError,
     WriteMsg,
     WRITING,
-    READING,
 )
 from poabcast.sim import DelayModel, OmegaScript, Simulator
 from poabcast.values import NOOP, AppValue, Batch, NewEpoch, Skip, ValTuple, app_payload
@@ -151,36 +149,21 @@ def test_undecided_instance_never_appears_in_the_stream():
     assert all(i != 5 for nd in nodes for i, _ in nd.delivered)
 
 
-def test_sequential_mode_holds_back_later_instances():
-    sim, nodes = make_cluster(sequential=True)
+def test_phase_hook_hears_each_read_start_and_its_watermark():
+    calls = []
+    sim, nodes = make_cluster(on_phase_change=calls.append)
     leader = nodes[0].node
+    # process 1 accepted a value at instance 2 under process 2's round-0 ballot
+    nodes[1].node.on_message(2, WriteMsg(ballot=2, instance=2, value=AppValue("v")))
     leader.ensure_leadership()
-    v1, v2 = AppValue("v1"), AppValue("v2")
-
-    sim.schedule(40, lambda: (leader.propose(v1, 1), leader.propose(v2, 2)))
-    trace = sim.run(1000)
-    writes = [
-        (e.time, e.data["instance"])
-        for e in trace.by_kind("paxos-write")
-        if e.actor == 0 and e.data["app"]
-    ]
-    t1 = min(t for t, i in writes if i == 1)
-    t2 = min(t for t, i in writes if i == 2)
-    decide1 = min(
-        e.time for e in trace.by_kind("decide") if e.actor == 0 and e.data["instance"] == 1
-    )
-    assert t2 >= decide1 > t1
-    assert nodes[1].delivered == [(1, v1), (2, v2)]
-
-
-def test_whitebox_surface_is_feature_gated():
-    sim, nodes = make_cluster()
-    with pytest.raises(WhiteboxDisabledError):
-        nodes[0].node.whitebox_observe()
-    sim2, nodes2 = make_cluster(whitebox=True)
-    assert nodes2[0].node.whitebox_observe() == ("idle", 0)
-    nodes2[0].node.begin_read_phase()
-    assert nodes2[0].node.whitebox_observe()[0] == READING
+    assert calls == [None]
+    sim.run(200)
+    assert calls == [None, 2]
+    assert [i for i, _ in nodes[0].delivered] == [1, 2]
+    leader.begin_read_phase()  # a forced re-read, as the watchdog makes
+    assert calls == [None, 2, None]
+    sim.run(400)
+    assert calls == [None, 2, None, 0]
 
 
 def test_conflicting_queued_proposal_rejected():

@@ -206,6 +206,14 @@ def test_omega_validation_rejects_bad_scripts():
     with pytest.raises(ValueError):
         # final leader is crashed
         OmegaScript.single(3, 0).validate(3, {0: 100})
+    with pytest.raises(ValueError, match="must agree on one leader"):
+        # the final segment moves process 0 alone: 1 and 2 keep leader 0
+        OmegaScript([(0, {p: 0 for p in range(3)}), (50, {0: 1})]).validate(3, {})
+    with pytest.raises(ValueError, match="must name a correct process"):
+        # process 0 is crashed, and 1 and 2 keep it as their leader
+        OmegaScript([(0, {p: 0 for p in range(3)}), (50, {0: 1})]).validate(3, {0: 10})
+    # a final segment may omit a process whose earlier output already agrees
+    OmegaScript([(0, {0: 0, 1: 1, 2: 1}), (50, {0: 1})]).validate(3, {})
 
 
 def test_omega_notifications_reach_live_actors_once_per_change():

@@ -6,7 +6,8 @@ import pytest
 
 from poabcast.broadcast import NotPrimaryError
 from poabcast.checker import check_all
-from poabcast.cli import load_scenario
+from poabcast.cli import bundled_scenarios, load_scenario
+from poabcast.paxos import PaxosNode
 from poabcast.runner import run
 from poabcast.scenario import random_scenario
 from poabcast.sim import DelayModel, OmegaScript, Simulator
@@ -35,12 +36,12 @@ def make_cluster(mode, omega=None, n=3, delta=10):
     return sim, hosts
 
 
-def test_fresh_seq_leader_is_primary_immediately():
+def test_fresh_seq_leader_becomes_primary_immediately():
     sim, hosts = make_cluster("seq")
     layer = hosts[0].layer
     layer.on_omega(0)
     assert layer.tau() == 0 and layer.dec == 0
-    assert layer.is_primary()
+    assert layer.primary
 
 
 def test_seq_broadcast_raises_the_barrier_until_decided():
@@ -50,10 +51,10 @@ def test_seq_broadcast_raises_the_barrier_until_decided():
     layer.poabcast(AppValue("v"))
     assert layer.prop == 1 and layer.dec == 0
     assert layer.tau() == 1
-    assert not layer.is_primary()  # primary flickers off per broadcast
+    assert not layer.primary  # primary flickers off per broadcast
     sim.run(200)
     assert layer.dec >= 1
-    assert layer.is_primary()
+    assert layer.primary
 
 
 def test_non_leader_cannot_broadcast():
@@ -68,10 +69,10 @@ def test_paxos_barrier_is_top_outside_the_write_phase():
     assert layer.tau() == TOP  # idle, not leading
     layer.on_omega(0)  # starts the read phase
     assert layer.tau() == TOP
-    assert not layer.is_primary()
+    assert not layer.primary
     sim.run(200)
     assert layer.tau() != TOP
-    assert layer.is_primary()
+    assert layer.primary
 
 
 def test_election_with_gap_proposes_skips():
@@ -82,10 +83,10 @@ def test_election_with_gap_proposes_skips():
     skips = sim.trace.by_kind("skip-proposed")
     # prop <= dec + 1, so the gap is the one instance prop
     assert [(e.data["lo"], e.data["target"]) for e in skips] == [(1, 1)]
-    assert not layer.is_primary()
+    assert not layer.primary
     sim.run(400)
     assert layer.dec >= 1
-    assert layer.is_primary()
+    assert layer.primary
 
 
 def test_no_gap_means_no_skips():
@@ -175,3 +176,37 @@ def test_re_read_seeds_are_safe_and_live(seed):
     assert report.violations == {}
     assert report.linearizable is True
     assert report.liveness == "pass"
+
+
+def tau_seq_scenarios(seeds):
+    """The bundled tau-seq scenarios, then random_scenario(seed) per seed."""
+    bundled = [load_scenario(name) for name in bundled_scenarios()]
+    return [s for s in bundled if s.protocol == "tau-seq"] + [
+        random_scenario(seed, "tau-seq") for seed in seeds
+    ]
+
+
+def proposals_past_the_next_instance(monkeypatch, scenarios):
+    """(scenario, process, instance, next undecided) for every proposal made
+    at an instance other than its node's lowest undecided one."""
+    off = []
+    propose = PaxosNode.propose
+
+    def checked(self, value, instance):
+        if instance != self._next_decide:
+            off.append((name, self.pid, instance, self._next_decide))
+        propose(self, value, instance)
+
+    monkeypatch.setattr(PaxosNode, "propose", checked)
+    for scenario in scenarios:
+        name = scenario.name
+        run(scenario)
+    return off
+
+
+def test_tau_seq_proposes_only_at_the_next_undecided_instance(monkeypatch):
+    # consensus runs instances in parallel; tau-seq's barrier alone keeps
+    # every broadcast and skip at its node's next undecided instance
+    scenarios = tau_seq_scenarios(range(300))
+    assert len(scenarios) == 304
+    assert proposals_past_the_next_instance(monkeypatch, scenarios) == []

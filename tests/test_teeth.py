@@ -13,6 +13,8 @@ from poabcast.scenario import random_scenario
 from poabcast.tau import TauBroadcast
 from poabcast.values import ValTuple
 
+from test_tau import proposals_past_the_next_instance, tau_seq_scenarios
+
 
 def flagged(protocol, seeds):
     """Seed -> sorted violated properties, for the seeds whose run violates any."""
@@ -26,12 +28,23 @@ def flagged(protocol, seeds):
 
 def test_a_zero_barrier_is_caught_by_the_barrier_check(monkeypatch):
     # tau = 0 lets every leader cross at once, over values its predecessor
-    # may still get decided
+    # may still get decided. tau-seq's consensus does not hold back a second
+    # instance, so seeds 0 and 2 are caught by sequential-instances alone
     monkeypatch.setattr(TauBroadcast, "tau", lambda self: 0)
-    expected = {"tau-paxos": [1, 3, 4, 9, 10, 16, 17], "tau-seq": [0, 1, 2, 3, 4, 9, 10, 16, 17]}
-    for protocol, seeds in expected.items():
+    expected = {
+        "tau-paxos": (list(range(20)), [1, 3, 4, 9, 10, 16, 17]),
+        "tau-seq": ([0, 1, 2, 3, 4, 6, 8, 9, 10, 13, 14, 16, 17], [1, 3, 4, 9, 10, 16, 17]),
+    }
+    for protocol, (seeds, barrier) in expected.items():
         runs = flagged(protocol, range(20))
-        assert [seed for seed, props in runs.items() if "barrier" in props] == seeds
+        assert list(runs) == seeds
+        assert [seed for seed, props in runs.items() if "barrier" in props] == barrier
+
+
+def test_a_zero_barrier_proposes_past_the_next_instance(monkeypatch):
+    # tau-seq's one-instance-at-a-time check fails once the barrier is gone
+    monkeypatch.setattr(TauBroadcast, "tau", lambda self: 0)
+    assert proposals_past_the_next_instance(monkeypatch, tau_seq_scenarios(range(20)))
 
 
 def test_a_silent_re_read_is_caught_by_the_single_ballot_check(monkeypatch):
