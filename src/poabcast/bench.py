@@ -15,6 +15,11 @@ is reached, keeping many instances in flight. The byte cost of a batch
 is charged at the sender, so with large requests the serialization gap
 is what separates the two modes.
 
+Each leg costs one event per decided batch, not one per request: a
+decided batch's reply event records every client's latency sample and
+builds its next request, in item order, and one arrival event a tick
+later submits those requests, in the same order.
+
 There is at most one pending batch-cut decision (a pump) per tick.
 Arrivals and decisions ask for one at the end of the current tick, and a
 busy sender defers it to the tick its link frees up; an earlier request
@@ -203,8 +208,8 @@ class BatchingLeader:
         self.mode = mode
         self.cap = cap
         self.node = PaxosNode(sim, 0, n, deliver=self._on_decide)
-        self.queue: deque = deque()  # (AppValue, callback)
-        self.callbacks: Dict[str, Any] = {}
+        self.queue: deque = deque()  # AppValue
+        self.clients: Dict[str, _LoadClient] = {}  # vid -> the client awaiting it
         self.outstanding: set = set()
         self.next_instance = 1
         self._pump_at: Optional[int] = None
@@ -212,12 +217,29 @@ class BatchingLeader:
     def on_start(self) -> None:
         self.node.ensure_leadership()
 
-    def submit(self, item: AppValue, done) -> None:
+    def submit(self, item: AppValue, client: _LoadClient) -> None:
         self.queue.append(item)
-        self.callbacks[item.vid] = done
+        self.clients[item.vid] = client
         # batch-cut decisions run at end of tick so simultaneous arrivals
         # share a batch
         self._schedule_pump(self.sim.now)
+
+    def send_requests(self, clients: List[_LoadClient]) -> None:
+        """Each client sends its next request now, over a 1-tick leg: one
+        arrival event submits them all, in order."""
+        now = self.sim.now
+        requests = [(c.request(now), c) for c in clients]
+        self.sim.schedule(now + 1, lambda: self._arrive(requests))
+
+    def _arrive(self, requests: List[Tuple[AppValue, _LoadClient]]) -> None:
+        for item, client in requests:
+            self.submit(item, client)
+
+    def _reply(self, clients: List[_LoadClient]) -> None:
+        now = self.sim.now
+        for c in clients:
+            c.samples.append((now, now - c.sent_at))
+        self.send_requests(clients)
 
     def _schedule_pump(self, at: int) -> None:
         if self._pump_at is not None and self._pump_at <= at:
@@ -255,11 +277,11 @@ class BatchingLeader:
     def _on_decide(self, value: Any, instance: int) -> None:
         self.outstanding.discard(instance)
         if isinstance(value, Batch):
-            for item in value.items:
-                done = self.callbacks.pop(item.vid, None)
-                if done is not None:
-                    # 1-tick reply leg back to the colocated client
-                    self.sim.schedule(self.sim.now + 1, done)
+            waiting = [self.clients.pop(item.vid, None) for item in value.items]
+            clients = [c for c in waiting if c is not None]
+            if clients:
+                # one 1-tick reply leg back to the colocated clients
+                self.sim.schedule(self.sim.now + 1, lambda: self._reply(clients))
         self._schedule_pump(self.sim.now)
 
     def on_message(self, frm: int, msg: Any) -> None:
@@ -267,31 +289,21 @@ class BatchingLeader:
 
 
 class _LoadClient:
-    """Closed-loop client colocated with the leader (1-tick legs)."""
+    """Closed-loop client colocated with the leader; the leader carries
+    its requests and replies."""
 
-    def __init__(self, sim: Simulator, leader: BatchingLeader, cid: int, size: int):
-        self.sim = sim
-        self.leader = leader
+    def __init__(self, cid: int, size: int):
         self.cid = cid
-        self.size = size
+        self.size = size + REQUEST_HEADER
         self.seq = 0
         self.sent_at = 0
         self.samples: List[Tuple[int, int]] = []  # (reply time, latency)
 
-    def start(self) -> None:
-        self.sim.schedule(self.sim.now + 1, self._issue)
-
-    def _issue(self) -> None:
+    def request(self, now: int) -> AppValue:
+        """The client's next request, sent at ``now``."""
         self.seq += 1
-        self.sent_at = self.sim.now
-        item = AppValue(
-            vid=f"c{self.cid}.{self.seq}", size=self.size + REQUEST_HEADER
-        )
-        self.sim.schedule(self.sim.now + 1, lambda: self.leader.submit(item, self._done))
-
-    def _done(self) -> None:
-        self.samples.append((self.sim.now, self.sim.now - self.sent_at))
-        self._issue()
+        self.sent_at = now
+        return AppValue(vid=f"c{self.cid}.{self.seq}", size=self.size)
 
 
 def run_throughput(
@@ -304,6 +316,17 @@ def run_throughput(
     warmup: int = 2000,
     window: int = 8000,
 ) -> MetricsRow:
+    for name, value, least in (
+        ("clients", clients, 1),
+        ("request_size", request_size, 0),
+        ("delta", delta, 1),
+        ("per_byte", per_byte, 0),
+        ("cap", cap, 1),
+        ("warmup", warmup, 0),
+        ("window", window, 1),
+    ):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     n = 3
     sim = Simulator(
         n=n,
@@ -315,9 +338,9 @@ def run_throughput(
     sim.add_actor(0, leader)
     for pid in range(1, n):
         sim.add_actor(pid, PaxosNode(sim, pid, n, deliver=lambda v, i: None))
-    load = [_LoadClient(sim, leader, i, request_size) for i in range(clients)]
-    for c in load:
-        c.start()
+    load = [_LoadClient(i, request_size) for i in range(clients)]
+    # every client sends its first request at tick 1
+    sim.schedule(1, lambda: leader.send_requests(load))
     sim.run(warmup + window)
 
     samples = [

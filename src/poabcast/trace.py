@@ -67,7 +67,8 @@ class Trace:
     def to_jsonl(self) -> str:
         lines = _lines(self.events)
         lines.append("".join(_ITERENCODE({"summary": self.summary}, 0)))
-        return "\n".join(lines) + "\n"
+        lines.append("")  # the final newline, without a second copy of the text
+        return "\n".join(lines)
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Trace":

@@ -21,6 +21,12 @@ class AppValue:
     size: int = 0
 
     def digest(self) -> str:
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
+        # a value is described at every broadcast, write, decide and
+        # delivery: hash it once and keep the result on the instance
         h = hashlib.sha256(f"{self.vid}|{self.body}".encode()).hexdigest()
         return h[:12]
 
@@ -36,10 +42,12 @@ class Batch:
 
     @cached_property
     def _digest(self) -> str:
-        # a batch is described at every propose, write and decide: hash its
-        # items once and keep the result on the instance
-        h = hashlib.sha256("|".join(v.digest() for v in self.items).encode())
-        return "b" + h.hexdigest()[:11]
+        # one hash over the items' (vid, body) pairs, each string prefixed
+        # by its length so that no two item lists share an encoding
+        text = "".join(
+            f"{len(v.vid)}:{v.vid}{len(v.body)}:{v.body}" for v in self.items
+        )
+        return "b" + hashlib.sha256(text.encode()).hexdigest()[:11]
 
     @property
     def size(self) -> int:

@@ -163,11 +163,24 @@ def test_chain_walk_agrees_with_the_exhaustive_oracle(corpus):
 # -- 7: throughput ratio ------------------------------------------------------------------
 
 
+# sha256 of the default sweeps' CSVs; a change that moves either on
+# purpose re-pins it and says why
+SWEEP_CSV = {
+    1024: "834ad320b3a9a09db75ce6b82679b3fdc04dfba75ec99f830aee7c8044f17017",
+    0: "fc8d990affdc99cba22cc75094f2a52e5f7e83bf37ec623da5b022e2b306c044",
+}
+
+
+def _sweep_csv_sha256(rows) -> str:
+    return hashlib.sha256(rows_to_csv(rows).encode()).hexdigest()
+
+
 def test_parallel_instances_beat_sequential_on_large_requests():
     rows = bench_throughput(request_size=1024)
     seq = peak_throughput(rows, "sequential")
     par = peak_throughput(rows, "parallel")
     assert par >= 1.5 * seq, f"peak ratio {par / seq:.3f} below 1.5"
+    assert _sweep_csv_sha256(rows) == SWEEP_CSV[1024]
 
 
 def test_empty_requests_show_parity():
@@ -175,6 +188,7 @@ def test_empty_requests_show_parity():
     seq = peak_throughput(rows, "sequential")
     par = peak_throughput(rows, "parallel")
     assert abs(par - seq) <= 0.10 * seq, f"parity broken: seq={seq} par={par}"
+    assert _sweep_csv_sha256(rows) == SWEEP_CSV[0]
 
 
 # -- 8: determinism ------------------------------------------------------------------------

@@ -55,9 +55,8 @@ def test_sequential_mode_keeps_one_instance_in_flight():
     sim.add_actor(0, leader)
     for pid in (1, 2):
         sim.add_actor(pid, PaxosNode(sim, pid, 3, deliver=lambda v, i: None))
-    clients = [_LoadClient(sim, leader, i, 0) for i in range(8)]
-    for c in clients:
-        c.start()
+    clients = [_LoadClient(i, 0) for i in range(8)]
+    sim.schedule(1, lambda: leader.send_requests(clients))
     trace = sim.run(2000)
     outstanding = 0
     for e in trace:
@@ -68,6 +67,32 @@ def test_sequential_mode_keeps_one_instance_in_flight():
             assert outstanding <= 1
         elif e.kind == "decide" and e.data["app"]:
             outstanding -= 1
+
+
+@pytest.mark.parametrize(
+    "arg, value",
+    [
+        ("cap", 0),
+        ("clients", 0),
+        ("request_size", -1),
+        ("delta", 0),
+        ("per_byte", -0.5),
+        ("warmup", -1),
+        ("window", 0),
+    ],
+)
+def test_throughput_rejects_out_of_range_arguments(arg, value, monkeypatch):
+    # a cap of 0 would propose empty batches forever, so the simulation
+    # must never start
+    from poabcast.sim import Simulator
+
+    def never(self, until):
+        pytest.fail("run_throughput started the simulation")
+
+    monkeypatch.setattr(Simulator, "run", never)
+    args = {"mode": "parallel", "clients": 2, "request_size": 0, arg: value}
+    with pytest.raises(ValueError, match=arg):
+        run_throughput(**args)
 
 
 def test_batch_cap_limits_batch_size():
@@ -147,3 +172,29 @@ def test_one_live_pump_per_batch_cut(monkeypatch):
     run_throughput("parallel", 192, 1024)
     assert counts["batches"] > 0
     assert counts["pumps"] <= 2 * counts["batches"]
+
+
+def test_throughput_legs_cost_one_event_per_batch(monkeypatch):
+    # the reply and request legs of a decided batch are one event each,
+    # whatever the batch size; per-request events would be ~100 a batch here
+    from poabcast.paxos import PaxosNode
+    from poabcast.sim import Simulator
+    from poabcast.values import Batch
+
+    counts = {"schedules": 0, "batches": 0}
+    schedule, propose = Simulator.schedule, PaxosNode.propose
+
+    def counted_schedule(self, *args, **kwargs):
+        counts["schedules"] += 1
+        return schedule(self, *args, **kwargs)
+
+    def counted_propose(self, value, *args):
+        counts["batches"] += isinstance(value, Batch)
+        return propose(self, value, *args)
+
+    monkeypatch.setattr(Simulator, "schedule", counted_schedule)
+    monkeypatch.setattr(PaxosNode, "propose", counted_propose)
+    clients = 192
+    run_throughput("parallel", clients, 1024)
+    assert counts["batches"] > 0
+    assert counts["schedules"] <= 8 * counts["batches"] + clients

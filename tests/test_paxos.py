@@ -216,3 +216,10 @@ def test_app_payload_unwraps_one_val_tuple():
     assert app_payload(ValTuple(b, 4, 1)) is b
     for wrapper in (NOOP, Skip(3), NewEpoch(4)):
         assert app_payload(wrapper) is None
+
+
+def test_batch_digest_tells_item_boundaries_apart():
+    split = Batch((AppValue("a", "b"), AppValue("c")))
+    joined = Batch((AppValue("a", "b|c|"),))
+    assert split.digest() != joined.digest()
+    assert split.digest().startswith("b") and len(split.digest()) == 12
