@@ -3,17 +3,27 @@
 Each process is acceptor and learner for every instance; a process told
 to lead picks a fresh ballot, runs one read phase covering all instances
 from its lowest undecided one, then writes picked values (gaps filled
-with no-ops) and any queued proposals. Ballots are leader-wide: a single
-promise guards all instances.
+with no-ops) and the caller's proposals the read left open. Ballots are
+leader-wide: a single promise guards all instances.
 
 Nodes rely on the simulator's FIFO links between processes: the no-op gap
 rule is unsound without them. This module holds protocol state only.
 
 A node is a black box: it neither orders nor holds back proposals, so a
-caller that wants one instance at a time proposes one at a time. The one
-surface beyond propose/decide is the optional ``on_phase_change`` hook,
-called with ``None`` as each read phase starts and with the read's
-watermark as its write phase begins.
+caller that wants one instance at a time proposes one at a time. The
+layers rely on this contract alone:
+
+- validity: a decided value was proposed at its instance, or is a no-op;
+- agreement: every process decides the same value at an instance;
+- prefix order: ``deliver`` is called in instance order, with no gaps;
+- termination: a proposal lives until its instance is decided or the
+  node relinquishes, and a later proposal at its instance replaces it,
+  so once one leader is stable each instance it holds one at is decided.
+
+The one surface beyond propose/decide is the optional ``on_phase_change``
+hook, called with ``None`` as each read phase starts and with the read's
+watermark as its write phase begins. A hooked caller's epoch ends at
+each read phase, and its proposals end with it.
 """
 
 from __future__ import annotations
@@ -96,7 +106,7 @@ class PaxosNode:
         self.read_lo = 1
         self.read_acks: Dict[int, Dict[int, Tuple[Any, int]]] = {}
         self.watermark = 0
-        self.queued: Dict[int, Any] = {}
+        self.proposals: Dict[int, Any] = {}  # instance -> latest, until decided
         self.written: Dict[int, Any] = {}
         self.write_acks: Dict[int, Set[int]] = {}
         self._max_round = 0
@@ -132,7 +142,9 @@ class PaxosNode:
         self.written = {}
         self.write_acks = {}
         if self.on_phase_change is not None:
-            # the write phase, if any, is over before the new ballot's read
+            # the write phase, if any, is over before the new ballot's read,
+            # and the hooked caller's epoch ends with its proposals
+            self.proposals.clear()
             self.on_phase_change(None)
         self.sim.emit("paxos-read", self.pid, ballot=self.ballot, lo=self.read_lo)
         for q in range(self.n):
@@ -141,35 +153,20 @@ class PaxosNode:
 
     def relinquish(self) -> None:
         self.phase = IDLE
-        self.queued.clear()
+        self.proposals.clear()
 
     # -- proposing ------------------------------------------------------
 
     def propose(self, value: Any, instance: int) -> None:
         if instance in self.decided:
             return
-        prev = self.queued.get(instance)
-        if prev is not None and prev != value:
-            raise ValueError(f"instance {instance} already has a queued proposal")
-        self.queued[instance] = value
+        self.proposals[instance] = value  # replaces an earlier proposal
         self.sim.emit(
             "propose", self.pid, instance=instance, value=describe(value),
             app=is_app(value),
         )
-        if self.phase == WRITING:
-            self._drain_queued()
-
-    def _drain_queued(self) -> None:
-        for i in sorted(self.queued):
-            if i in self.decided:
-                continue
-            if i in self.written:
-                # this instance was resolved by the read phase (its pick stays
-                # written until decided); the caller learns about the losing
-                # proposal through the decide stream
-                continue
-            value = self.queued.pop(i)
-            self._write(i, value)
+        if self.phase == WRITING and instance not in self.written:
+            self._write(instance, value)
 
     def _write(self, instance: int, value: Any) -> None:
         self.written[instance] = value
@@ -223,9 +220,12 @@ class PaxosNode:
         for i in sorted(picked):
             if i not in self.decided:
                 self._write(i, picked[i][0])
+        # a proposal the read resolved loses to the pick, as the decides show
+        for i in sorted(self.proposals):
+            if i not in self.written:
+                self._write(i, self.proposals[i])
         if self.on_phase_change is not None:
             self.on_phase_change(self.watermark)
-        self._drain_queued()
 
     def _on_write(self, frm: int, msg: WriteMsg) -> None:
         self._note_ballot(msg.ballot)
@@ -272,13 +272,11 @@ class PaxosNode:
             for q in range(self.n):
                 if q != self.pid:
                     self.sim.send(self.pid, q, DecideMsg(instance, value))
-        self.queued.pop(instance, None)
+        self.proposals.pop(instance, None)
         while self._next_decide in self.decided:
             i = self._next_decide
             self._next_decide = i + 1
             self.deliver(self.decided[i], i)
-        if self.phase == WRITING:
-            self._drain_queued()
 
     # -- watchdog ---------------------------------------------------------
 
@@ -298,7 +296,7 @@ class PaxosNode:
         self._watchdog_armed = False
         if self.phase == IDLE:
             return
-        outstanding = self.phase == READING or bool(self.queued) or bool(self.written)
+        outstanding = self.phase == READING or bool(self.proposals) or bool(self.written)
         if not outstanding:
             return
         if self._progress == stamp:

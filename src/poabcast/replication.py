@@ -103,14 +103,9 @@ class Replica:
         else:
             self.shadow = None
 
-    def on_deliver(self, value: Any) -> None:
+    def on_deliver(self, update: StateUpdate) -> None:
         if self.halted:
             return
-        items = value.items if hasattr(value, "items") else (value,)
-        for update in items:
-            self._apply(update)
-
-    def _apply(self, update: StateUpdate) -> None:
         key = (update.client, update.reqid)
         if key in self.replied:
             # a re-execution of an operation whose original update already

@@ -159,3 +159,16 @@ def test_racing_candidates_establish_epochs_at_distinct_instances():
     assert check_barrier_free(trace) is None
     established = trace.by_kind("epoch-established")
     assert established, "no epoch was ever established"
+
+
+def test_split_view_schedule_resends_a_lost_tuple_and_passes_all_checks():
+    # under a split oracle, process 1's read picks process 2's epoch-5 tuple
+    # at instance 3, so process 0's epoch-9 tuple loses that instance; 0
+    # re-sends it at instance 6 with its seqno, 3
+    trace = run(load_scenario("val-resent-barrier-free"))
+    resent = [(e.actor, e.data) for e in trace.by_kind("val-resent")]
+    assert resent == [(0, {"instance": 6, "seqno": 3})]
+    report = check_all(trace)
+    assert report.violations == {}
+    assert report.linearizable is True
+    assert report.liveness == "pass"

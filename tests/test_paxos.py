@@ -1,6 +1,5 @@
-"""Consensus core: ballots, read/write phases, decide stream, phase hook."""
-
-import pytest
+"""Consensus core: ballots, read/write phases, decide stream, phase hook, and
+the black-box contract's termination and latest-wins cases."""
 
 from poabcast.paxos import (
     DecideMsg,
@@ -118,8 +117,8 @@ def test_majority_write_decides_at_every_correct_process():
 
 
 def test_stable_leader_keeps_no_decided_instance_in_flight():
-    # the watchdog tests `written` for outstanding work, so a decided
-    # instance must leave it, and a late ack must not bring it back
+    # the watchdog tests `proposals` and `written` for outstanding work, so a
+    # decided instance must leave both, and a late ack must not bring it back
     sim, nodes = make_cluster()
     leader = nodes[0].node
     leader.ensure_leadership()
@@ -127,6 +126,7 @@ def test_stable_leader_keeps_no_decided_instance_in_flight():
         sim.schedule(5 * i, lambda i=i: leader.propose(AppValue(f"v{i}"), i))
     sim.run(500)
     assert sorted(leader.decided) == [1, 2, 3, 4, 5]
+    assert leader.proposals == {}
     assert leader.written == {}
     assert leader.write_acks == {}
 
@@ -166,12 +166,31 @@ def test_phase_hook_hears_each_read_start_and_its_watermark():
     assert calls == [None, 2, None, 0]
 
 
-def test_conflicting_queued_proposal_rejected():
+def test_latest_proposal_at_an_undecided_instance_wins():
     sim, nodes = make_cluster()
     leader = nodes[0].node
     leader.propose(AppValue("v1"), 1)
-    with pytest.raises(ValueError):
-        leader.propose(AppValue("v2"), 1)
+    leader.propose(AppValue("v2"), 1)
+    leader.ensure_leadership()
+    sim.run(500)
+    for nd in nodes:
+        assert nd.delivered == [(1, AppValue("v2"))]
+
+
+def test_a_re_read_writes_again_the_proposals_it_left_open():
+    # node 0 writes v at t=41 to acceptors that promised node 1's ballot at
+    # t=40, and node 1 gives up before its writes. Node 0's watchdog re-reads,
+    # finds instance 1 empty and writes v again: a stable leader's proposal
+    # is decided
+    sim, nodes = make_cluster()
+    v = AppValue("v")
+    nodes[0].node.ensure_leadership()
+    sim.schedule(30, nodes[1].node.begin_read_phase)
+    sim.schedule(41, lambda: nodes[0].node.propose(v, 1))
+    sim.schedule(45, nodes[1].node.relinquish)
+    sim.run(2000)
+    for nd in nodes:
+        assert nd.delivered == [(1, v)]
 
 
 def test_reordered_network_preserves_local_primary_order():

@@ -111,7 +111,7 @@ def test_trace_event_is_an_immutable_record_built_by_keyword():
 def test_jsonl_round_trips_through_from_jsonl():
     texts = [t.to_jsonl() for t in corpus_traces(range(5))]
     bundled = sorted(bundled_scenarios())
-    assert len(bundled) == 15
+    assert len(bundled) == 16
     texts += [run(load_scenario(name)).to_jsonl() for name in bundled]
     for text in texts:
         assert Trace.from_jsonl(text).to_jsonl() == text
