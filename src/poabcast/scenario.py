@@ -87,6 +87,9 @@ class Scenario:
     @classmethod
     def from_dict(cls, raw: Dict[str, Any]) -> "Scenario":
         try:
+            for key in ("reorder", "expect_violation"):  # bool("false") is True
+                if not isinstance(raw.get(key, False), bool):
+                    raise ScenarioError(f"{key} must be true or false, got {raw[key]!r}")
             name = raw["name"]
             protocol = raw["protocol"]
             n = int(raw["n"])
@@ -134,10 +137,10 @@ class Scenario:
                 delay=delay,
                 omega=omega,
                 crashes={int(p): int(t) for p, t in (raw.get("crashes") or {}).items()},
-                reorder=bool(raw.get("reorder", False)),
+                reorder=raw.get("reorder", False),
                 per_byte=float(raw.get("per_byte", 0.0)),
                 clients=clients,
-                expect_violation=bool(raw.get("expect_violation", False)),
+                expect_violation=raw.get("expect_violation", False),
             )
         except KeyError as e:
             raise ScenarioError(f"scenario is missing required key: {e}") from e

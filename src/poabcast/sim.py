@@ -11,13 +11,12 @@ drop that floor, so a request or reply may overtake an earlier one.
 from __future__ import annotations
 
 import heapq
-import random
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .trace import Trace, TraceEvent
 
-_reseed = super(random.Random, random.Random).seed  # the C seed under Random.seed
+_M64 = 2**64 - 1
 
 
 class SchedulingError(Exception):
@@ -48,23 +47,17 @@ class DelayModel:
         else:
             raise ValueError(f"unknown delay model kind: {self.kind}")
 
-    def delay(self, seq: int, rng: random.Random) -> int:
-        """Delay of message ``seq``; a jitter draw reseeds ``rng`` first.
-
-        The draw equals ``random.Random((seed << 32) ^ seq).randint(min,
-        max)``: the reseed is the C base class's ``seed``, bound once at import
-        (no ``Random.seed`` wrapper, no ``super`` object per draw), and the
-        loop is ``randint``'s own rejection loop.
-        """
+    def delay(self, seq: int) -> int:
+        """Delay of message ``seq``: ``delta``, or a jitter draw in [min, max],
+        ``min + z % (max - min + 1)`` for z splitmix64's output (Steele, Lea &
+        Flood, OOPSLA 2014) from the state ``(seed << 32) ^ seq`` mod 2**64.
+        Only the seed's low 32 bits count: seeds congruent mod 2**32 draw alike."""
         if self.kind == "fixed":
             return self.delta
-        _reseed(rng, (self.seed << 32) ^ seq)
-        width = self.max_delay - self.min_delay + 1
-        bits = width.bit_length()
-        r = rng.getrandbits(bits)
-        while r >= width:
-            r = rng.getrandbits(bits)
-        return self.min_delay + r
+        z = (((self.seed << 32) ^ seq) + 0x9E3779B97F4A7C15) & _M64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+        return self.min_delay + (z ^ (z >> 31)) % (self.max_delay - self.min_delay + 1)
 
     @property
     def base(self) -> int:
@@ -151,8 +144,6 @@ class Simulator:
         self._heap: List[tuple] = []
         self._insertion = 0
         self._msg_seq = 0
-        # reseeded for every jitter draw, so its state never carries over
-        self._rng = random.Random(0)
         # per (frm, to), the delivery tick of the link's last message: no
         # message is due before it. Reorder lifts the floor on client links
         # only. Consensus needs FIFO process links: the read phase's no-op
@@ -203,7 +194,7 @@ class Simulator:
         if size:
             departure += int(round(size * self.per_byte))
         self._busy_until[frm] = departure
-        deliver_at = departure + self._delay(self._msg_seq, self._rng)
+        deliver_at = departure + self._delay(self._msg_seq)
         if not self.reorder or (frm < self.n and to < self.n):
             floor = self._fifo_floor.get((frm, to), 0)
             if deliver_at < floor:

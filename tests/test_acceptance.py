@@ -53,6 +53,19 @@ def test_latency_table_is_exact():
     assert rows["barrier-free"].leader_change_idle == 40
 
 
+def test_latency_table_closed_forms_hold_on_a_grid():
+    # stable latency is 2cδ for tau-seq (one value per round trip) and 2δ for
+    # the others; leader-change idle time is 2δ for naive (one read round
+    # trip) and 4δ for the barrier variants (one round trip more)
+    for delta in (1, 2, 3, 7, 10, 17):
+        for c in (1, 2, 3, 5, 8):
+            for row in bench_table1(delta=delta, clients=c):
+                stable = 2 * c * delta if row.protocol == "tau-seq" else 2 * delta
+                idle = 2 * delta if row.protocol == "naive" else 4 * delta
+                got = (row.stable_latency, row.leader_change_idle)
+                assert got == (stable, idle), (row.protocol, delta, c)
+
+
 # -- 2: the counterexample schedule ----------------------------------------------
 
 
@@ -197,7 +210,7 @@ def test_benchmark_csv_is_byte_identical_across_runs():
 
 
 # sha256 over the concatenated traces of the bundled scenarios, in name order
-BUNDLED_TRACES = "995cf2f60d02beb5895077f002f305aa64398d7db8966381d395d92372c1c532"
+BUNDLED_TRACES = "eb038701310472987613346fd57979bffd1adcb3f9c6aeae881e77fdd03924e3"
 
 
 def test_bundled_scenario_traces_are_pinned():
@@ -211,9 +224,9 @@ def test_bundled_scenario_traces_are_pinned():
 # major) whose scenario draws reorder off (19 of the 30), then
 # random_scenario(99, "tau-paxos"): every one draws jitter, so a change that
 # moves any draw moves it, and every link keeps the FIFO floor
-JITTER_TRACES = "2f8f07ee51c212fde84bf9255d56fd9c7746864c5c79b42732cb838ec68274c9"
+JITTER_TRACES = "45cd0f2877c1f2f4dabd7ec1b8000ab87ec02beee61860e9ffe2e7075f112b7b"
 # the same over the other 11 seeds, which reorder client links
-REORDER_TRACES = "746f01259759d26b014407d66d19b6b7a1bbcbe255cfca24d4e5559d6284de6c"
+REORDER_TRACES = "9cfd573f5f9d0d7ae1a310afda87a334fc37ca34e5424f8280e19797337921f7"
 
 
 def jitter_traces_digest(reorder: bool):

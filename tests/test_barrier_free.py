@@ -162,12 +162,12 @@ def test_racing_candidates_establish_epochs_at_distinct_instances():
 
 
 def test_split_view_schedule_resends_a_lost_tuple_and_passes_all_checks():
-    # under a split oracle, process 1's read picks process 2's epoch-5 tuple
-    # at instance 3, so process 0's epoch-9 tuple loses that instance; 0
-    # re-sends it at instance 6 with its seqno, 3
+    # under a split oracle, process 2's read picks process 1's epoch-7 tuples
+    # at instances 6 and 7, so process 0's epoch-12 tuples lose them; 0
+    # re-sends them at instances 9 and 10 with their seqnos, 6 and 7
     trace = run(load_scenario("val-resent-barrier-free"))
     resent = [(e.actor, e.data) for e in trace.by_kind("val-resent")]
-    assert resent == [(0, {"instance": 6, "seqno": 3})]
+    assert resent == [(0, {"instance": 9, "seqno": 6}), (0, {"instance": 10, "seqno": 7})]
     report = check_all(trace)
     assert report.violations == {}
     assert report.linearizable is True

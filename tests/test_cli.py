@@ -104,6 +104,8 @@ def test_run_rejects_bad_timing_or_target_as_a_usage_error(tmp_path, patch):
         "horizon: -5",
         "horizon: 0",
         "n: three",
+        'reorder: "false"',
+        'expect_violation: "false"',
     ],
     ids=[
         "negative-send-size",
@@ -119,6 +121,8 @@ def test_run_rejects_bad_timing_or_target_as_a_usage_error(tmp_path, patch):
         "negative-horizon",
         "zero-horizon",
         "non-integer-n",
+        "string-reorder",
+        "string-expect-violation",
     ],
 )
 def test_run_rejects_negative_or_malformed_values_as_a_usage_error(tmp_path, capsys, patch):

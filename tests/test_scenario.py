@@ -78,6 +78,17 @@ def test_validation_rejects_bad_scenarios(patch):
         Scenario.from_yaml(doc)
 
 
+@pytest.mark.parametrize("key", ["reorder", "expect_violation"])
+def test_yes_no_keys_take_only_booleans(key):
+    base = "name: x\nprotocol: naive\nn: 3\nhorizon: 100\nomega: [{at: 0, leader: 0}]\n"
+    assert getattr(Scenario.from_yaml(base), key) is False
+    assert getattr(Scenario.from_yaml(base + f"{key}: true\n"), key) is True
+    assert getattr(Scenario.from_yaml(base + f"{key}: false\n"), key) is False
+    for value in ('"false"', "0", "1", "[]"):
+        with pytest.raises(ScenarioError, match=f"{key} must be true or false"):
+            Scenario.from_yaml(base + f"{key}: {value}\n")
+
+
 def test_duplicate_or_low_client_ids_rejected():
     base = "name: x\nprotocol: naive\nn: 3\nhorizon: 100\nomega: [{at: 0, leader: 0}]\n"
     with pytest.raises(ScenarioError):

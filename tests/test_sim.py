@@ -1,6 +1,6 @@
 """Simulation kernel: scheduling, links, crashes, oracle script, determinism."""
 
-import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -155,9 +155,8 @@ def test_per_byte_cost_serializes_the_sender():
 def test_jitter_is_a_pure_function_of_seed_and_seq():
     m1 = DelayModel.jitter(8, 12, seed=1)
     m2 = DelayModel.jitter(8, 12, seed=1)
-    r1, r2 = random.Random(), random.Random()
-    assert [m1.delay(s, r1) for s in range(50)] == [m2.delay(s, r2) for s in range(50)]
-    assert all(8 <= m1.delay(s, r1) <= 12 for s in range(200))
+    assert [m1.delay(s) for s in range(50)] == [m2.delay(s) for s in range(50)]
+    assert all(8 <= m1.delay(s) <= 12 for s in range(200))
 
 
 def test_jitter_bounds_validated():
@@ -246,22 +245,55 @@ def test_run_is_deterministic():
     assert run(s).to_jsonl() == run(s).to_jsonl()
 
 
-# (min, max) pairs: width 1, power-of-two widths (where randint's rejection
-# loop repeats most), a wide range, and every bound random_scenario draws
-DELAY_BOUNDS = [(1, 1), (7, 7), (1, 2), (3, 6), (1, 8), (5, 20), (1, 1024), (2, 1000)] + [
-    (5, hi) for hi in range(8, 21)
-]
-DELAY_SEEDS = [0, 1, 7, 99, 999, 2**31 - 1, 2**40 + 3, 2**64 + 5, -7]
+def test_jitter_draw_is_splitmix64_of_seed_and_seq():
+    """A draw is splitmix64's output z for the state ``(seed << 32) ^ seq``,
+    reduced to ``min + z % (max - min + 1)``. A width of 2**64 exposes z
+    itself, which the published vectors pin: state 0, and state 1234567."""
+    raw = DelayModel.jitter(1, 2**64, seed=0)
+    assert raw.delay(0) - 1 == 0xE220A8397B1DCDAF
+    assert raw.delay(1234567) - 1 == 6457827717110365317
 
 
-def test_jitter_draw_equals_a_fresh_generators_randint():
-    rng = random.Random()  # one reused generator, as the simulator keeps it
-    for lo, hi in DELAY_BOUNDS:
-        for seed in DELAY_SEEDS:
-            model = DelayModel.jitter(lo, hi, seed=seed)
-            for seq in (1, 2, 3, 17, 255, 256, 4096, 2**32 - 1, 2**32, 2**33 + 1):
-                reference = random.Random((seed << 32) ^ seq).randint(lo, hi)
-                assert model.delay(seq, rng) == reference, (lo, hi, seed, seq)
+# (min, max, seed, seq) -> delay: width 1, the smallest width above it,
+# negative seeds, and seqs at and past 2**32, which reach the seed's bits
+JITTER_DRAWS = {
+    (7, 7, 5, 1): 7,
+    (1, 2, 0, 1): 2,
+    (1, 2, 0, 2): 1,
+    (5, 20, 0, 1): 6,
+    (5, 20, 1, 1): 20,
+    (5, 20, 1, 2): 7,
+    (5, 20, -7, 3): 14,
+    (1, 1024, -1, 255): 318,
+    (3, 6, 2**31 - 1, 4096): 5,
+    (2, 1000, 99, 2**32 - 1): 27,
+    (1, 58, 1963, 2**32): 3,
+    (1, 58, 1963, 2**33 + 1): 1,
+}
+
+
+def test_jitter_draws_are_pinned():
+    for (lo, hi, seed, seq), want in JITTER_DRAWS.items():
+        assert DelayModel.jitter(lo, hi, seed=seed).delay(seq) == want, (lo, hi, seed, seq)
+
+
+def test_seeds_congruent_mod_2_to_the_32_draw_alike():
+    """The seed is shifted 32 bits into a 64-bit state, so only its low 32
+    bits count: seeds 3 and 2**40 + 3 draw the same delays."""
+    seqs = range(1, 1000)
+    for lo, hi in ((1, 2), (5, 20), (1, 1024)):
+        a = DelayModel.jitter(lo, hi, seed=3)
+        b = DelayModel.jitter(lo, hi, seed=2**40 + 3)
+        assert [a.delay(seq) for seq in seqs] == [b.delay(seq) for seq in seqs]
+
+
+def test_jitter_draws_cover_the_range_evenly():
+    # 16000 draws over 16 values: each value within 15% of its 1000
+    for seed in (0, 3, -7):
+        model = DelayModel.jitter(5, 20, seed=seed)
+        counts = Counter(model.delay(seq) for seq in range(1, 16001))
+        assert sorted(counts) == list(range(5, 21)), seed
+        assert all(850 <= c <= 1150 for c in counts.values()), (seed, counts)
 
 
 def test_message_to_an_id_with_no_actor_is_dropped_silently():
@@ -300,18 +332,17 @@ def test_message_and_callback_due_at_the_same_tick_fire_in_insertion_order(messa
     assert order == expected
 
 
-# jitter seed 3 draws 20 ticks for message 1 and 6 for message 2, so two
+# jitter seed 1 draws 20 ticks for message 1 and 7 for message 2, so two
 # messages sent together arrive in the opposite order
 def make_reordering_sim(**kw):
     sim = Simulator(
         n=3,
-        delay_model=DelayModel.jitter(5, 20, seed=3),
+        delay_model=DelayModel.jitter(5, 20, seed=1),
         omega=OmegaScript.single(3, 0),
         reorder=True,
         **kw,
     )
-    rng = random.Random()
-    assert sim.delay_model.delay(1, rng) == 20 and sim.delay_model.delay(2, rng) == 6
+    assert sim.delay_model.delay(1) == 20 and sim.delay_model.delay(2) == 7
     return sim
 
 
@@ -330,7 +361,7 @@ def test_reorder_keeps_the_delivery_floor_on_a_process_link():
         # due at the same tick and inserted between the sends, so it fires
         # between the two messages
         sim.schedule(25, lambda: got.append(("callback", sim.now)))
-        sim.send(0, 1, "second")  # drew 11; the floor makes it due at 25
+        sim.send(0, 1, "second")  # due at 12 by its draw; the floor makes it 25
 
     sim.schedule(5, send_both)
     sim.run(100)
@@ -348,7 +379,7 @@ def test_reorder_leaves_client_links_unsequenced():
 
 
 def test_a_frame_due_after_its_receiver_crashes_is_never_dispatched():
-    # "first" is due at 25 and "second", which drew 11, at 25 by the floor;
+    # "first" is due at 25 and "second", whose draw gives 12, at 25 by the floor;
     # the receiver crashes at 20, so neither reaches it
     sim = make_reordering_sim(crashes={1: 20})
     rec = Recorder()
@@ -391,11 +422,11 @@ def test_reorder_floors_process_links_and_leaves_client_links_to_their_draws(see
 
     # sends fire by time, then insertion order; the kernel numbers messages
     # from 1 in that order, and a draw is a pure function of the number
-    expected, rng = {}, random.Random()
+    expected = {}
     order = sorted(range(len(sends)), key=lambda k: sends[k][0])
     for seq, k in enumerate(order, start=1):
         at, frm, to = sends[k]
-        due = at + model.delay(seq, rng)
+        due = at + model.delay(seq)
         link = expected.setdefault((frm, to), [])
         if frm < 3 and to < 3 and link:
             due = max(due, link[-1][1])

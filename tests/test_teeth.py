@@ -33,8 +33,8 @@ def test_a_zero_barrier_is_caught_by_the_barrier_check(monkeypatch):
     # instance, so seeds 0 and 2 are caught by sequential-instances alone
     monkeypatch.setattr(TauBroadcast, "tau", lambda self: 0)
     expected = {
-        "tau-paxos": (list(range(20)), [1, 3, 4, 9, 10, 16, 17]),
-        "tau-seq": ([0, 1, 2, 3, 4, 6, 8, 9, 10, 13, 14, 16, 17], [1, 3, 4, 9, 10, 16, 17]),
+        "tau-paxos": (list(range(20)), [1, 3, 4, 5, 9, 16, 17]),
+        "tau-seq": ([0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 13, 14, 16, 17], [1, 3, 4, 5, 9, 16, 17]),
     }
     for protocol, (seeds, barrier) in expected.items():
         runs = flagged(protocol, range(20))
@@ -50,8 +50,10 @@ def test_a_zero_barrier_proposes_past_the_next_instance(monkeypatch):
 
 def test_a_silent_re_read_is_caught_by_the_single_ballot_check(monkeypatch):
     # a watchdog re-read that does not tell the layer: the primary keeps its
-    # epoch across the new ballot's read phase. Over seeds 0-999 no other
-    # property flags this mutant
+    # epoch across the new ballot's read phase. Over seeds 0-19 no other
+    # property flags this mutant; past them, at seed 86 first, the mutant's
+    # runs claim an epoch identifier twice and check_all raises
+    # AmbiguousMappingError
     begin = PaxosNode.begin_read_phase
 
     def silent(self):
@@ -60,9 +62,7 @@ def test_a_silent_re_read_is_caught_by_the_single_ballot_check(monkeypatch):
         self.on_phase_change = hook
 
     monkeypatch.setattr(PaxosNode, "begin_read_phase", silent)
-    assert flagged("tau-paxos", range(20)) == {
-        16: ["single-ballot-epochs"], 18: ["single-ballot-epochs"]
-    }
+    assert flagged("tau-paxos", range(20)) == {16: ["single-ballot-epochs"]}
 
 
 def test_delivering_on_decide_without_seqno_order_is_caught(monkeypatch):
@@ -77,8 +77,8 @@ def test_delivering_on_decide_without_seqno_order_is_caught(monkeypatch):
 
     monkeypatch.setattr(BarrierFreeBroadcast, "on_decide", eager)
     # no corpus seed shows this mutant. On this split-view schedule a new
-    # primary's tuples with seqnos 3 and 4 lose their instances to an older
-    # epoch's, and its seqno 5 is decided while they are missing
+    # primary's tuples with seqnos 6 and 7 lose their instances to an older
+    # epoch's, and its seqno 8 is decided while they are missing
     report = check_all(run(load_scenario("val-resent-barrier-free")))
     assert sorted(report.violations) == [
         "election-order", "local-primary-order", "no-failed-applies"
@@ -92,11 +92,11 @@ def test_the_naive_controls_verdicts_are_pinned():
         digest.update(render_report(report, False).encode())
         violating += bool(report.violations)
         counts.update(report.violations.keys())
-    assert violating == 137
+    assert violating == 132
     assert counts == {
-        "primary-integrity": 137, "local-primary-order": 57, "no-failed-applies": 7,
+        "primary-integrity": 132, "local-primary-order": 51, "no-failed-applies": 4,
         "global-primary-order": 5,
     }
     assert digest.hexdigest() == (
-        "dd12f1eaff5291b570923f98dd44ca1ea758949ef75fd509d406565e345321cf"
+        "2e55128652a5c25c7f6829a54f8e27993f83cba802635c92cce9347992f7186e"
     )
