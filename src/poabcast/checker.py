@@ -18,6 +18,11 @@ delivered get an identifier; how the identifier is derived depends on
 the protocol (decided instance, ballot, or election instance), and the
 identifiers' integer order is the epoch order every ordering property is
 checked against.
+
+A fault is always a verdict, so ``check_all`` returns a ``Report`` for
+every trace that parses: epochs that cannot be mapped fail
+``primary-mapping``, and the ordering properties are checked over the
+epochs that did map.
 """
 
 from __future__ import annotations
@@ -42,15 +47,9 @@ SAFETY_PROPERTIES = (
     "at-most-once",
     "no-failed-applies",
     "digest-convergence",
+    "primary-mapping",
+    "linearizable",
 )
-
-
-class CheckerError(Exception):
-    pass
-
-
-class AmbiguousMappingError(CheckerError):
-    """Two primary epochs claimed the same identifier: a protocol bug."""
 
 
 @dataclass
@@ -67,7 +66,6 @@ class Epoch:
 class Report:
     verdicts: Dict[str, Optional[str]] = field(default_factory=dict)
     liveness: str = "skipped"  # "pass" | "inconclusive" | "skipped"
-    linearizable: bool = True  # set by check_all; the per-family reports leave it
 
     @property
     def violations(self) -> Dict[str, str]:
@@ -75,7 +73,12 @@ class Report:
 
     @property
     def ok(self) -> bool:
-        return not self.violations and self.linearizable
+        return not self.violations
+
+    @property
+    def linearizable(self) -> bool:
+        """The ``linearizable`` verdict passed, or was not checked."""
+        return self.verdicts.get("linearizable") is None
 
 
 # -- trace digestion ---------------------------------------------------------
@@ -157,11 +160,15 @@ class TraceIndex:
         )
 
     @cached_property
-    def epochs(self) -> List[Epoch]:
+    def epochs(self) -> Tuple[List[Epoch], Optional[str]]:
+        """The primary epochs in primary-begin order, and the first fault in
+        their nesting: a nested primary-begin or a primary-end with no open
+        epoch, either of which is then skipped."""
         open_epochs: Dict[int, Epoch] = {}
         last_crossing: Dict[int, TraceEvent] = {}
         last_established: Dict[int, TraceEvent] = {}
         epochs: List[Epoch] = []
+        fault: Optional[str] = None
         for e in self.by_kind(
             "barrier-crossed", "epoch-established", "primary-begin", "primary-end", "broadcast"
         ):
@@ -171,7 +178,8 @@ class TraceIndex:
                 last_established[e.actor] = e
             elif e.kind == "primary-begin":
                 if e.actor in open_epochs:
-                    raise CheckerError(f"nested primary-begin at process {e.actor}")
+                    fault = fault or f"nested primary-begin at process {e.actor}"
+                    continue
                 epoch = Epoch(e.actor, float("inf"))
                 epoch.crossing = last_crossing.pop(e.actor, None)
                 epoch.established = last_established.get(e.actor)
@@ -180,57 +188,57 @@ class TraceIndex:
             elif e.kind == "primary-end":
                 epoch = open_epochs.pop(e.actor, None)
                 if epoch is None:
-                    raise CheckerError(f"primary-end without begin at process {e.actor}")
+                    fault = fault or f"primary-end without begin at process {e.actor}"
+                    continue
                 epoch.end_index = e.index
             else:
                 epoch = open_epochs.get(e.actor)
                 if epoch is not None:
                     epoch.broadcasts.append(e)
-        return epochs
+        return epochs, fault
 
 
-def derive_primary_mapping(trace: Union[Trace, TraceIndex], protocol: str) -> List[Epoch]:
+def derive_primary_mapping(
+    trace: Union[Trace, TraceIndex], protocol: str
+) -> Tuple[List[Epoch], Optional[str]]:
     """Assign identifiers to epochs that had at least one value delivered,
-    and return those epochs in identifier order.
+    and return those epochs in identifier order, with the first fault: the
+    epochs' own, else the first epoch left out for want of an identifier or
+    for claiming one an earlier epoch holds.
 
     tau-seq and naive: the decided instance of the epoch's first delivered
     value. tau-paxos: the ballot the primary crossed the barrier with.
     barrier-free: the instance in which the epoch was established.
     """
     idx = TraceIndex.of(trace)
-    epochs = idx.epochs
+    epochs, fault = idx.epochs
     first = idx.first_delivery
+    seen: Dict[int, Epoch] = {}
     for epoch in epochs:
         delivered = [b for b in epoch.broadcasts if b.data["value"] in first]
         if not delivered:
             continue
         if protocol == "tau-paxos":
             if epoch.crossing is None:
-                raise CheckerError(
-                    f"epoch at process {epoch.process} has no barrier crossing"
-                )
-            epoch.ident = epoch.crossing.data["ballot"]
+                fault = fault or f"epoch at process {epoch.process} has no barrier crossing"
+                continue
+            ident = epoch.crossing.data["ballot"]
         elif protocol == "barrier-free":
             if epoch.established is None:
-                raise CheckerError(
-                    f"epoch at process {epoch.process} was never established"
-                )
-            epoch.ident = epoch.established.data["instance"]
+                fault = fault or f"epoch at process {epoch.process} was never established"
+                continue
+            ident = epoch.established.data["instance"]
         else:  # tau-seq, naive: decided instance of the first delivered value
-            epoch.ident = min(
-                first[b.data["value"]].data["instance"] for b in delivered
+            ident = min(first[b.data["value"]].data["instance"] for b in delivered)
+        if ident in seen:
+            fault = fault or (
+                f"identifier {ident} claimed by epochs at processes "
+                f"{seen[ident].process} and {epoch.process}"
             )
-    seen: Dict[int, Epoch] = {}
-    for epoch in epochs:
-        if epoch.ident is None:
             continue
-        if epoch.ident in seen:
-            raise AmbiguousMappingError(
-                f"identifier {epoch.ident} claimed by epochs at processes "
-                f"{seen[epoch.ident].process} and {epoch.process}"
-            )
-        seen[epoch.ident] = epoch
-    return sorted(seen.values(), key=attrgetter("ident"))
+        epoch.ident = ident
+        seen[ident] = epoch
+    return sorted(seen.values(), key=attrgetter("ident")), fault
 
 
 # -- atomic broadcast properties --------------------------------------------
@@ -510,7 +518,7 @@ def check_liveness(trace: Union[Trace, TraceIndex]) -> str:
     if len(leaders) != 1:
         return "inconclusive"
     leader = leaders.pop()
-    if not any(e.process == leader and e.end_index == float("inf") for e in idx.epochs):
+    if not any(e.process == leader and e.end_index == float("inf") for e in idx.epochs[0]):
         return "inconclusive"
 
     # every request issued early enough has a response
@@ -629,7 +637,7 @@ def check_all(trace: Union[Trace, TraceIndex]) -> Report:
     protocol = idx.summary.get("protocol", "naive")
     report = Report({"consensus-agreement": check_consensus(idx)})
     report.verdicts.update(check_abcast(idx).verdicts)
-    ordered = derive_primary_mapping(idx, protocol)
+    ordered, report.verdicts["primary-mapping"] = derive_primary_mapping(idx, protocol)
     report.verdicts.update(check_poabcast(idx, ordered).verdicts)
     if protocol in ("tau-seq", "tau-paxos"):
         report.verdicts["barrier"] = check_barrier(idx, ordered)
@@ -641,5 +649,8 @@ def check_all(trace: Union[Trace, TraceIndex]) -> Report:
         report.verdicts["election-order"] = check_barrier_free(idx)
     report.verdicts.update(check_replication(idx).verdicts)
     report.liveness = check_liveness(idx)
-    report.linearizable = check_linearizable(extract_history(idx))
+    linearizable = check_linearizable(extract_history(idx))
+    report.verdicts["linearizable"] = None if linearizable else (
+        "no order of the client history follows the service's digest chain"
+    )
     return report

@@ -117,9 +117,6 @@ class Replica:
                 "apply-bot", self.pid, client=update.client, reqid=update.reqid,
                 expected=update.pre, state=self.state,
             )
-            self.sim.trace.summary["halted"] = sorted(
-                set(self.sim.trace.summary.get("halted", [])) | {self.pid}
-            )
             return
         self.state = update.post
         reply = Reply(update.client, update.reqid, update.record, update.post)

@@ -210,7 +210,7 @@ def test_benchmark_csv_is_byte_identical_across_runs():
 
 
 # sha256 over the concatenated traces of the bundled scenarios, in name order
-BUNDLED_TRACES = "eb038701310472987613346fd57979bffd1adcb3f9c6aeae881e77fdd03924e3"
+BUNDLED_TRACES = "afb00cff3e5e244a02c78b1aa79d26d1921b12a45a451b71e7a70c79dac87d17"
 
 
 def test_bundled_scenario_traces_are_pinned():

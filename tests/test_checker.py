@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from poabcast import checker
 from poabcast.checker import (
-    AmbiguousMappingError,
     HistoryOp,
     check_abcast,
     check_all,
@@ -130,18 +129,25 @@ def primary_epoch_rows(actor, t0, values, instances):
     return rows
 
 
+def ordered_epochs(trace, protocol):
+    """The identified epochs of a trace whose epochs all map."""
+    ordered, fault = derive_primary_mapping(trace, protocol)
+    assert fault is None
+    return ordered
+
+
 def test_epochs_without_deliveries_get_no_identifier():
     rows = [
         (0, 0, "primary-begin", {}),
         (1, 0, "broadcast", {"value": "lost", "instance": 1}),
         (2, 0, "primary-end", {}),
     ]
-    assert derive_primary_mapping(make_trace(rows), "tau-seq") == []
+    assert ordered_epochs(make_trace(rows), "tau-seq") == []
 
 
 def test_identifier_is_the_first_delivered_instance_for_tau_seq():
     rows = primary_epoch_rows(0, 0, ["v1", "v2"], [5, 6])
-    assert [e.ident for e in derive_primary_mapping(make_trace(rows), "tau-seq")] == [5]
+    assert [e.ident for e in ordered_epochs(make_trace(rows), "tau-seq")] == [5]
 
 
 def test_identified_epochs_come_in_identifier_order_not_trace_order():
@@ -151,36 +157,92 @@ def test_identified_epochs_come_in_identifier_order_not_trace_order():
     rows += primary_epoch_rows(0, 0, ["v1"], [1])
     rows += [(9, 1, "barrier-crossed", {"tau": 1, "dec": 1, "ballot": 4})]
     rows += primary_epoch_rows(1, 10, ["v2"], [2])
-    ordered = derive_primary_mapping(make_trace(rows), "tau-paxos")
+    ordered = ordered_epochs(make_trace(rows), "tau-paxos")
     assert [(e.ident, e.process) for e in ordered] == [(4, 1), (9, 0)]
 
 
-def test_colliding_identifiers_raise_ambiguous_mapping():
-    rows = primary_epoch_rows(0, 0, ["v1"], [5])
-    rows += [
-        (10, 1, "primary-begin", {}),
-        (11, 1, "broadcast", {"value": "v2", "instance": 5}),
-        (12, 1, "deliver", {"value": "v2", "instance": 5}),
-        (13, 1, "primary-end", {}),
-    ]
-    with pytest.raises(AmbiguousMappingError):
-        derive_primary_mapping(make_trace(rows), "tau-seq")
+# each way a trace's epochs fail to map: (protocol, rows, the verdict)
+MAPPING_FAULTS = {
+    "nested-epochs": (
+        "tau-seq",
+        [(0, 0, "primary-begin", {}), (1, 0, "primary-begin", {})],
+        "nested primary-begin at process 0",
+    ),
+    "end-without-begin": (
+        "tau-seq",
+        [(0, 0, "primary-end", {})],
+        "primary-end without begin at process 0",
+    ),
+    "no-crossing": (
+        "tau-paxos",
+        primary_epoch_rows(0, 0, ["v"], [1]),
+        "epoch at process 0 has no barrier crossing",
+    ),
+    "never-established": (
+        "barrier-free",
+        [
+            (0, 0, "primary-begin", {}),
+            (1, 0, "broadcast", {"value": "v", "instance": 1}),
+            (2, 0, "deliver", {"value": "v", "instance": 1, "epoch": 1, "seqno": 1}),
+        ],
+        "epoch at process 0 was never established",
+    ),
+    # both epochs' first delivered values sit at instance 5
+    "ambiguous-mapping": (
+        "tau-seq",
+        primary_epoch_rows(0, 0, ["v1"], [5]) + [
+            (10, 1, "primary-begin", {}),
+            (11, 1, "broadcast", {"value": "v2", "instance": 5}),
+            (12, 1, "deliver", {"value": "v2", "instance": 5}),
+            (13, 1, "primary-end", {}),
+        ],
+        "identifier 5 claimed by epochs at processes 0 and 1",
+    ),
+}
 
 
-def test_forged_epoch_without_establishment_raises():
-    rows = [
-        (0, 0, "primary-begin", {}),
-        (1, 0, "broadcast", {"value": "v", "instance": 1}),
-        (2, 0, "deliver", {"value": "v", "instance": 1}),
-    ]
-    with pytest.raises(Exception):
-        derive_primary_mapping(make_trace(rows), "barrier-free")
+def mapping_fault_trace(name):
+    protocol, rows, _ = MAPPING_FAULTS[name]
+    trace = make_trace(rows)
+    trace.summary["protocol"] = protocol
+    return trace
+
+
+def test_colliding_identifiers_leave_the_first_claimant_mapped():
+    ordered, fault = derive_primary_mapping(mapping_fault_trace("ambiguous-mapping"), "tau-seq")
+    assert [(e.ident, e.process) for e in ordered] == [(5, 0)]
+    assert fault == MAPPING_FAULTS["ambiguous-mapping"][2]
+
+
+def test_forged_epoch_without_establishment_is_left_unmapped():
+    trace = mapping_fault_trace("never-established")
+    ordered, fault = derive_primary_mapping(trace, "barrier-free")
+    assert ordered == []
+    assert fault == MAPPING_FAULTS["never-established"][2]
 
 
 def test_nested_primary_begin_is_rejected():
-    rows = [(0, 0, "primary-begin", {}), (1, 0, "primary-begin", {})]
-    with pytest.raises(Exception):
-        TraceIndex(make_trace(rows)).epochs
+    rows = [(0, 0, "primary-begin", {}), (1, 0, "primary-begin", {}), (2, 0, "primary-end", {})]
+    epochs, fault = TraceIndex(make_trace(rows)).epochs
+    assert [e.end_index for e in epochs] == [2]  # the open epoch goes on
+    assert fault == "nested primary-begin at process 0"
+
+
+@pytest.mark.parametrize("name", list(MAPPING_FAULTS))
+def test_check_all_files_a_mapping_fault_as_a_verdict(name):
+    report = check_all(mapping_fault_trace(name))
+    assert report.violations["primary-mapping"] == MAPPING_FAULTS[name][2]
+    assert not report.ok
+
+
+def test_the_ordered_checks_run_over_the_epochs_that_did_map():
+    # process 1 delivers v2 where process 0 delivered v1, which breaks
+    # agreement; with the colliding epoch left out, the ordering properties
+    # see v1's epoch alone, and hold
+    report = check_all(mapping_fault_trace("ambiguous-mapping"))
+    assert sorted(report.violations) == ["agreement", "primary-mapping"]
+    for prop in ("local-primary-order", "global-primary-order", "primary-integrity", "barrier"):
+        assert report.verdicts[prop] is None
 
 
 # -- primary order properties -----------------------------------------------------
@@ -200,7 +262,7 @@ def test_primary_integrity_catches_broadcast_before_delivery():
         (15, 0, "deliver", {"value": "v2", "instance": 2}),
     ]
     trace = make_trace(rows)
-    mapping = derive_primary_mapping(trace, "tau-seq")
+    mapping = ordered_epochs(trace, "tau-seq")
     report = check_poabcast(trace, mapping)
     assert report.verdicts["primary-integrity"] is not None
 
@@ -241,7 +303,7 @@ def test_local_primary_order_catches_skipped_middle_value():
         (4, 0, "primary-end", {}),
     ]
     trace = make_trace(rows)
-    mapping = derive_primary_mapping(trace, "tau-seq")
+    mapping = ordered_epochs(trace, "tau-seq")
     report = check_poabcast(trace, mapping)
     assert report.verdicts["local-primary-order"] is not None
 
@@ -256,7 +318,7 @@ def test_barrier_catches_crossing_below_earlier_decisions():
         (12, 1, "deliver", {"value": "v2", "instance": 6}),
     ]
     trace = make_trace(rows)
-    mapping = derive_primary_mapping(trace, "tau-seq")
+    mapping = ordered_epochs(trace, "tau-seq")
     msg = check_barrier(trace, mapping)
     assert msg is not None and "dec=2" in msg
 
@@ -271,7 +333,7 @@ def test_barrier_passes_when_crossing_covers_earlier_decisions():
         (12, 1, "deliver", {"value": "v2", "instance": 6}),
     ]
     trace = make_trace(rows)
-    mapping = derive_primary_mapping(trace, "tau-seq")
+    mapping = ordered_epochs(trace, "tau-seq")
     assert check_barrier(trace, mapping) is None
 
 
@@ -288,7 +350,7 @@ def three_tau_seq_epochs(b_instance, a_late_instance, c_dec):
     rows += [(19, 2, "barrier-crossed", {"tau": c_dec, "dec": c_dec, "ballot": 7})]
     rows += primary_epoch_rows(2, 20, ["c1"], [5])
     trace = make_trace(sorted(rows, key=lambda r: r[0]))
-    return trace, derive_primary_mapping(trace, "tau-seq")
+    return trace, ordered_epochs(trace, "tau-seq")
 
 
 def test_barrier_names_an_offending_epoch_two_epochs_back():
@@ -324,7 +386,7 @@ def three_primaries(third_epoch_rows):
     rows += [(15, 2, "deliver", {"value": "b1", "instance": 2})]
     rows += third_epoch_rows
     trace = make_trace(sorted(rows, key=lambda r: r[0]))
-    return check_poabcast(trace, derive_primary_mapping(trace, "tau-seq"))
+    return check_poabcast(trace, ordered_epochs(trace, "tau-seq"))
 
 
 def test_primary_integrity_names_a_missed_value_two_epochs_back():

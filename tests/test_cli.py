@@ -1,12 +1,9 @@
 """CLI harness: exit codes, artifacts, bundled scenarios, bench output."""
 
-import json
 import os
 
 import pytest
 
-from poabcast import cli
-from poabcast.checker import AmbiguousMappingError
 from poabcast.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
@@ -15,6 +12,8 @@ from poabcast.cli import (
     bundled_scenarios,
     main,
 )
+
+from test_checker import MAPPING_FAULTS, mapping_fault_trace
 
 
 def test_list_names_the_bundled_scenarios(capsys):
@@ -151,48 +150,24 @@ def test_report_on_a_malformed_trace_is_a_usage_error(tmp_path, capsys, line):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def event(i, p, kind, **data):
-    return json.dumps({"t": i, "i": i, "p": p, "kind": kind, "data": data})
-
-
-@pytest.mark.parametrize(
-    "lines, message",
-    [
-        (
-            [event(0, 0, "primary-begin"), event(1, 0, "primary-begin")],
-            "nested primary-begin at process 0",
-        ),
-        (
-            [
-                event(0, p, kind, value=f"v{p}", instance=5)
-                for p in (0, 1)
-                for kind in ("primary-begin", "broadcast", "decide", "deliver")
-            ],
-            "identifier 5 claimed by epochs at processes 0 and 1",
-        ),
-    ],
-    ids=["nested-epochs", "ambiguous-mapping"],
-)
-def test_report_on_unmappable_epochs_is_a_violation_not_a_crash(tmp_path, capsys, lines, message):
+@pytest.mark.parametrize("name", list(MAPPING_FAULTS))
+def test_report_on_unmappable_epochs_is_a_violation_not_a_crash(tmp_path, capsys, name):
     # the file is a trace, but its primary epochs cannot be mapped: for a trace
-    # the kit produced, that is a protocol fault
+    # the kit produced, that is a protocol fault, reported as a verdict
     path = tmp_path / "epochs.jsonl"
-    path.write_text("\n".join(lines + ['{"summary": {"protocol": "tau-seq"}}']) + "\n")
+    path.write_text(mapping_fault_trace(name).to_jsonl())
     assert main(["report", str(path)]) == EXIT_VIOLATION
-    err = capsys.readouterr().err
-    assert err == f"error: {message}\n"
-    assert "Traceback" not in err
+    out, err = capsys.readouterr()
+    assert f"FAIL primary-mapping: {MAPPING_FAULTS[name][2]}\n" in out
+    assert err == ""
 
 
-def test_run_whose_epochs_cannot_be_mapped_exits_one(monkeypatch, capsys):
-    def unmappable(trace):
-        raise AmbiguousMappingError("identifier 3 claimed by epochs at processes 0 and 2")
-
-    monkeypatch.setattr(cli, "check_all", unmappable)
-    assert main(["run", "stable-tau-seq"]) == EXIT_VIOLATION
-    assert capsys.readouterr().err == (
-        "error: identifier 3 claimed by epochs at processes 0 and 2\n"
-    )
+@pytest.mark.parametrize("name", list(bundled_scenarios()))
+def test_report_on_a_saved_trace_exits_as_run_did(tmp_path, capsys, name):
+    code = main(["run", name, "--out", str(tmp_path)])
+    printed = capsys.readouterr().out
+    assert main(["report", str(tmp_path / f"{name}.trace.jsonl")]) == code
+    assert capsys.readouterr().out == printed
 
 
 def test_no_command_prints_help_and_exits_usage(capsys):

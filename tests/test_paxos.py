@@ -1,5 +1,9 @@
 """Consensus core: ballots, read/write phases, decide stream, phase hook, and
-the black-box contract's termination and latest-wins cases."""
+the black-box contract: its termination and latest-wins cases, and its four
+properties over random schedules."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poabcast.paxos import (
     DecideMsg,
@@ -26,8 +30,10 @@ class Node:
         self.node.on_message(frm, msg)
 
 
-def make_cluster(n=3, delta=10, **kw):
-    sim = Simulator(n=n, delay_model=DelayModel.fixed(delta), omega=OmegaScript.single(n, 0))
+def make_cluster(n=3, delta=10, delay_model=None, **kw):
+    sim = Simulator(
+        n=n, delay_model=delay_model or DelayModel.fixed(delta), omega=OmegaScript.single(n, 0)
+    )
     nodes = [Node(sim, p, n, **kw) for p in range(n)]
     for p, nd in enumerate(nodes):
         sim.add_actor(p, nd)
@@ -191,6 +197,61 @@ def test_a_re_read_writes_again_the_proposals_it_left_open():
     sim.run(2000)
     for nd in nodes:
         assert nd.delivered == [(1, v)]
+
+
+CALLS = ("ensure_leadership", "relinquish", "begin_read_phase", "propose")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    n=st.sampled_from([3, 5]),
+    delay_model=st.one_of(
+        st.builds(DelayModel.fixed, st.integers(1, 20)),
+        st.builds(DelayModel.jitter, st.just(1), st.integers(1, 30), st.integers(0, 2**32 - 1)),
+    ),
+    calls=st.lists(
+        st.tuples(
+            st.integers(0, 400), st.integers(0, 4), st.sampled_from(CALLS), st.integers(1, 6)
+        ),
+        max_size=25,
+    ),
+)
+def test_the_contract_holds_over_random_schedules(n, delay_model, calls):
+    # up to 25 leadership changes, re-reads and proposals by any node in ticks
+    # 0-400; from tick 500, node 0 alone leads and proposes at every instance
+    # it has not decided
+    sim, nodes = make_cluster(n=n, delay_model=delay_model)
+    proposed = {i: {NOOP} for i in range(1, 7)}
+
+    def propose(node, value, instance):
+        proposed[instance].add(value)
+        node.propose(value, instance)
+
+    for k, (at, p, call, instance) in enumerate(calls):
+        node = nodes[p % n].node
+        if call == "propose":
+            sim.schedule(at, lambda node=node, k=k, i=instance: propose(node, AppValue(f"v{k}"), i))
+        else:
+            sim.schedule(at, getattr(node, call))
+
+    def settle():
+        for nd in nodes[1:]:
+            nd.node.relinquish()
+        leader = nodes[0].node
+        leader.ensure_leadership()
+        for i in range(1, 7):
+            if i not in leader.decided:
+                propose(leader, AppValue(f"w{i}"), i)
+
+    sim.schedule(500, settle)
+    sim.run(5000)
+    decided = nodes[0].delivered
+    # prefix order and termination: instances 1-6, in order, with no gaps
+    assert [i for i, _ in decided] == [1, 2, 3, 4, 5, 6]
+    # validity: each value was proposed at its instance, or is a no-op
+    assert all(v in proposed[i] for i, v in decided)
+    # agreement: every node decided the same value at each instance
+    assert all(nd.delivered == decided for nd in nodes)
 
 
 def test_reordered_network_preserves_local_primary_order():

@@ -74,8 +74,7 @@ def test_apply_on_mismatching_state_halts_the_replica():
     bad = StateUpdate(vid="u1", body="r", client=3, reqid=1, pre="not-the-state", post="p")
     replica.on_deliver(bad)
     assert replica.halted
-    assert sim.trace.by_kind("apply-bot")
-    assert sim.trace.summary["halted"] == [0]
+    assert [e.actor for e in sim.trace.by_kind("apply-bot")] == [0]
     # a halted replica stops processing entirely
     before = replica.state
     replica.on_deliver(execute(before, Request(3, 2, "op"), "u2"))

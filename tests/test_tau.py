@@ -163,14 +163,29 @@ def test_the_re_read_schedule_under_each_protocol(protocol):
     assert report.liveness == "pass"
 
 
-# tau-paxos seeds that a re-read inside an open primary epoch made unsafe
-# (8804-24542) or stalled (107, 233) before every read phase ended the epoch
-REREAD_SEEDS = [107, 233, 8804, 14135, 18077, 18262, 18277, 22815, 24542]
+def re_reads(trace):
+    """How many paxos-read events come at a process whose previous paxos-read
+    had no omega event for it in between: watchdog re-reads."""
+    count, last = 0, {}
+    for e in trace.by_kind("paxos-read", "omega"):
+        count += e.kind == "paxos-read" and last.get(e.actor) == "paxos-read"
+        last[e.actor] = e.kind
+    return count
+
+
+# tau-paxos seeds whose runs re-read: six that, under the earlier Mersenne
+# Twister jitter draw, a re-read inside an open primary epoch made unsafe
+# (8804-24542) or stalled (233) before every read phase ended the epoch, and
+# the three seeds of 0-24999 with the most re-reads (9500, 11703, 12165,
+# five each)
+REREAD_SEEDS = [233, 8804, 9500, 11703, 12165, 14135, 18077, 22815, 24542]
 
 
 @pytest.mark.parametrize("seed", REREAD_SEEDS)
 def test_re_read_seeds_are_safe_and_live(seed):
-    report = check_all(run(random_scenario(seed, "tau-paxos")))
+    trace = run(random_scenario(seed, "tau-paxos"))
+    assert re_reads(trace) > 0
+    report = check_all(trace)
     assert report.violations == {}
     assert report.linearizable is True
     assert report.liveness == "pass"

@@ -49,11 +49,12 @@ def test_a_zero_barrier_proposes_past_the_next_instance(monkeypatch):
 
 
 def test_a_silent_re_read_is_caught_by_the_single_ballot_check(monkeypatch):
-    # a watchdog re-read that does not tell the layer: the primary keeps its
-    # epoch across the new ballot's read phase. Over seeds 0-19 no other
-    # property flags this mutant; past them, at seed 86 first, the mutant's
-    # runs claim an epoch identifier twice and check_all raises
-    # AmbiguousMappingError
+    # a read phase that does not tell the layer it starts: a primary keeps
+    # its epoch across a watchdog re-read's new ballot, and a leader elected
+    # again crosses at once, on the tau of its last write phase. Over seeds
+    # 0-19 no other property flags this mutant. Over 0-299 it is flagged at
+    # 22 seeds; at five, one primary's two epochs claim one identifier, which
+    # check_all reports as a primary-mapping verdict
     begin = PaxosNode.begin_read_phase
 
     def silent(self):
@@ -62,7 +63,14 @@ def test_a_silent_re_read_is_caught_by_the_single_ballot_check(monkeypatch):
         self.on_phase_change = hook
 
     monkeypatch.setattr(PaxosNode, "begin_read_phase", silent)
-    assert flagged("tau-paxos", range(20)) == {16: ["single-ballot-epochs"]}
+    runs = flagged("tau-paxos", range(300))
+    assert {seed: props for seed, props in runs.items() if seed < 20} == {
+        16: ["single-ballot-epochs"]
+    }
+    assert len(runs) == 22
+    assert [seed for seed, props in runs.items() if "primary-mapping" in props] == [
+        86, 131, 138, 190, 278
+    ]
 
 
 def test_delivering_on_decide_without_seqno_order_is_caught(monkeypatch):
@@ -98,5 +106,5 @@ def test_the_naive_controls_verdicts_are_pinned():
         "global-primary-order": 5,
     }
     assert digest.hexdigest() == (
-        "2e55128652a5c25c7f6829a54f8e27993f83cba802635c92cce9347992f7186e"
+        "962a78b97cc123a0929a0acf502dc7a46552c6347889c71af1f272fd0b5802ae"
     )
