@@ -461,9 +461,9 @@ def check_consensus(trace: Union[Trace, TraceIndex]) -> Optional[str]:
 def check_barrier_free(trace: Union[Trace, TraceIndex]) -> Optional[str]:
     """Election-protocol invariants on barrier-free traces.
 
-    Epoch numbers map to one election instance everywhere; per process and
-    epoch, delivered sequence numbers are gap-free ascending from the
-    election instance + 1; each value is delivered at most once per process.
+    Each epoch is established at one election instance, and distinct epochs
+    at distinct ones; per process and epoch, delivered seqnos run gap-free
+    from the election instance + 1. Integrity, not this check, catches duplicates.
     """
     idx = TraceIndex.of(trace)
     election_at: Dict[int, int] = {}

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from .sim import Simulator
-from .values import NOOP, describe, inner_digest, is_app, payload_size
+from .values import NOOP, app_payload, describe
 
 
 IDLE = "idle"
@@ -91,6 +91,7 @@ class PaxosNode:
         self.sim = sim
         self.pid = pid
         self.n = n
+        self.quorum = n // 2 + 1
         self.deliver = deliver
         self.on_phase_change = on_phase_change
 
@@ -105,25 +106,10 @@ class PaxosNode:
         self.ballot = 0
         self.read_lo = 1
         self.read_acks: Dict[int, Dict[int, Tuple[Any, int]]] = {}
-        self.watermark = 0
         self.proposals: Dict[int, Any] = {}  # instance -> latest, until decided
-        self.written: Dict[int, Any] = {}
-        self.write_acks: Dict[int, Set[int]] = {}
-        self._max_round = 0
+        self.writes: Dict[int, Tuple[Any, Set[int]]] = {}  # instance -> (value, ackers)
         self._progress = 0
         self._watchdog_armed = False
-
-    # -- helpers --------------------------------------------------------
-
-    @property
-    def quorum(self) -> int:
-        return self.n // 2 + 1
-
-    def _round(self, ballot: int) -> int:
-        return ballot // self.n
-
-    def _note_ballot(self, ballot: int) -> None:
-        self._max_round = max(self._max_round, self._round(ballot))
 
     # -- leadership -----------------------------------------------------
 
@@ -132,15 +118,13 @@ class PaxosNode:
             self.begin_read_phase()
 
     def begin_read_phase(self) -> None:
-        rnd = self._max_round + 1
-        self._max_round = rnd
+        # a round above every ballot seen here: each is at most the promise or ours
+        rnd = max(self.promised, self.ballot) // self.n + 1
         self.ballot = rnd * self.n + self.pid
         self.phase = READING
         self.read_lo = self._next_decide
         self.read_acks = {}
-        self.watermark = 0
-        self.written = {}
-        self.write_acks = {}
+        self.writes = {}
         if self.on_phase_change is not None:
             # the write phase, if any, is over before the new ballot's read,
             # and the hooked caller's epoch ends with its proposals
@@ -163,19 +147,19 @@ class PaxosNode:
         self.proposals[instance] = value  # replaces an earlier proposal
         self.sim.emit(
             "propose", self.pid, instance=instance, value=describe(value),
-            app=is_app(value),
+            app=app_payload(value) is not None,
         )
-        if self.phase == WRITING and instance not in self.written:
+        if self.phase == WRITING and instance not in self.writes:
             self._write(instance, value)
 
     def _write(self, instance: int, value: Any) -> None:
-        self.written[instance] = value
-        self.write_acks.setdefault(instance, set())
+        self.writes[instance] = (value, set())
+        payload = app_payload(value)
+        digest, size = (None, 0) if payload is None else (payload.digest(), payload.size)
         self.sim.emit(
             "paxos-write", self.pid, instance=instance, value=describe(value),
-            ballot=self.ballot, app=is_app(value), payload=inner_digest(value),
+            ballot=self.ballot, app=payload is not None, payload=digest,
         )
-        size = payload_size(value)
         for q in range(self.n):
             self.sim.send(self.pid, q, WriteMsg(self.ballot, instance, value), size=size)
         self._arm_watchdog()
@@ -188,7 +172,6 @@ class PaxosNode:
             handler(self, frm, msg)
 
     def _on_read(self, frm: int, msg: ReadMsg) -> None:
-        self._note_ballot(msg.ballot)
         if msg.ballot <= self.promised:
             return
         self.promised = msg.ballot
@@ -209,26 +192,25 @@ class PaxosNode:
                 cur = picked.get(i)
                 if cur is None or ballot > cur[1]:
                     picked[i] = (value, ballot)
-        self.watermark = max(picked, default=0)
-        for i in range(self.read_lo, self.watermark + 1):
+        watermark = max(picked, default=0)
+        for i in range(self.read_lo, watermark + 1):
             picked.setdefault(i, (NOOP, 0))
         self.phase = WRITING
         self._progress += 1
         self.sim.emit(
-            "paxos-writing", self.pid, ballot=self.ballot, watermark=self.watermark
+            "paxos-writing", self.pid, ballot=self.ballot, watermark=watermark
         )
         for i in sorted(picked):
             if i not in self.decided:
                 self._write(i, picked[i][0])
         # a proposal the read resolved loses to the pick, as the decides show
         for i in sorted(self.proposals):
-            if i not in self.written:
+            if i not in self.writes:
                 self._write(i, self.proposals[i])
         if self.on_phase_change is not None:
-            self.on_phase_change(self.watermark)
+            self.on_phase_change(watermark)
 
     def _on_write(self, frm: int, msg: WriteMsg) -> None:
-        self._note_ballot(msg.ballot)
         if msg.ballot < self.promised:
             return
         self.promised = msg.ballot
@@ -238,10 +220,10 @@ class PaxosNode:
     def _on_write_ack(self, frm: int, msg: WriteAck) -> None:
         if self.phase == IDLE or msg.ballot != self.ballot or msg.instance in self.decided:
             return
-        acks = self.write_acks.setdefault(msg.instance, set())
+        value, acks = self.writes[msg.instance]
         acks.add(frm)
         if len(acks) >= self.quorum:
-            self._learn(msg.instance, self.written[msg.instance], announce=True)
+            self._learn(msg.instance, value, announce=True)
 
     def _on_decide(self, frm: int, msg: DecideMsg) -> None:
         self._learn(msg.instance, msg.value, announce=False)
@@ -260,13 +242,11 @@ class PaxosNode:
         if instance in self.decided:
             return
         self.decided[instance] = value
-        # written and write_acks hold only undecided instances
-        self.written.pop(instance, None)
-        self.write_acks.pop(instance, None)
+        self.writes.pop(instance, None)  # writes holds only undecided instances
         self._progress += 1
         self.sim.emit(
             "decide", self.pid, instance=instance, value=describe(value),
-            app=is_app(value),
+            app=app_payload(value) is not None,
         )
         if announce:
             for q in range(self.n):
@@ -296,7 +276,7 @@ class PaxosNode:
         self._watchdog_armed = False
         if self.phase == IDLE:
             return
-        outstanding = self.phase == READING or bool(self.proposals) or bool(self.written)
+        outstanding = self.phase == READING or bool(self.proposals) or bool(self.writes)
         if not outstanding:
             return
         if self._progress == stamp:

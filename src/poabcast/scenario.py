@@ -23,6 +23,12 @@ class ScenarioError(Exception):
     pass
 
 
+def _int(value: Any, key: str) -> int:
+    if type(value) is not int:  # int() would truncate 3.7 to 3 and read true as 1
+        raise ScenarioError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass
 class ClientSpec:
     cid: int
@@ -90,42 +96,46 @@ class Scenario:
             for key in ("reorder", "expect_violation"):  # bool("false") is True
                 if not isinstance(raw.get(key, False), bool):
                     raise ScenarioError(f"{key} must be true or false, got {raw[key]!r}")
+            if isinstance(raw.get("per_byte"), bool):  # float(true) is 1.0
+                raise ScenarioError(f"per_byte must be a number, got {raw['per_byte']!r}")
             name = raw["name"]
             protocol = raw["protocol"]
-            n = int(raw["n"])
-            horizon = int(raw["horizon"])
+            n = _int(raw["n"], "n")
+            horizon = _int(raw["horizon"], "horizon")
             if "jitter" in raw and raw["jitter"]:
                 j = raw["jitter"]
-                delay = DelayModel.jitter(int(j["min"]), int(j["max"]), int(j.get("seed", 0)))
+                lo, hi = _int(j["min"], "jitter min"), _int(j["max"], "jitter max")
+                delay = DelayModel.jitter(lo, hi, _int(j.get("seed", 0), "jitter seed"))
             else:
-                delay = DelayModel.fixed(int(raw.get("delta", 10)))
+                delay = DelayModel.fixed(_int(raw.get("delta", 10), "delta"))
 
             segments = []
             for seg in raw.get("omega", [{"at": 0, "leader": 0}]):
-                at = int(seg["at"])
+                at = _int(seg["at"], "omega at")
                 if "outputs" in seg:
-                    outputs = {int(p): int(l) for p, l in seg["outputs"].items()}
+                    outputs = {_int(p, "process"): _int(l, "leader")
+                               for p, l in seg["outputs"].items()}
                 else:
-                    outputs = {p: int(seg["leader"]) for p in range(n)}
+                    outputs = dict.fromkeys(range(n), _int(seg["leader"], "leader"))
                 segments.append((at, outputs))
             omega = OmegaScript(segments)
 
             clients = []
             for c in raw.get("clients", []):
                 sends = [
-                    (int(s["at"]), int(s["to"]), int(s["reqid"]), str(s["op"]),
-                     int(s.get("size", 0)))
+                    (_int(s["at"], "send at"), _int(s["to"], "send to"), _int(s["reqid"], "reqid"),
+                     str(s["op"]), _int(s.get("size", 0), "size"))
                     for s in c.get("sends", [])
                 ]
                 clients.append(
                     ClientSpec(
-                        cid=int(c["id"]),
+                        cid=_int(c["id"], "client id"),
                         kind=c.get("kind", "loop"),
                         ops=[str(o) for o in c.get("ops", [])],
                         sends=sends,
-                        retry_every=int(c.get("retry_every", 0)),
-                        op_size=int(c.get("size", 0)),
-                        start_at=int(c.get("start_at", 0)),
+                        retry_every=_int(c.get("retry_every", 0), "retry_every"),
+                        op_size=_int(c.get("size", 0), "size"),
+                        start_at=_int(c.get("start_at", 0), "start_at"),
                     )
                 )
 
@@ -136,7 +146,8 @@ class Scenario:
                 horizon=horizon,
                 delay=delay,
                 omega=omega,
-                crashes={int(p): int(t) for p, t in (raw.get("crashes") or {}).items()},
+                crashes={_int(p, "process"): _int(t, "crash tick")
+                         for p, t in (raw.get("crashes") or {}).items()},
                 reorder=raw.get("reorder", False),
                 per_byte=float(raw.get("per_byte", 0.0)),
                 clients=clients,

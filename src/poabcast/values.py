@@ -104,22 +104,6 @@ def app_payload(value) -> AppValue | Batch | None:
     return value if isinstance(value, (AppValue, Batch)) else None
 
 
-def is_app(value) -> bool:
-    return app_payload(value) is not None
-
-
-def payload_size(value) -> int:
-    """Billable byte size of a consensus payload for the cost model."""
-    payload = app_payload(value)
-    return 0 if payload is None else payload.size
-
-
 def describe(value) -> str:
     """Stable, short textual identity used in traces."""
     return value.digest()
-
-
-def inner_digest(value):
-    """Digest of the application payload inside a consensus value, if any."""
-    payload = app_payload(value)
-    return None if payload is None else payload.digest()

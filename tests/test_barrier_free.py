@@ -11,30 +11,19 @@ from poabcast.sim import DelayModel, OmegaScript, Simulator
 from poabcast.values import AppValue, NewEpoch, ValTuple
 
 
-class Host:
-    def __init__(self, sim, pid, n):
-        self.layer = BarrierFreeBroadcast(sim, pid, n)
-
-    def on_message(self, frm, msg):
-        self.layer.on_message(frm, msg)
-
-    def on_omega(self, leader):
-        self.layer.on_omega(leader)
-
-
 def make_cluster(omega=None, n=3, delta=10):
     sim = Simulator(
         n=n, delay_model=DelayModel.fixed(delta), omega=omega or OmegaScript.single(n, 0)
     )
-    hosts = [Host(sim, p, n) for p in range(n)]
-    for p, h in enumerate(hosts):
-        sim.add_actor(p, h)
-    return sim, hosts
+    layers = [BarrierFreeBroadcast(sim, p, n) for p in range(n)]
+    for p, layer in enumerate(layers):
+        sim.add_actor(p, layer)
+    return sim, layers
 
 
 def test_fresh_candidate_proposes_new_epoch_at_lowest_undecided():
-    sim, hosts = make_cluster()
-    layer = hosts[0].layer
+    sim, layers = make_cluster()
+    layer = layers[0]
     layer.on_omega(0)
     proposed = sim.trace.by_kind("new-epoch-proposed")
     assert len(proposed) == 1
@@ -43,8 +32,8 @@ def test_fresh_candidate_proposes_new_epoch_at_lowest_undecided():
 
 
 def test_winning_election_sets_counters_and_primary():
-    sim, hosts = make_cluster()
-    layer = hosts[0].layer
+    sim, layers = make_cluster()
+    layer = layers[0]
     layer.leader = 0
     layer.tent_epoch = 7
     layer.dec = 3
@@ -56,8 +45,8 @@ def test_winning_election_sets_counters_and_primary():
 
 
 def test_follower_adopts_the_epoch_but_stays_backup():
-    sim, hosts = make_cluster()
-    follower = hosts[1].layer
+    sim, layers = make_cluster()
+    follower = layers[1]
     follower.on_decide(NewEpoch(7), 3)
     assert follower.epoch == 7
     assert follower.dec == 4
@@ -65,8 +54,8 @@ def test_follower_adopts_the_epoch_but_stays_backup():
 
 
 def test_losing_election_retries_at_the_next_instance():
-    sim, hosts = make_cluster()
-    layer = hosts[0].layer
+    sim, layers = make_cluster()
+    layer = layers[0]
     layer.on_omega(0)  # NEW-EPOCH proposed at instance 1
     # someone else's old tuple wins instance 1
     layer.on_decide(ValTuple(AppValue("x"), epoch=99, seqno=1), 1)
@@ -75,8 +64,8 @@ def test_losing_election_retries_at_the_next_instance():
 
 
 def test_out_of_order_val_tuples_buffer_until_gap_closes():
-    sim, hosts = make_cluster()
-    layer = hosts[1].layer
+    sim, layers = make_cluster()
+    layer = layers[1]
     layer.on_decide(NewEpoch(5), 3)  # deliv_seqno = 4
     delivered = []
     layer.delegate.on_deliver = delivered.append
@@ -88,8 +77,8 @@ def test_out_of_order_val_tuples_buffer_until_gap_closes():
 
 
 def test_stale_epoch_tuple_is_skipped_at_a_backup():
-    sim, hosts = make_cluster()
-    layer = hosts[1].layer
+    sim, layers = make_cluster()
+    layer = layers[1]
     layer.on_decide(NewEpoch(5), 1)
     delivered = []
     layer.delegate.on_deliver = delivered.append
@@ -99,8 +88,8 @@ def test_stale_epoch_tuple_is_skipped_at_a_backup():
 
 
 def test_primary_resends_a_superseded_value_with_its_original_seqno():
-    sim, hosts = make_cluster()
-    layer = hosts[0].layer
+    sim, layers = make_cluster()
+    layer = layers[0]
     layer.leader = 0
     layer.tent_epoch = 3
     layer.on_decide(NewEpoch(3), 1)  # primary, prop = seqno = 2
@@ -115,14 +104,14 @@ def test_primary_resends_a_superseded_value_with_its_original_seqno():
 
 
 def test_broadcast_requires_primary():
-    sim, hosts = make_cluster()
+    sim, layers = make_cluster()
     with pytest.raises(NotPrimaryError):
-        hosts[2].layer.poabcast(AppValue("v"))
+        layers[2].poabcast(AppValue("v"))
 
 
 def test_back_to_back_broadcasts_use_consecutive_instances_and_seqnos():
-    sim, hosts = make_cluster()
-    layer = hosts[0].layer
+    sim, layers = make_cluster()
+    layer = layers[0]
     layer.leader = 0
     layer.tent_epoch = 3
     layer.on_decide(NewEpoch(3), 3)  # prop = seqno = 4
@@ -154,7 +143,7 @@ def test_racing_candidates_establish_epochs_at_distinct_instances():
     omega = OmegaScript(
         [(0, {0: 0, 1: 1, 2: 1}), (300, {p: 1 for p in range(3)})]
     )
-    sim, hosts = make_cluster(omega=omega)
+    sim, layers = make_cluster(omega=omega)
     trace = sim.run(1500)
     assert check_barrier_free(trace) is None
     established = trace.by_kind("epoch-established")

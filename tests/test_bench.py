@@ -14,6 +14,7 @@ from poabcast.bench import (
     stable_metrics,
     stable_scenario,
 )
+from poabcast.cli import load_scenario
 from poabcast.runner import run
 
 
@@ -133,6 +134,14 @@ def test_table1_traces_are_pinned(kind, protocol):
     make = stable_scenario if kind == "stable" else leaderchange_scenario
     digest = hashlib.sha256(run(make(protocol)).to_jsonl().encode()).hexdigest()
     assert digest == TABLE1_TRACES[(kind, protocol)]
+
+
+@pytest.mark.parametrize("kind, protocol", sorted(TABLE1_TRACES))
+def test_bundled_table1_scenarios_equal_their_generators(kind, protocol):
+    # the bundled <kind>-<protocol>.yaml files are the generators' schedules
+    # at delta 10 and 5 clients; an edit to either side shows here
+    make = stable_scenario if kind == "stable" else leaderchange_scenario
+    assert load_scenario(f"{kind}-{protocol}") == make(protocol)
 
 
 @pytest.mark.parametrize(

@@ -103,6 +103,7 @@ def test_run_rejects_bad_timing_or_target_as_a_usage_error(tmp_path, patch):
         "horizon: -5",
         "horizon: 0",
         "n: three",
+        "horizon: 400.9",
         'reorder: "false"',
         'expect_violation: "false"',
     ],
@@ -120,6 +121,7 @@ def test_run_rejects_bad_timing_or_target_as_a_usage_error(tmp_path, patch):
         "negative-horizon",
         "zero-horizon",
         "non-integer-n",
+        "float-horizon",
         "string-reorder",
         "string-expect-violation",
     ],

@@ -18,16 +18,22 @@ from poabcast.values import NOOP, AppValue, Batch, NewEpoch, Skip, ValTuple, app
 
 
 class Node:
-    """PaxosNode wired into the simulator as an actor."""
+    """PaxosNode wired into the simulator as an actor. A positive
+    ``decide_lag`` holds each arriving decide back that many ticks."""
 
-    def __init__(self, sim, pid, n, **kw):
+    def __init__(self, sim, pid, n, decide_lag=0, **kw):
+        self.sim = sim
+        self.decide_lag = decide_lag
         self.delivered = []
         self.node = PaxosNode(
             sim, pid, n, deliver=lambda v, i: self.delivered.append((i, v)), **kw
         )
 
     def on_message(self, frm, msg):
-        self.node.on_message(frm, msg)
+        if self.decide_lag and isinstance(msg, DecideMsg):
+            self.sim.schedule(self.sim.now + self.decide_lag, lambda: self.node.on_message(frm, msg))
+        else:
+            self.node.on_message(frm, msg)
 
 
 def make_cluster(n=3, delta=10, delay_model=None, **kw):
@@ -74,7 +80,12 @@ def test_read_ack_picks_highest_ballot_per_instance():
     v1, v2 = AppValue("v1"), AppValue("v2")
     leader._on_read_ack(0, ReadAck(b, ((7, (v1, 2)),)))
     leader._on_read_ack(1, ReadAck(b, ((7, (v2, 5)),)))
-    assert leader.written[7] == v2
+    assert leader.writes[7][0] == v2
+
+
+def read_watermark(sim):
+    [writing] = sim.trace.by_kind("paxos-writing")
+    return writing.data["watermark"]
 
 
 def test_read_ack_gaps_fill_with_noops_and_set_watermark():
@@ -85,8 +96,8 @@ def test_read_ack_gaps_fill_with_noops_and_set_watermark():
     v = AppValue("v")
     leader._on_read_ack(0, ReadAck(b, ((1, (v, 1)), (2, (v, 1)), (4, (v, 1)))))
     leader._on_read_ack(1, ReadAck(b, ()))
-    assert leader.watermark == 4
-    assert leader.written[3] == NOOP
+    assert read_watermark(sim) == 4
+    assert leader.writes[3][0] == NOOP
     assert leader.phase == WRITING
 
 
@@ -97,8 +108,8 @@ def test_empty_read_acks_leave_watermark_zero():
     b = leader.ballot
     leader._on_read_ack(0, ReadAck(b, ()))
     leader._on_read_ack(1, ReadAck(b, ()))
-    assert leader.watermark == 0
-    assert leader.written == {}
+    assert read_watermark(sim) == 0
+    assert leader.writes == {}
 
 
 def test_acceptor_rejects_writes_below_its_promise():
@@ -123,7 +134,7 @@ def test_majority_write_decides_at_every_correct_process():
 
 
 def test_stable_leader_keeps_no_decided_instance_in_flight():
-    # the watchdog tests `proposals` and `written` for outstanding work, so a
+    # the watchdog tests `proposals` and `writes` for outstanding work, so a
     # decided instance must leave both, and a late ack must not bring it back
     sim, nodes = make_cluster()
     leader = nodes[0].node
@@ -133,8 +144,7 @@ def test_stable_leader_keeps_no_decided_instance_in_flight():
     sim.run(500)
     assert sorted(leader.decided) == [1, 2, 3, 4, 5]
     assert leader.proposals == {}
-    assert leader.written == {}
-    assert leader.write_acks == {}
+    assert leader.writes == {}
 
 
 def test_decide_stream_reorders_into_gap_free_sequence():
@@ -202,25 +212,11 @@ def test_a_re_read_writes_again_the_proposals_it_left_open():
 CALLS = ("ensure_leadership", "relinquish", "begin_read_phase", "propose")
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(
-    n=st.sampled_from([3, 5]),
-    delay_model=st.one_of(
-        st.builds(DelayModel.fixed, st.integers(1, 20)),
-        st.builds(DelayModel.jitter, st.just(1), st.integers(1, 30), st.integers(0, 2**32 - 1)),
-    ),
-    calls=st.lists(
-        st.tuples(
-            st.integers(0, 400), st.integers(0, 4), st.sampled_from(CALLS), st.integers(1, 6)
-        ),
-        max_size=25,
-    ),
-)
-def test_the_contract_holds_over_random_schedules(n, delay_model, calls):
-    # up to 25 leadership changes, re-reads and proposals by any node in ticks
-    # 0-400; from tick 500, node 0 alone leads and proposes at every instance
-    # it has not decided
-    sim, nodes = make_cluster(n=n, delay_model=delay_model)
+def check_contract(n, delay_model, calls, decide_lag=0):
+    """Run the (tick, node, call, instance) calls; from tick 500 node 0 alone
+    leads and proposes at every instance it has not decided. Then check the
+    contract's four properties over instances 1-6."""
+    sim, nodes = make_cluster(n=n, delay_model=delay_model, decide_lag=decide_lag)
     proposed = {i: {NOOP} for i in range(1, 7)}
 
     def propose(node, value, instance):
@@ -252,6 +248,56 @@ def test_the_contract_holds_over_random_schedules(n, delay_model, calls):
     assert all(v in proposed[i] for i, v in decided)
     # agreement: every node decided the same value at each instance
     assert all(nd.delivered == decided for nd in nodes)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    n=st.sampled_from([3, 5]),
+    delay_model=st.one_of(
+        st.builds(DelayModel.fixed, st.integers(1, 20)),
+        st.builds(DelayModel.jitter, st.just(1), st.integers(1, 30), st.integers(0, 2**32 - 1)),
+    ),
+    calls=st.lists(
+        st.tuples(
+            st.integers(0, 400), st.integers(0, 4), st.sampled_from(CALLS), st.integers(1, 6)
+        ),
+        max_size=25,
+    ),
+)
+def test_the_contract_holds_over_random_schedules(n, delay_model, calls):
+    # up to 25 leadership changes, re-reads and proposals by any node in ticks 0-400
+    check_contract(n, delay_model, calls)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    n=st.sampled_from([3, 5]),
+    max_delay=st.integers(5, 30),
+    seed=st.integers(0, 2**32 - 1),
+    a=st.integers(0, 4),
+    hop=st.integers(0, 3),
+    percents=st.tuples(st.integers(0, 100), st.integers(-50, 50), st.integers(50, 150)),
+)
+def test_the_contract_holds_when_two_leaders_contend_for_one_instance(
+    n, max_delay, seed, a, hop, percents
+):
+    # node a leads and proposes at instance 1, node b takes over and proposes
+    # there, and a re-reads, each step within about one message delay of the
+    # last. a may then hold its own value under its old ballot while a quorum
+    # holds b's under b's: the read must pick b's, the higher ballot's.
+    # Decides are held back until the contention is over, so each node learns
+    # from its own write quorum and agreement rests on the read's pick alone
+    a %= n
+    b = (a + 1 + hop % (n - 1)) % n
+    takeover, own, re_read = (max_delay * pct // 100 for pct in percents)
+    calls = [
+        (0, a, "begin_read_phase", 1),
+        (max(0, takeover + own), a, "propose", 1),
+        (takeover, b, "begin_read_phase", 1),
+        (takeover, b, "propose", 1),
+        (takeover + re_read, a, "begin_read_phase", 1),
+    ]
+    check_contract(n, DelayModel.jitter(1, max_delay, seed), calls, decide_lag=200)
 
 
 def test_reordered_network_preserves_local_primary_order():

@@ -69,6 +69,17 @@ def test_non_mapping_file_is_a_scenario_error():
         "clients: [{id: 3, kind: loop, ops: [a], size: -1}]",
         "clients: [{id: 3, kind: loop, ops: [a], retry_every: -5}]",
         "per_byte: -1.0",
+        # integer fields take no float or bool, which int() would truncate
+        "n: 3.7",
+        "horizon: 400.9",
+        "delta: 10.5",
+        "delta: true",
+        "jitter: {min: 5, max: 12.5}",
+        "omega: [{at: 0.5, leader: 0}]",
+        "crashes: {1: 150.9}",
+        "clients: [{id: 3, kind: loop, ops: [a], retry_every: 40.2}]",
+        "clients: [{id: 3, kind: scripted, sends: [{at: 5, to: 0, reqid: 1, op: x, size: 1.5}]}]",
+        "per_byte: true",
     ],
 )
 def test_validation_rejects_bad_scenarios(patch):

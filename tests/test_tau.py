@@ -15,38 +15,27 @@ from poabcast.tau import TOP, TauBroadcast
 from poabcast.values import AppValue, Skip
 
 
-class Host:
-    def __init__(self, sim, pid, n, mode):
-        self.layer = TauBroadcast(sim, pid, n, mode=mode)
-
-    def on_message(self, frm, msg):
-        self.layer.on_message(frm, msg)
-
-    def on_omega(self, leader):
-        self.layer.on_omega(leader)
-
-
 def make_cluster(mode, omega=None, n=3, delta=10):
     sim = Simulator(
         n=n, delay_model=DelayModel.fixed(delta), omega=omega or OmegaScript.single(n, 0)
     )
-    hosts = [Host(sim, p, n, mode) for p in range(n)]
-    for p, h in enumerate(hosts):
-        sim.add_actor(p, h)
-    return sim, hosts
+    layers = [TauBroadcast(sim, p, n, mode=mode) for p in range(n)]
+    for p, layer in enumerate(layers):
+        sim.add_actor(p, layer)
+    return sim, layers
 
 
 def test_fresh_seq_leader_becomes_primary_immediately():
-    sim, hosts = make_cluster("seq")
-    layer = hosts[0].layer
+    sim, layers = make_cluster("seq")
+    layer = layers[0]
     layer.on_omega(0)
     assert layer.tau() == 0 and layer.dec == 0
     assert layer.primary
 
 
 def test_seq_broadcast_raises_the_barrier_until_decided():
-    sim, hosts = make_cluster("seq")
-    layer = hosts[0].layer
+    sim, layers = make_cluster("seq")
+    layer = layers[0]
     layer.on_omega(0)
     layer.poabcast(AppValue("v"))
     assert layer.prop == 1 and layer.dec == 0
@@ -58,14 +47,14 @@ def test_seq_broadcast_raises_the_barrier_until_decided():
 
 
 def test_non_leader_cannot_broadcast():
-    sim, hosts = make_cluster("seq")
+    sim, layers = make_cluster("seq")
     with pytest.raises(NotPrimaryError):
-        hosts[1].layer.poabcast(AppValue("v"))
+        layers[1].poabcast(AppValue("v"))
 
 
 def test_paxos_barrier_is_top_outside_the_write_phase():
-    sim, hosts = make_cluster("paxos")
-    layer = hosts[0].layer
+    sim, layers = make_cluster("paxos")
+    layer = layers[0]
     assert layer.tau() == TOP  # idle, not leading
     layer.on_omega(0)  # starts the read phase
     assert layer.tau() == TOP
@@ -76,8 +65,8 @@ def test_paxos_barrier_is_top_outside_the_write_phase():
 
 
 def test_election_with_gap_proposes_skips():
-    sim, hosts = make_cluster("seq", omega=OmegaScript.single(3, 2))
-    layer = hosts[2].layer
+    sim, layers = make_cluster("seq", omega=OmegaScript.single(3, 2))
+    layer = layers[2]
     layer.prop = 1  # pretend an earlier broadcast is still undecided
     layer.on_omega(2)
     skips = sim.trace.by_kind("skip-proposed")
@@ -90,14 +79,14 @@ def test_election_with_gap_proposes_skips():
 
 
 def test_no_gap_means_no_skips():
-    sim, hosts = make_cluster("seq")
-    hosts[0].layer.on_omega(0)
+    sim, layers = make_cluster("seq")
+    layers[0].on_omega(0)
     assert sim.trace.by_kind("skip-proposed") == []
 
 
 def test_deciding_a_skip_closes_its_instance_without_a_delivery():
-    sim, hosts = make_cluster("seq")
-    layer = hosts[1].layer
+    sim, layers = make_cluster("seq")
+    layer = layers[1]
     layer.on_decide(Skip(1), 1)
     assert layer.dec == 1
     assert sim.trace.by_kind("deliver") == []
@@ -125,7 +114,7 @@ def test_demoted_leader_ends_its_epoch():
     omega = OmegaScript(
         [(0, {p: 0 for p in range(3)}), (100, {p: 1 for p in range(3)})]
     )
-    sim, hosts = make_cluster("seq", omega=omega)
+    sim, layers = make_cluster("seq", omega=omega)
     trace = sim.run(600)
     ends = [e for e in trace.by_kind("primary-end") if e.actor == 0]
     assert any(e.time >= 100 for e in ends)
