@@ -13,7 +13,9 @@ keeps one instance in flight and batches arrivals until it completes;
 parallel mode cuts a batch whenever the sender is idle or the batch cap
 is reached, keeping many instances in flight. The byte cost of a batch
 is charged at the sender, so with large requests the serialization gap
-is what separates the two modes.
+is what separates the two modes. The per-byte cost, the batch cap and
+the measurement window (a warm-up, then the window itself) are the
+module constants below.
 
 Each leg costs one event per decided batch, not one per request: a
 decided batch's reply event records every client's latency sample and
@@ -29,7 +31,7 @@ supersedes a later one, whose heap entry then fires as a no-op.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Optional, Tuple
 
 from .paxos import PaxosNode
@@ -40,19 +42,10 @@ from .trace import Trace
 from .values import AppValue, Batch
 
 REQUEST_HEADER = 32  # per-request framing bytes inside a batch
-
-CSV_COLUMNS = (
-    "scenario",
-    "protocol",
-    "clients",
-    "request_size",
-    "lat_min",
-    "lat_mean",
-    "lat_p99",
-    "stable_latency",
-    "throughput_per_1k",
-    "leader_change_idle",
-)
+PER_BYTE = 0.00015  # sender ticks per byte of a batch
+BATCH_CAP = 50  # requests per batch, at most
+WARMUP = 2000  # ticks before the measurement window opens
+WINDOW = 8000  # ticks of measurement
 
 
 @dataclass
@@ -79,10 +72,19 @@ class MetricsRow:
         return ",".join(fmt(getattr(self, col)) for col in CSV_COLUMNS)
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(MetricsRow))
+
+
 def rows_to_csv(rows: List[MetricsRow]) -> str:
     out = [",".join(CSV_COLUMNS)]
     out.extend(r.csv() for r in rows)
     return "\n".join(out) + "\n"
+
+
+def _at_least(*limits: Tuple[str, int, int]) -> None:
+    for name, value, least in limits:
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def _percentile(xs: List[float], q: float) -> float:
@@ -138,8 +140,10 @@ def leaderchange_scenario(protocol: str, delta: int = 10) -> Scenario:
     )
 
 
-def stable_metrics(trace: Trace, leader: int = 0) -> Tuple[List[int], int]:
-    """Per-value first-broadcast-to-delivery latencies at the leader."""
+def stable_metrics(trace: Trace) -> Tuple[List[int], int]:
+    """Per-value first-broadcast-to-delivery latencies at the leader, the
+    process that the trace's last omega event names."""
+    leader = trace.by_kind("omega")[-1].data["leader"]
     bcasts = [e for e in trace.by_kind("broadcast") if e.actor == leader]
     if not bcasts:
         raise ValueError("no broadcasts at the leader")
@@ -155,9 +159,12 @@ def stable_metrics(trace: Trace, leader: int = 0) -> Tuple[List[int], int]:
     return lats, max(lats)
 
 
-def leader_change_idle(trace: Trace, switch: int, new_leader: int = 1) -> int:
-    """Ticks from the oracle switch to the first consensus write of a fresh,
-    eventually-delivered application value at the new leader."""
+def leader_change_idle(trace: Trace) -> int:
+    """Ticks from the oracle switch (the final omega segment's start) to the
+    first consensus write of a fresh, eventually-delivered application value
+    at the new leader (the process that the trace's last omega event names)."""
+    switch = trace.summary["stable_from"]
+    new_leader = trace.by_kind("omega")[-1].data["leader"]
     delivered = {e.data["value"] for e in trace.by_kind("deliver")}
     fresh = {
         e.data["value"]
@@ -175,12 +182,12 @@ def leader_change_idle(trace: Trace, switch: int, new_leader: int = 1) -> int:
 
 
 def bench_table1(delta: int = 10, clients: int = 5) -> List[MetricsRow]:
+    _at_least(("delta", delta, 1), ("clients", clients, 1))
     rows = []
     for protocol in ("naive", "tau-seq", "tau-paxos", "barrier-free"):
         trace = run(stable_scenario(protocol, delta, clients))
         lats, span = stable_metrics(trace)
-        lc_trace = run(leaderchange_scenario(protocol, delta))
-        idle = leader_change_idle(lc_trace, switch=10 * delta)
+        idle = leader_change_idle(run(leaderchange_scenario(protocol, delta)))
         rows.append(
             MetricsRow(
                 scenario=f"table1-{protocol}",
@@ -201,12 +208,11 @@ def bench_table1(delta: int = 10, clients: int = 5) -> List[MetricsRow]:
 
 
 class BatchingLeader:
-    def __init__(self, sim: Simulator, n: int, mode: str, cap: int = 50):
+    def __init__(self, sim: Simulator, n: int, mode: str):
         if mode not in ("sequential", "parallel"):
             raise ValueError(f"unknown batching mode: {mode}")
         self.sim = sim
         self.mode = mode
-        self.cap = cap
         self.node = PaxosNode(sim, 0, n, deliver=self._on_decide)
         self.queue: deque = deque()  # AppValue
         self.clients: Dict[str, _LoadClient] = {}  # vid -> the client awaiting it
@@ -263,11 +269,11 @@ class BatchingLeader:
             if self.mode == "sequential":
                 if self.outstanding:
                     return
-            elif len(self.queue) < self.cap and not self._sender_idle():
+            elif len(self.queue) < BATCH_CAP and not self._sender_idle():
                 # sender busy with earlier batches: revisit once it frees up
                 self._schedule_pump(max(self.sim.now + 1, self.sim.sender_free_at(0)))
                 return
-            k = min(len(self.queue), self.cap)
+            k = min(len(self.queue), BATCH_CAP)
             items = tuple(self.queue.popleft() for _ in range(k))
             batch = Batch(items)
             self.outstanding.add(self.next_instance)
@@ -306,48 +312,29 @@ class _LoadClient:
         return AppValue(vid=f"c{self.cid}.{self.seq}", size=self.size)
 
 
-def run_throughput(
-    mode: str,
-    clients: int,
-    request_size: int,
-    delta: int = 10,
-    per_byte: float = 0.00015,
-    cap: int = 50,
-    warmup: int = 2000,
-    window: int = 8000,
-) -> MetricsRow:
-    for name, value, least in (
-        ("clients", clients, 1),
-        ("request_size", request_size, 0),
-        ("delta", delta, 1),
-        ("per_byte", per_byte, 0),
-        ("cap", cap, 1),
-        ("warmup", warmup, 0),
-        ("window", window, 1),
-    ):
-        if value < least:
-            raise ValueError(f"{name} must be >= {least}, got {value}")
+def run_throughput(mode: str, clients: int, request_size: int, delta: int = 10) -> MetricsRow:
+    _at_least(("clients", clients, 1), ("request_size", request_size, 0), ("delta", delta, 1))
     n = 3
     sim = Simulator(
         n=n,
         delay_model=DelayModel.fixed(delta),
         omega=OmegaScript.single(n, 0),
-        per_byte=per_byte,
+        per_byte=PER_BYTE,
     )
-    leader = BatchingLeader(sim, n, mode, cap=cap)
+    leader = BatchingLeader(sim, n, mode)
     sim.add_actor(0, leader)
     for pid in range(1, n):
         sim.add_actor(pid, PaxosNode(sim, pid, n, deliver=lambda v, i: None))
     load = [_LoadClient(i, request_size) for i in range(clients)]
     # every client sends its first request at tick 1
     sim.schedule(1, lambda: leader.send_requests(load))
-    sim.run(warmup + window)
+    sim.run(WARMUP + WINDOW)
 
     samples = [
         lat
         for c in load
         for at, lat in c.samples
-        if warmup <= at < warmup + window
+        if WARMUP <= at < WARMUP + WINDOW
     ]
     if not samples:
         raise ValueError("no completed requests inside the measurement window")
@@ -359,17 +346,12 @@ def run_throughput(
         lat_min=min(samples),
         lat_mean=sum(samples) / len(samples),
         lat_p99=_percentile([float(x) for x in samples], 0.99),
-        throughput_per_1k=len(samples) / window * 1000,
+        throughput_per_1k=len(samples) / WINDOW * 1000,
     )
 
 
-def bench_throughput(
-    request_size: int = 1024,
-    clients_sweep: Optional[List[int]] = None,
-    delta: int = 10,
-    per_byte: float = 0.00015,
-    cap: int = 50,
-) -> List[MetricsRow]:
+def bench_throughput(request_size: int = 1024, clients_sweep: Optional[List[int]] = None,
+                     delta: int = 10) -> List[MetricsRow]:
     if clients_sweep is None:
         # keep the empty-request sweep below the batch cap so both modes face
         # the same effective batching; large requests need the deeper sweep
@@ -378,13 +360,8 @@ def bench_throughput(
             if request_size > 0
             else [1, 2, 4, 8, 16, 32, 48]
         )
-    rows = []
-    for mode in ("sequential", "parallel"):
-        for c in clients_sweep:
-            rows.append(
-                run_throughput(mode, c, request_size, delta, per_byte, cap)
-            )
-    return rows
+    return [run_throughput(mode, c, request_size, delta)
+            for mode in ("sequential", "parallel") for c in clients_sweep]
 
 
 def peak_throughput(rows: List[MetricsRow], mode: str) -> float:

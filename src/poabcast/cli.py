@@ -146,13 +146,9 @@ def _emit_rows(rows, out: Optional[str], name: str) -> None:
     sys.stdout.write(csv)
 
 
-def _check_bench_args(args) -> Optional[List[int]]:
-    """Range-check the bench flags; returns the ``--sweep`` client counts."""
-    for flag, value, low in (("--delta", args.delta, 1), ("--clients", args.clients, 1),
-                             ("--size", args.size, 0)):
-        if value < low:
-            raise ValueError(f"{flag} must be at least {low}, got {value}")
-    entries = args.sweep.split(",") if args.sweep else []
+def _parse_sweep(sweep: Optional[str]) -> Optional[List[int]]:
+    """The ``--sweep`` client counts, or None for the default sweep."""
+    entries = sweep.split(",") if sweep else []
     for entry in entries:
         if not entry.strip().isdigit() or int(entry) < 1:
             raise ValueError(f"--sweep entries must be integers >= 1, got {entry!r}")
@@ -160,23 +156,18 @@ def _check_bench_args(args) -> Optional[List[int]]:
 
 
 def cmd_bench(args) -> int:
+    # the bench functions range-check their own arguments
     try:
-        sweep = _check_bench_args(args)
+        if args.what == "table1":
+            rows, name = bench.bench_table1(args.delta, args.clients), "table1.csv"
+        else:
+            rows = bench.bench_throughput(args.size, _parse_sweep(args.sweep), args.delta)
+            name = f"throughput-{args.size}.csv"
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    if args.what == "table1":
-        rows = bench.bench_table1(delta=args.delta, clients=args.clients)
-        _emit_rows(rows, args.out, "table1.csv")
-        return EXIT_OK
-    if args.what == "throughput":
-        rows = bench.bench_throughput(
-            request_size=args.size, clients_sweep=sweep, delta=args.delta
-        )
-        _emit_rows(rows, args.out, f"throughput-{args.size}.csv")
-        return EXIT_OK
-    print(f"error: unknown benchmark {args.what}", file=sys.stderr)
-    return EXIT_USAGE
+    _emit_rows(rows, args.out, name)
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -199,13 +190,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.set_defaults(fn=cmd_report)
 
     p_bench = sub.add_parser("bench", help="run a benchmark suite")
-    p_bench.add_argument("what", choices=["table1", "throughput"])
-    p_bench.add_argument("--delta", type=int, default=10)
-    p_bench.add_argument("--clients", type=int, default=5)
-    p_bench.add_argument("--size", type=int, default=1024)
-    p_bench.add_argument("--sweep", help="comma-separated client counts")
-    p_bench.add_argument("--out")
-    p_bench.set_defaults(fn=cmd_bench)
+    benches = p_bench.add_subparsers(dest="what", required=True)
+    p_table1 = benches.add_parser("table1", help="latency table: stable and leader-change runs")
+    p_table1.add_argument("--clients", type=int, default=5)
+    p_tput = benches.add_parser("throughput", help="sequential vs parallel throughput sweep")
+    p_tput.add_argument("--size", type=int, default=1024, help="request bytes")
+    p_tput.add_argument("--sweep", help="comma-separated client counts")
+    for p in (p_table1, p_tput):
+        p.add_argument("--delta", type=int, default=10, help="message delay in ticks")
+        p.add_argument("--out", help="directory for the CSV")
+        p.set_defaults(fn=cmd_bench)
     return parser
 
 

@@ -264,7 +264,7 @@ class PaxosNode:
         if self._watchdog_armed:
             return
         self._watchdog_armed = True
-        period = RETRY_DELAYS * self.sim.delay_model.base
+        period = RETRY_DELAYS * self.sim.delay_model.max_delay
         stamp = self._progress
         self.sim.schedule(
             self.sim.now + period,

@@ -192,7 +192,7 @@ class Client:
         self.cid = cid
         self.n = n
         self.ops = list(ops)
-        self.retry_every = retry_every or 4 * sim.delay_model.base
+        self.retry_every = retry_every or 4 * sim.delay_model.max_delay
         self.op_size = op_size
         self.start_at = start_at
         self.next_op = 0

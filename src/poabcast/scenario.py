@@ -29,6 +29,13 @@ def _int(value: Any, key: str) -> int:
     return value
 
 
+def _known(raw: Dict[Any, Any], where: str, *read: str) -> None:
+    # a key that nothing reads is a typo or misplaced, never a silent default
+    unread = sorted(map(str, set(raw) - set(read)))
+    if unread:
+        raise ScenarioError(f"{where} key {unread[0]!r} is not read here")
+
+
 @dataclass
 class ClientSpec:
     cid: int
@@ -56,6 +63,9 @@ class Scenario:
     expect_violation: bool = False
 
     def validate(self) -> None:
+        name = self.name  # the stem of each file that ``run --out`` writes
+        if not isinstance(name, str) or name in ("", ".", "..") or set(name) & set("/\\\0"):
+            raise ScenarioError(f"name must be a plain file name, got {name!r}")
         if self.protocol not in PROTOCOLS:
             raise ScenarioError(f"unknown protocol: {self.protocol}")
         if self.n < 3 or self.n % 2 == 0:
@@ -98,12 +108,13 @@ class Scenario:
                     raise ScenarioError(f"{key} must be true or false, got {raw[key]!r}")
             if isinstance(raw.get("per_byte"), bool):  # float(true) is 1.0
                 raise ScenarioError(f"per_byte must be a number, got {raw['per_byte']!r}")
-            name = raw["name"]
-            protocol = raw["protocol"]
+            _known(raw, "scenario", "name", "protocol", "n", "horizon", "omega", "crashes",
+                   "reorder", "per_byte", "clients", "expect_violation",
+                   "jitter" if raw.get("jitter") else "delta")
             n = _int(raw["n"], "n")
-            horizon = _int(raw["horizon"], "horizon")
-            if "jitter" in raw and raw["jitter"]:
+            if raw.get("jitter"):
                 j = raw["jitter"]
+                _known(j, "jitter", "min", "max", "seed")
                 lo, hi = _int(j["min"], "jitter min"), _int(j["max"], "jitter max")
                 delay = DelayModel.jitter(lo, hi, _int(j.get("seed", 0), "jitter seed"))
             else:
@@ -111,6 +122,7 @@ class Scenario:
 
             segments = []
             for seg in raw.get("omega", [{"at": 0, "leader": 0}]):
+                _known(seg, "omega segment", "at", "outputs" if "outputs" in seg else "leader")
                 at = _int(seg["at"], "omega at")
                 if "outputs" in seg:
                     outputs = {_int(p, "process"): _int(l, "leader")
@@ -122,6 +134,11 @@ class Scenario:
 
             clients = []
             for c in raw.get("clients", []):
+                kind = c.get("kind", "loop")
+                reads = ("ops", "retry_every", "size", "start_at") if kind == "loop" else ("sends",)
+                _known(c, f"{kind} client", "id", "kind", *reads)
+                for s in c.get("sends", []):
+                    _known(s, "send", "at", "to", "reqid", "op", "size")
                 sends = [
                     (_int(s["at"], "send at"), _int(s["to"], "send to"), _int(s["reqid"], "reqid"),
                      str(s["op"]), _int(s.get("size", 0), "size"))
@@ -130,7 +147,7 @@ class Scenario:
                 clients.append(
                     ClientSpec(
                         cid=_int(c["id"], "client id"),
-                        kind=c.get("kind", "loop"),
+                        kind=kind,
                         ops=[str(o) for o in c.get("ops", [])],
                         sends=sends,
                         retry_every=_int(c.get("retry_every", 0), "retry_every"),
@@ -140,10 +157,10 @@ class Scenario:
                 )
 
             scenario = cls(
-                name=name,
-                protocol=protocol,
+                name=raw["name"],
+                protocol=raw["protocol"],
                 n=n,
-                horizon=horizon,
+                horizon=_int(raw["horizon"], "horizon"),
                 delay=delay,
                 omega=omega,
                 crashes={_int(p, "process"): _int(t, "crash tick")

@@ -25,51 +25,40 @@ class SchedulingError(Exception):
 
 @dataclass(frozen=True)
 class DelayModel:
-    """Message delay: fixed delta, or seeded jitter in [min, max].
+    """Message delay: a seeded draw in [min_delay, max_delay] ticks.
 
-    Jitter draws are a pure function of (seed, message sequence number),
-    so re-running a scenario reproduces every delivery time.
+    A fixed delay d is the zero-width jitter (d, d); its seed draws nothing.
+    Draws are a pure function of (seed, message sequence number), so
+    re-running a scenario reproduces every delivery time.
     """
 
-    kind: str  # "fixed" | "jitter"
-    delta: int = 1
-    min_delay: int = 1
-    max_delay: int = 1
+    min_delay: int
+    max_delay: int
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind == "fixed":
-            if self.delta < 1:
-                raise ValueError("fixed delay must be >= 1 tick")
-        elif self.kind == "jitter":
-            if self.min_delay < 1 or self.min_delay > self.max_delay:
-                raise ValueError("jitter bounds must satisfy 1 <= min <= max")
-        else:
-            raise ValueError(f"unknown delay model kind: {self.kind}")
+        if self.min_delay < 1 or self.min_delay > self.max_delay:
+            raise ValueError("delay bounds must satisfy 1 <= min <= max")
 
     def delay(self, seq: int) -> int:
-        """Delay of message ``seq``: ``delta``, or a jitter draw in [min, max],
-        ``min + z % (max - min + 1)`` for z splitmix64's output (Steele, Lea &
-        Flood, OOPSLA 2014) from the state ``(seed << 32) ^ seq`` mod 2**64.
+        """Delay of message ``seq``: ``min + z % (max - min + 1)`` for z
+        splitmix64's output (Steele, Lea & Flood, OOPSLA 2014) from the state
+        ``(seed << 32) ^ seq`` mod 2**64, or ``min`` outright when min == max.
         Only the seed's low 32 bits count: seeds congruent mod 2**32 draw alike."""
-        if self.kind == "fixed":
-            return self.delta
+        if self.min_delay == self.max_delay:
+            return self.min_delay
         z = (((self.seed << 32) ^ seq) + 0x9E3779B97F4A7C15) & _M64
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
         return self.min_delay + (z ^ (z >> 31)) % (self.max_delay - self.min_delay + 1)
 
-    @property
-    def base(self) -> int:
-        return self.delta if self.kind == "fixed" else self.max_delay
-
     @classmethod
     def fixed(cls, delta: int) -> "DelayModel":
-        return cls(kind="fixed", delta=delta)
+        return cls(delta, delta)
 
     @classmethod
     def jitter(cls, min_delay: int, max_delay: int, seed: int) -> "DelayModel":
-        return cls(kind="jitter", min_delay=min_delay, max_delay=max_delay, seed=seed)
+        return cls(min_delay, max_delay, seed)
 
 
 @dataclass

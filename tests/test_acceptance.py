@@ -11,6 +11,7 @@
 8. Byte-identical determinism of traces and CSV
 """
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -30,6 +31,7 @@ from poabcast.checker import (
 from poabcast.cli import bundled_scenarios, load_scenario
 from poabcast.runner import run
 from poabcast.scenario import random_scenario
+from poabcast.sim import DelayModel
 
 from oracle import exhaustive_linearizable
 
@@ -218,6 +220,22 @@ def test_bundled_scenario_traces_are_pinned():
     for name in bundled_scenarios():
         digest.update(run(load_scenario(name)).to_jsonl().encode())
     assert digest.hexdigest() == BUNDLED_TRACES
+
+
+FIXED_DELAY_SCENARIOS = [
+    name for name in bundled_scenarios()
+    if load_scenario(name).delay.min_delay == load_scenario(name).delay.max_delay
+]
+
+
+@pytest.mark.parametrize("name", FIXED_DELAY_SCENARIOS)
+def test_fixed_delay_traces_are_unchanged_under_a_zero_width_jitter(name):
+    scenario = load_scenario(name)
+    d = scenario.delay.max_delay
+    want = run(scenario).to_jsonl()
+    for seed in (1, 7, 2**40 + 3):
+        zero_width = dataclasses.replace(scenario, delay=DelayModel.jitter(d, d, seed))
+        assert run(zero_width).to_jsonl() == want
 
 
 # sha256 over the concatenated traces of corpus seeds 0-29 x VARIANTS (seed

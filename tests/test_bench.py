@@ -18,6 +18,13 @@ from poabcast.cli import load_scenario
 from poabcast.runner import run
 
 
+def test_csv_columns_are_the_metrics_row_fields():
+    assert CSV_COLUMNS == (
+        "scenario", "protocol", "clients", "request_size", "lat_min", "lat_mean",
+        "lat_p99", "stable_latency", "throughput_per_1k", "leader_change_idle",
+    )
+
+
 def test_csv_schema_is_stable():
     row = MetricsRow(
         scenario="s", protocol="p", clients=1, request_size=0, lat_mean=1.5
@@ -38,7 +45,7 @@ def test_stable_metrics_measures_per_value_latency():
 
 
 def test_throughput_row_shapes():
-    row = run_throughput("parallel", clients=4, request_size=64, warmup=500, window=1500)
+    row = run_throughput("parallel", clients=4, request_size=64)
     assert row.protocol == "parallel"
     assert row.throughput_per_1k > 0
     assert row.lat_min <= row.lat_mean <= row.lat_p99
@@ -73,18 +80,13 @@ def test_sequential_mode_keeps_one_instance_in_flight():
 @pytest.mark.parametrize(
     "arg, value",
     [
-        ("cap", 0),
         ("clients", 0),
         ("request_size", -1),
         ("delta", 0),
-        ("per_byte", -0.5),
-        ("warmup", -1),
-        ("window", 0),
     ],
 )
 def test_throughput_rejects_out_of_range_arguments(arg, value, monkeypatch):
-    # a cap of 0 would propose empty batches forever, so the simulation
-    # must never start
+    # a bad argument fails before the simulation starts
     from poabcast.sim import Simulator
 
     def never(self, until):
@@ -96,11 +98,37 @@ def test_throughput_rejects_out_of_range_arguments(arg, value, monkeypatch):
         run_throughput(**args)
 
 
-def test_batch_cap_limits_batch_size():
-    row_seq = run_throughput(
-        "sequential", clients=8, request_size=0, cap=2, warmup=500, window=1500
-    )
-    assert row_seq.throughput_per_1k > 0
+@pytest.mark.parametrize("arg, value", [("delta", 0), ("clients", 0)])
+def test_table1_rejects_out_of_range_arguments(arg, value, monkeypatch):
+    from poabcast.sim import Simulator
+
+    def never(self, until):
+        pytest.fail("bench_table1 started a simulation")
+
+    monkeypatch.setattr(Simulator, "run", never)
+    with pytest.raises(ValueError, match=arg):
+        bench_table1(**{arg: value})
+
+
+def test_batch_cap_limits_batch_size(monkeypatch):
+    from poabcast import bench
+    from poabcast.paxos import PaxosNode
+    from poabcast.values import Batch
+
+    sizes = []
+    propose = PaxosNode.propose
+
+    def counted_propose(self, value, *args):
+        if isinstance(value, Batch):
+            sizes.append(len(value.items))
+        return propose(self, value, *args)
+
+    monkeypatch.setattr(bench, "BATCH_CAP", 2)
+    monkeypatch.setattr(PaxosNode, "propose", counted_propose)
+    row = run_throughput("sequential", clients=8, request_size=0)
+    assert row.throughput_per_1k > 0
+    # eight clients queue far more than two requests behind each batch
+    assert sizes and max(sizes) == 2
 
 
 def test_table1_rows_cover_all_four_protocols():

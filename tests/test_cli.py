@@ -1,6 +1,9 @@
 """CLI harness: exit codes, artifacts, bundled scenarios, bench output."""
 
 import os
+import pathlib
+import re
+import shlex
 
 import pytest
 
@@ -9,6 +12,7 @@ from poabcast.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VIOLATION,
+    build_parser,
     bundled_scenarios,
     main,
 )
@@ -106,6 +110,21 @@ def test_run_rejects_bad_timing_or_target_as_a_usage_error(tmp_path, patch):
         "horizon: 400.9",
         'reorder: "false"',
         'expect_violation: "false"',
+        "name: ../escaped",
+        "name: a/b",
+        "name: [a, b]",
+        "reoder: true",
+        "jitter_seed: 3",
+        "clients: [{id: 3, kind: loop, ops: [a], retry_evry: 5}]",
+        "clients: [{id: 3, kind: loop, ops: [a], sends: []}]",
+        "clients: [{id: 3, kind: scripted, ops: [a], sends: []}]",
+        "clients: [{id: 3, kind: scripted, retry_every: 5, sends: []}]",
+        "clients: [{id: 3, kind: scripted, size: 5, sends: []}]",
+        "clients: [{id: 3, kind: scripted, start_at: 5, sends: []}]",
+        "clients: [{id: 3, kind: scripted, sends: [{at: 5, to: 0, reqid: 1, op: x, sise: 3}]}]",
+        "jitter: {min: 5, max: 12, sed: 3}",
+        "delta: 10\njitter: {min: 5, max: 12}",
+        "omega: [{at: 0, leader: 0, outputs: {0: 0, 1: 0, 2: 0}}]",
     ],
     ids=[
         "negative-send-size",
@@ -124,16 +143,36 @@ def test_run_rejects_bad_timing_or_target_as_a_usage_error(tmp_path, patch):
         "float-horizon",
         "string-reorder",
         "string-expect-violation",
+        "name-escapes-out",
+        "name-with-slash",
+        "name-not-a-string",
+        "misspelt-reorder",
+        "unread-jitter-seed",
+        "misspelt-retry-every",
+        "sends-on-loop-client",
+        "ops-on-scripted-client",
+        "retry-every-on-scripted-client",
+        "size-on-scripted-client",
+        "start-at-on-scripted-client",
+        "misspelt-send-size",
+        "misspelt-jitter-seed",
+        "delta-beside-jitter",
+        "leader-beside-outputs",
     ],
 )
 def test_run_rejects_negative_or_malformed_values_as_a_usage_error(tmp_path, capsys, patch):
+    # later keys win in YAML, so a patch may override a base key such as name
     bad = tmp_path / "bad.yaml"
     bad.write_text(
         "name: x\nprotocol: naive\nn: 3\nhorizon: 100\nomega: [{at: 0, leader: 0}]\n"
         + patch + "\n"
     )
-    assert main(["run", str(bad)]) == EXIT_USAGE
-    assert capsys.readouterr().err.startswith("error: ")
+    out = tmp_path / "out" / "inner"
+    assert main(["run", str(bad), "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("error: ") == 1
+    written = [p for p in tmp_path.rglob("*") if p.is_file() and out not in p.parents]
+    assert written == [bad]
 
 
 @pytest.mark.parametrize(
@@ -216,6 +255,39 @@ def test_bench_throughput_with_small_sweep(tmp_path, capsys):
     assert code == EXIT_OK
     csv = (tmp_path / "throughput-64.csv").read_text()
     assert len(csv.splitlines()) == 1 + 4  # header + 2 modes x 2 client counts
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table1", "--size", "7"],
+        ["table1", "--sweep", "1"],
+        ["throughput", "--clients", "3"],
+        ["--delta", "5", "table1"],
+        [],
+    ],
+)
+def test_bench_subcommands_reject_flags_of_the_other(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", *argv])
+    assert exc.value.code == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+
+
+def readme_cli_lines():
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    block = re.search(r"^## CLI\n\n```sh\n(.*?)^```", readme, re.M | re.S).group(1)
+    return [line for line in block.splitlines() if line.startswith("poabcast ")]
+
+
+def test_readme_cli_block_parses():
+    # a documented flag that the parser drops or renames fails here; nothing runs
+    lines = readme_cli_lines()
+    assert any(line.startswith("poabcast bench table1") for line in lines)
+    assert any(line.startswith("poabcast bench throughput") for line in lines)
+    for line in lines:
+        args = build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        assert args.fn is not None, line
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import pytest
 
 from poabcast.scenario import Scenario, ScenarioError, random_scenario
+from poabcast.sim import DelayModel
 
 GOOD = """
 name: demo
@@ -28,7 +29,7 @@ def test_yaml_round_trip_fields():
     s = Scenario.from_yaml(GOOD)
     assert s.protocol == "tau-paxos"
     assert s.n == 3 and s.horizon == 500
-    assert s.delay.kind == "fixed" and s.delay.delta == 10
+    assert s.delay == DelayModel.fixed(10)
     assert s.omega.segments[1] == (100, {0: 0, 1: 1, 2: 1})
     assert s.crashes == {0: 150}
     assert s.clients[0].kind == "loop" and s.clients[0].ops == ["a", "b"]
@@ -40,8 +41,14 @@ def test_jitter_block_builds_a_jitter_delay_model():
         "name: j\nprotocol: naive\nn: 3\nhorizon: 100\n"
         "jitter: {min: 5, max: 12, seed: 9}\nomega: [{at: 0, leader: 0}]\n"
     )
-    assert s.delay.kind == "jitter"
     assert (s.delay.min_delay, s.delay.max_delay, s.delay.seed) == (5, 12, 9)
+
+
+def test_a_fixed_delay_loads_as_a_zero_width_jitter():
+    base = "name: j\nprotocol: naive\nn: 3\nhorizon: 100\nomega: [{at: 0, leader: 0}]\n"
+    fixed = Scenario.from_yaml(base + "delta: 10\n")
+    assert Scenario.from_yaml(base + "jitter: {min: 10, max: 10}\n") == fixed
+    assert fixed.delay == DelayModel(10, 10, 0)
 
 
 def test_missing_required_key_is_a_scenario_error():

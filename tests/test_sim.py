@@ -168,6 +168,14 @@ def test_jitter_bounds_validated():
         DelayModel.fixed(0)
 
 
+def test_a_zero_width_jitter_is_a_fixed_delay():
+    for d in (1, 10, 55):
+        for seed in (0, 3, 2**40 + 1):
+            model = DelayModel.jitter(d, d, seed)
+            assert all(model.delay(seq) == d for seq in (0, 1, 2, 997, 2**33))
+            assert model.max_delay == DelayModel.fixed(d).max_delay == d
+
+
 def test_omega_segment_lookup_and_inclusive_boundary():
     script = OmegaScript(
         [(0, {p: 1 for p in range(3)}), (100, {p: 2 for p in range(3)})]
