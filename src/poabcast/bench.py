@@ -18,9 +18,10 @@ the measurement window (a warm-up, then the window itself) are the
 module constants below.
 
 Each leg costs one event per decided batch, not one per request: a
-decided batch's reply event records every client's latency sample and
-builds its next request, in item order, and one arrival event a tick
-later submits those requests, in the same order.
+decided batch's reply event records its clients' latencies, if it falls
+inside the measurement window, and builds their next requests, in item
+order; one arrival event a tick later hands those requests to the
+leader in a single ``submit``.
 
 There is at most one pending batch-cut decision (a pump) per tick.
 Arrivals and decisions ask for one at the end of the current tick, and a
@@ -30,7 +31,6 @@ supersedes a later one, whose heap entry then fires as a no-op.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -208,24 +208,32 @@ def bench_table1(delta: int = 10, clients: int = 5) -> List[MetricsRow]:
 
 
 class BatchingLeader:
+    """Process 0's batching pump over a raw ``PaxosNode``. Its bookkeeping
+    is per batch: pending requests are a list cut ``BATCH_CAP`` at a time,
+    and each proposed instance maps to its batch and the clients awaiting
+    it."""
+
     def __init__(self, sim: Simulator, n: int, mode: str):
         if mode not in ("sequential", "parallel"):
             raise ValueError(f"unknown batching mode: {mode}")
         self.sim = sim
         self.mode = mode
         self.node = PaxosNode(sim, 0, n, deliver=self._on_decide)
-        self.queue: deque = deque()  # AppValue
-        self.clients: Dict[str, _LoadClient] = {}  # vid -> the client awaiting it
-        self.outstanding: set = set()
+        # pending requests, in arrival order, and in step the clients awaiting them
+        self.items: List[AppValue] = []
+        self.waiting: List[_LoadClient] = []
+        # proposed, undecided instance -> (its batch, the clients awaiting it)
+        self.proposed: Dict[int, Tuple[Batch, List[_LoadClient]]] = {}
         self.next_instance = 1
         self._pump_at: Optional[int] = None
 
     def on_start(self) -> None:
         self.node.ensure_leadership()
 
-    def submit(self, item: AppValue, client: _LoadClient) -> None:
-        self.queue.append(item)
-        self.clients[item.vid] = client
+    def submit(self, items: List[AppValue], clients: List[_LoadClient]) -> None:
+        """Queue one arrival's requests, ``clients[i]`` awaiting ``items[i]``."""
+        self.items.extend(items)
+        self.waiting.extend(clients)
         # batch-cut decisions run at end of tick so simultaneous arrivals
         # share a batch
         self._schedule_pump(self.sim.now)
@@ -234,17 +242,14 @@ class BatchingLeader:
         """Each client sends its next request now, over a 1-tick leg: one
         arrival event submits them all, in order."""
         now = self.sim.now
-        requests = [(c.request(now), c) for c in clients]
-        self.sim.schedule(now + 1, lambda: self._arrive(requests))
-
-    def _arrive(self, requests: List[Tuple[AppValue, _LoadClient]]) -> None:
-        for item, client in requests:
-            self.submit(item, client)
+        items = [c.request(now) for c in clients]
+        self.sim.schedule(now + 1, lambda: self.submit(items, clients))
 
     def _reply(self, clients: List[_LoadClient]) -> None:
         now = self.sim.now
-        for c in clients:
-            c.samples.append((now, now - c.sent_at))
+        if WARMUP <= now < WARMUP + WINDOW:
+            for c in clients:
+                c.samples.append(now - c.sent_at)
         self.send_requests(clients)
 
     def _schedule_pump(self, at: int) -> None:
@@ -265,29 +270,29 @@ class BatchingLeader:
         return self.sim.sender_free_at(0) <= self.sim.now
 
     def _pump(self) -> None:
-        while self.queue:
+        items, waiting = self.items, self.waiting
+        while items:
             if self.mode == "sequential":
-                if self.outstanding:
+                if self.proposed:
                     return
-            elif len(self.queue) < BATCH_CAP and not self._sender_idle():
+            elif len(items) < BATCH_CAP and not self._sender_idle():
                 # sender busy with earlier batches: revisit once it frees up
                 self._schedule_pump(max(self.sim.now + 1, self.sim.sender_free_at(0)))
                 return
-            k = min(len(self.queue), BATCH_CAP)
-            items = tuple(self.queue.popleft() for _ in range(k))
-            batch = Batch(items)
-            self.outstanding.add(self.next_instance)
+            batch = Batch(tuple(items[:BATCH_CAP]))
+            self.proposed[self.next_instance] = (batch, waiting[:BATCH_CAP])
+            del items[:BATCH_CAP]
+            del waiting[:BATCH_CAP]
             self.node.propose(batch, self.next_instance)
             self.next_instance += 1
 
     def _on_decide(self, value: Any, instance: int) -> None:
-        self.outstanding.discard(instance)
-        if isinstance(value, Batch):
-            waiting = [self.clients.pop(item.vid, None) for item in value.items]
-            clients = [c for c in waiting if c is not None]
-            if clients:
-                # one 1-tick reply leg back to the colocated clients
-                self.sim.schedule(self.sim.now + 1, lambda: self._reply(clients))
+        proposed = self.proposed.pop(instance, None)
+        if proposed is not None and proposed[0] is value:
+            # one 1-tick reply leg back to the colocated clients; any other
+            # value decided here answers none of them
+            clients = proposed[1]
+            self.sim.schedule(self.sim.now + 1, lambda: self._reply(clients))
         self._schedule_pump(self.sim.now)
 
     def on_message(self, frm: int, msg: Any) -> None:
@@ -296,20 +301,21 @@ class BatchingLeader:
 
 class _LoadClient:
     """Closed-loop client colocated with the leader; the leader carries
-    its requests and replies."""
+    its requests and replies, and records the latency of each reply
+    inside the measurement window."""
 
     def __init__(self, cid: int, size: int):
-        self.cid = cid
+        self.prefix = f"c{cid}."  # of every vid the client sends
         self.size = size + REQUEST_HEADER
         self.seq = 0
         self.sent_at = 0
-        self.samples: List[Tuple[int, int]] = []  # (reply time, latency)
+        self.samples: List[int] = []  # latencies of replies in [WARMUP, WARMUP + WINDOW)
 
     def request(self, now: int) -> AppValue:
         """The client's next request, sent at ``now``."""
         self.seq += 1
         self.sent_at = now
-        return AppValue(vid=f"c{self.cid}.{self.seq}", size=self.size)
+        return AppValue(vid=f"{self.prefix}{self.seq}", size=self.size)
 
 
 def run_throughput(mode: str, clients: int, request_size: int, delta: int = 10) -> MetricsRow:
@@ -330,12 +336,7 @@ def run_throughput(mode: str, clients: int, request_size: int, delta: int = 10) 
     sim.schedule(1, lambda: leader.send_requests(load))
     sim.run(WARMUP + WINDOW)
 
-    samples = [
-        lat
-        for c in load
-        for at, lat in c.samples
-        if WARMUP <= at < WARMUP + WINDOW
-    ]
+    samples = [lat for c in load for lat in c.samples]
     if not samples:
         raise ValueError("no completed requests inside the measurement window")
     return MetricsRow(

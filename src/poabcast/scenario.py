@@ -36,6 +36,14 @@ def _known(raw: Dict[Any, Any], where: str, *read: str) -> None:
         raise ScenarioError(f"{where} key {unread[0]!r} is not read here")
 
 
+def _yaml_problem(e: Exception) -> str:
+    # PyYAML's own text quotes the offending source over several lines
+    mark, problem = getattr(e, "problem_mark", None), getattr(e, "problem", None)
+    if mark is None or problem is None:
+        return " ".join(str(e).split())
+    return f"{problem}, line {mark.line + 1}, column {mark.column + 1}"
+
+
 @dataclass
 class ClientSpec:
     cid: int
@@ -181,8 +189,8 @@ class Scenario:
     def from_yaml(cls, text: str) -> "Scenario":
         try:
             raw = yaml.safe_load(text)
-        except yaml.YAMLError as e:
-            raise ScenarioError(f"scenario is not valid YAML: {e}") from e
+        except (yaml.YAMLError, ValueError) as e:  # ValueError: a bad tagged scalar, !!int x
+            raise ScenarioError(f"scenario is not valid YAML: {_yaml_problem(e)}") from e
         if not isinstance(raw, dict):
             raise ScenarioError("scenario file must contain a mapping")
         return cls.from_dict(raw)

@@ -235,3 +235,81 @@ def test_throughput_legs_cost_one_event_per_batch(monkeypatch):
     run_throughput("parallel", clients, 1024)
     assert counts["batches"] > 0
     assert counts["schedules"] <= 8 * counts["batches"] + clients
+
+
+def test_throughput_bookkeeping_is_per_batch(monkeypatch):
+    # one submit per arrival event, not per request; the clients keep only
+    # the latencies of replies inside the measurement window
+    from poabcast.bench import WARMUP, WINDOW, BatchingLeader, _LoadClient
+    from poabcast.paxos import PaxosNode
+    from poabcast.values import Batch
+
+    counts = {"submits": 0, "batches": 0}
+    load, replies = [], []  # every client; (reply time, clients replied to)
+    submit, reply, init = BatchingLeader.submit, BatchingLeader._reply, _LoadClient.__init__
+    propose = PaxosNode.propose
+
+    def counted_submit(self, *args):
+        counts["submits"] += 1
+        return submit(self, *args)
+
+    def counted_propose(self, value, *args):
+        counts["batches"] += isinstance(value, Batch)
+        return propose(self, value, *args)
+
+    def recorded_reply(self, clients):
+        replies.append((self.sim.now, len(clients)))
+        return reply(self, clients)
+
+    def recorded_init(self, *args):
+        load.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(BatchingLeader, "submit", counted_submit)
+    monkeypatch.setattr(BatchingLeader, "_reply", recorded_reply)
+    monkeypatch.setattr(PaxosNode, "propose", counted_propose)
+    monkeypatch.setattr(_LoadClient, "__init__", recorded_init)
+    row = run_throughput("parallel", 192, 1024)
+    assert counts["batches"] > 0
+    assert counts["submits"] <= counts["batches"] + 1
+    in_window = sum(k for at, k in replies if WARMUP <= at < WARMUP + WINDOW)
+    assert sum(k for _, k in replies) > in_window  # the warm-up's replies are dropped
+    samples = [lat for c in load for lat in c.samples]
+    assert len(load) == 192 and all(type(lat) is int for lat in samples)
+    assert len(samples) == in_window == row.throughput_per_1k * WINDOW / 1000
+
+
+@pytest.mark.parametrize("foreign", ["noop", "other-batch"])
+def test_a_foreign_decide_replies_to_no_client(foreign, monkeypatch):
+    # a proposed instance that decides some other value schedules no reply
+    # leg: its batch's clients are not the ones the value answers
+    from poabcast.bench import BatchingLeader, _LoadClient
+    from poabcast.sim import DelayModel, OmegaScript, Simulator
+    from poabcast.values import NOOP, AppValue, Batch
+
+    replied = []
+    monkeypatch.setattr(BatchingLeader, "_reply", lambda self, clients: replied.append(clients))
+    # no acceptors: consensus never decides, so the foreign value is the only decide
+    sim = Simulator(n=3, delay_model=DelayModel.fixed(10), omega=OmegaScript.single(3, 0))
+    leader = BatchingLeader(sim, 3, "parallel")
+    sim.add_actor(0, leader)
+    clients = [_LoadClient(i, 0) for i in range(4)]
+    sim.schedule(1, lambda: leader.send_requests(clients))
+    sim.run(2)
+    assert list(leader.proposed) == [1]
+    value = NOOP if foreign == "noop" else Batch((AppValue("x.1"),))
+
+    scheduled = []
+    schedule = Simulator.schedule
+
+    def recorded_schedule(self, at, *args, **kwargs):
+        scheduled.append(at)
+        return schedule(self, at, *args, **kwargs)
+
+    monkeypatch.setattr(Simulator, "schedule", recorded_schedule)
+    leader._on_decide(value, 1)
+    assert leader.proposed == {}
+    assert sim.now + 1 not in scheduled  # the reply leg would be due next tick
+    sim.run(500)
+    assert replied == []
+    assert all(c.seq == 1 and c.samples == [] for c in clients)

@@ -101,6 +101,8 @@ def test_run_rejects_bad_timing_or_target_as_a_usage_error(tmp_path, patch):
         "delta: 0",
         "jitter: {min: 0, max: 5}",
         "clients: [{id: 3",
+        "name: a\x01",
+        "n: !!int x",
         "omega: [{leader: 0}]",
         "omega: [{at: 0, outputs: {0: 0}}, {at: 50, leader: 1}]",
         "omega: [{at: 0, leader: 0}, {at: 50, outputs: {0: 1}}]",
@@ -134,6 +136,8 @@ def test_run_rejects_bad_timing_or_target_as_a_usage_error(tmp_path, patch):
         "zero-delta",
         "zero-jitter-min",
         "yaml-syntax-error",
+        "yaml-control-character",
+        "yaml-bad-int-tag",
         "omega-segment-without-at",
         "omega-first-segment-names-one-process",
         "omega-final-outputs-disagree",
@@ -170,7 +174,9 @@ def test_run_rejects_negative_or_malformed_values_as_a_usage_error(tmp_path, cap
     out = tmp_path / "out" / "inner"
     assert main(["run", str(bad), "--out", str(out)]) == EXIT_USAGE
     err = capsys.readouterr().err
+    # one line: the YAML cases too, whose parser quotes the source over several
     assert err.startswith("error: ") and err.count("error: ") == 1
+    assert err.endswith("\n") and err.count("\n") == 1
     written = [p for p in tmp_path.rglob("*") if p.is_file() and out not in p.parents]
     assert written == [bad]
 
