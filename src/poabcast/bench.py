@@ -17,11 +17,14 @@ is what separates the two modes. The per-byte cost, the batch cap and
 the measurement window (a warm-up, then the window itself) are the
 module constants below.
 
+A batch is one application value, ``b<instance>``, whose size is the
+sum of its requests' bytes; nothing reads a request's identity inside a
+batch, so a pending request is just the client awaiting it.
 Each leg costs one event per decided batch, not one per request: a
 decided batch's reply event records its clients' latencies, if it falls
-inside the measurement window, and builds their next requests, in item
-order; one arrival event a tick later hands those requests to the
-leader in a single ``submit``.
+inside the measurement window, and stamps their next requests' send
+tick; one arrival event a tick later hands those clients to the leader
+in a single ``submit``.
 
 There is at most one pending batch-cut decision (a pump) per tick.
 Arrivals and decisions ask for one at the end of the current tick, and a
@@ -39,7 +42,7 @@ from .scenario import ClientSpec, Scenario
 from .sim import DelayModel, OmegaScript, Simulator
 from .runner import run
 from .trace import Trace
-from .values import AppValue, Batch
+from .values import AppValue
 
 REQUEST_HEADER = 32  # per-request framing bytes inside a batch
 PER_BYTE = 0.00015  # sender ticks per byte of a batch
@@ -209,9 +212,9 @@ def bench_table1(delta: int = 10, clients: int = 5) -> List[MetricsRow]:
 
 class BatchingLeader:
     """Process 0's batching pump over a raw ``PaxosNode``. Its bookkeeping
-    is per batch: pending requests are a list cut ``BATCH_CAP`` at a time,
-    and each proposed instance maps to its batch and the clients awaiting
-    it."""
+    is per batch: the clients awaiting a batch are a list cut ``BATCH_CAP``
+    at a time, and each proposed instance maps to its batch value and
+    those clients."""
 
     def __init__(self, sim: Simulator, n: int, mode: str):
         if mode not in ("sequential", "parallel"):
@@ -219,20 +222,18 @@ class BatchingLeader:
         self.sim = sim
         self.mode = mode
         self.node = PaxosNode(sim, 0, n, deliver=self._on_decide)
-        # pending requests, in arrival order, and in step the clients awaiting them
-        self.items: List[AppValue] = []
+        # clients whose requests await a batch, in arrival order
         self.waiting: List[_LoadClient] = []
         # proposed, undecided instance -> (its batch, the clients awaiting it)
-        self.proposed: Dict[int, Tuple[Batch, List[_LoadClient]]] = {}
+        self.proposed: Dict[int, Tuple[AppValue, List[_LoadClient]]] = {}
         self.next_instance = 1
         self._pump_at: Optional[int] = None
 
     def on_start(self) -> None:
         self.node.ensure_leadership()
 
-    def submit(self, items: List[AppValue], clients: List[_LoadClient]) -> None:
-        """Queue one arrival's requests, ``clients[i]`` awaiting ``items[i]``."""
-        self.items.extend(items)
+    def submit(self, clients: List[_LoadClient]) -> None:
+        """Queue one arrival's requests, one per client, in order."""
         self.waiting.extend(clients)
         # batch-cut decisions run at end of tick so simultaneous arrivals
         # share a batch
@@ -242,8 +243,9 @@ class BatchingLeader:
         """Each client sends its next request now, over a 1-tick leg: one
         arrival event submits them all, in order."""
         now = self.sim.now
-        items = [c.request(now) for c in clients]
-        self.sim.schedule(now + 1, lambda: self.submit(items, clients))
+        for c in clients:
+            c.sent_at = now
+        self.sim.schedule(now + 1, lambda: self.submit(clients))
 
     def _reply(self, clients: List[_LoadClient]) -> None:
         now = self.sim.now
@@ -270,20 +272,20 @@ class BatchingLeader:
         return self.sim.sender_free_at(0) <= self.sim.now
 
     def _pump(self) -> None:
-        items, waiting = self.items, self.waiting
-        while items:
+        waiting = self.waiting
+        while waiting:
             if self.mode == "sequential":
                 if self.proposed:
                     return
-            elif len(items) < BATCH_CAP and not self._sender_idle():
+            elif len(waiting) < BATCH_CAP and not self._sender_idle():
                 # sender busy with earlier batches: revisit once it frees up
                 self._schedule_pump(max(self.sim.now + 1, self.sim.sender_free_at(0)))
                 return
-            batch = Batch(tuple(items[:BATCH_CAP]))
-            self.proposed[self.next_instance] = (batch, waiting[:BATCH_CAP])
-            del items[:BATCH_CAP]
+            instance, cut = self.next_instance, waiting[:BATCH_CAP]
             del waiting[:BATCH_CAP]
-            self.node.propose(batch, self.next_instance)
+            batch = AppValue(vid=f"b{instance}", size=sum(c.size for c in cut))
+            self.proposed[instance] = (batch, cut)
+            self.node.propose(batch, instance)
             self.next_instance += 1
 
     def _on_decide(self, value: Any, instance: int) -> None:
@@ -300,22 +302,15 @@ class BatchingLeader:
 
 
 class _LoadClient:
-    """Closed-loop client colocated with the leader; the leader carries
-    its requests and replies, and records the latency of each reply
-    inside the measurement window."""
+    """Closed-loop client colocated with the leader, with one request
+    outstanding: its bytes in a batch and the tick it was sent. The leader
+    carries its requests and replies, and records the latency of each
+    reply inside the measurement window."""
 
-    def __init__(self, cid: int, size: int):
-        self.prefix = f"c{cid}."  # of every vid the client sends
-        self.size = size + REQUEST_HEADER
-        self.seq = 0
+    def __init__(self, size: int):
+        self.size = size + REQUEST_HEADER  # bytes of each request in a batch
         self.sent_at = 0
         self.samples: List[int] = []  # latencies of replies in [WARMUP, WARMUP + WINDOW)
-
-    def request(self, now: int) -> AppValue:
-        """The client's next request, sent at ``now``."""
-        self.seq += 1
-        self.sent_at = now
-        return AppValue(vid=f"{self.prefix}{self.seq}", size=self.size)
 
 
 def run_throughput(mode: str, clients: int, request_size: int, delta: int = 10) -> MetricsRow:
@@ -331,7 +326,7 @@ def run_throughput(mode: str, clients: int, request_size: int, delta: int = 10) 
     sim.add_actor(0, leader)
     for pid in range(1, n):
         sim.add_actor(pid, PaxosNode(sim, pid, n, deliver=lambda v, i: None))
-    load = [_LoadClient(i, request_size) for i in range(clients)]
+    load = [_LoadClient(request_size) for _ in range(clients)]
     # every client sends its first request at tick 1
     sim.schedule(1, lambda: leader.send_requests(load))
     sim.run(WARMUP + WINDOW)

@@ -150,7 +150,9 @@ def _parse_sweep(sweep: Optional[str]) -> Optional[List[int]]:
     """The ``--sweep`` client counts, or None for the default sweep."""
     entries = sweep.split(",") if sweep else []
     for entry in entries:
-        if not entry.strip().isdigit() or int(entry) < 1:
+        # ASCII digits only: str.isdigit() also takes '²' and '٣'
+        digits = entry.strip()
+        if not (digits.isascii() and digits.isdigit()) or int(digits) < 1:
             raise ValueError(f"--sweep entries must be integers >= 1, got {entry!r}")
     return [int(entry) for entry in entries] or None
 

@@ -63,7 +63,7 @@ def test_sequential_mode_keeps_one_instance_in_flight():
     sim.add_actor(0, leader)
     for pid in (1, 2):
         sim.add_actor(pid, PaxosNode(sim, pid, 3, deliver=lambda v, i: None))
-    clients = [_LoadClient(i, 0) for i in range(8)]
+    clients = [_LoadClient(0) for _ in range(8)]
     sim.schedule(1, lambda: leader.send_requests(clients))
     trace = sim.run(2000)
     outstanding = 0
@@ -113,14 +113,14 @@ def test_table1_rejects_out_of_range_arguments(arg, value, monkeypatch):
 def test_batch_cap_limits_batch_size(monkeypatch):
     from poabcast import bench
     from poabcast.paxos import PaxosNode
-    from poabcast.values import Batch
 
     sizes = []
     propose = PaxosNode.propose
 
     def counted_propose(self, value, *args):
-        if isinstance(value, Batch):
-            sizes.append(len(value.items))
+        # the leader's proposals are its batches; at 0 B a request is its header
+        if self.pid == 0:
+            sizes.append(value.size // bench.REQUEST_HEADER)
         return propose(self, value, *args)
 
     monkeypatch.setattr(bench, "BATCH_CAP", 2)
@@ -129,6 +129,33 @@ def test_batch_cap_limits_batch_size(monkeypatch):
     assert row.throughput_per_1k > 0
     # eight clients queue far more than two requests behind each batch
     assert sizes and max(sizes) == 2
+
+
+@pytest.mark.parametrize(
+    "mode, clients, size",
+    [("parallel", 48, 0), ("parallel", 192, 1024), ("sequential", 192, 1024)],
+)
+def test_a_batch_carries_its_requests_bytes(mode, clients, size, monkeypatch):
+    # each proposal is one value sized as its clients' requests, header
+    # included, and no two proposals of a run share a digest
+    from poabcast import bench
+    from poabcast.bench import BatchingLeader
+
+    batches = []  # (value, clients awaiting it), in proposal order
+    pump = BatchingLeader._pump
+
+    def recorded_pump(self):
+        before = set(self.proposed)
+        pump(self)
+        batches.extend(v for i, v in self.proposed.items() if i not in before)
+
+    monkeypatch.setattr(BatchingLeader, "_pump", recorded_pump)
+    run_throughput(mode, clients, size)
+    assert batches
+    for value, cut in batches:
+        assert 1 <= len(cut) <= bench.BATCH_CAP
+        assert value.size == len(cut) * (size + bench.REQUEST_HEADER)
+    assert len({value.digest() for value, _ in batches}) == len(batches)
 
 
 def test_table1_rows_cover_all_four_protocols():
@@ -191,7 +218,6 @@ def test_sweep_points_keep_their_virtual_time_results(mode, clients, size, throu
 def test_one_live_pump_per_batch_cut(monkeypatch):
     from poabcast.bench import BatchingLeader
     from poabcast.paxos import PaxosNode
-    from poabcast.values import Batch
 
     counts = {"pumps": 0, "batches": 0}
     pump, propose = BatchingLeader._pump, PaxosNode.propose
@@ -201,7 +227,7 @@ def test_one_live_pump_per_batch_cut(monkeypatch):
         return pump(self)
 
     def counted_propose(self, value, *args):
-        counts["batches"] += isinstance(value, Batch)
+        counts["batches"] += self.pid == 0
         return propose(self, value, *args)
 
     monkeypatch.setattr(BatchingLeader, "_pump", counted_pump)
@@ -216,7 +242,6 @@ def test_throughput_legs_cost_one_event_per_batch(monkeypatch):
     # whatever the batch size; per-request events would be ~100 a batch here
     from poabcast.paxos import PaxosNode
     from poabcast.sim import Simulator
-    from poabcast.values import Batch
 
     counts = {"schedules": 0, "batches": 0}
     schedule, propose = Simulator.schedule, PaxosNode.propose
@@ -226,7 +251,7 @@ def test_throughput_legs_cost_one_event_per_batch(monkeypatch):
         return schedule(self, *args, **kwargs)
 
     def counted_propose(self, value, *args):
-        counts["batches"] += isinstance(value, Batch)
+        counts["batches"] += self.pid == 0
         return propose(self, value, *args)
 
     monkeypatch.setattr(Simulator, "schedule", counted_schedule)
@@ -242,7 +267,6 @@ def test_throughput_bookkeeping_is_per_batch(monkeypatch):
     # the latencies of replies inside the measurement window
     from poabcast.bench import WARMUP, WINDOW, BatchingLeader, _LoadClient
     from poabcast.paxos import PaxosNode
-    from poabcast.values import Batch
 
     counts = {"submits": 0, "batches": 0}
     load, replies = [], []  # every client; (reply time, clients replied to)
@@ -254,7 +278,7 @@ def test_throughput_bookkeeping_is_per_batch(monkeypatch):
         return submit(self, *args)
 
     def counted_propose(self, value, *args):
-        counts["batches"] += isinstance(value, Batch)
+        counts["batches"] += self.pid == 0
         return propose(self, value, *args)
 
     def recorded_reply(self, clients):
@@ -285,7 +309,7 @@ def test_a_foreign_decide_replies_to_no_client(foreign, monkeypatch):
     # leg: its batch's clients are not the ones the value answers
     from poabcast.bench import BatchingLeader, _LoadClient
     from poabcast.sim import DelayModel, OmegaScript, Simulator
-    from poabcast.values import NOOP, AppValue, Batch
+    from poabcast.values import NOOP, AppValue
 
     replied = []
     monkeypatch.setattr(BatchingLeader, "_reply", lambda self, clients: replied.append(clients))
@@ -293,11 +317,11 @@ def test_a_foreign_decide_replies_to_no_client(foreign, monkeypatch):
     sim = Simulator(n=3, delay_model=DelayModel.fixed(10), omega=OmegaScript.single(3, 0))
     leader = BatchingLeader(sim, 3, "parallel")
     sim.add_actor(0, leader)
-    clients = [_LoadClient(i, 0) for i in range(4)]
+    clients = [_LoadClient(0) for _ in range(4)]
     sim.schedule(1, lambda: leader.send_requests(clients))
     sim.run(2)
     assert list(leader.proposed) == [1]
-    value = NOOP if foreign == "noop" else Batch((AppValue("x.1"),))
+    value = NOOP if foreign == "noop" else AppValue("x.1")
 
     scheduled = []
     schedule = Simulator.schedule
@@ -312,4 +336,5 @@ def test_a_foreign_decide_replies_to_no_client(foreign, monkeypatch):
     assert sim.now + 1 not in scheduled  # the reply leg would be due next tick
     sim.run(500)
     assert replied == []
-    assert all(c.seq == 1 and c.samples == [] for c in clients)
+    assert leader.waiting == []
+    assert all(c.sent_at == 1 and c.samples == [] for c in clients)

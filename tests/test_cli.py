@@ -296,31 +296,40 @@ def test_readme_cli_block_parses():
         assert args.fn is not None, line
 
 
+SWEEP_ERROR = "error: --sweep entries must be integers >= 1, got "
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, error",
     [
-        ["throughput", "--sweep", "a,b"],
-        ["throughput", "--sweep", "0"],
-        ["throughput", "--sweep", "1,,2"],
-        ["throughput", "--sweep", "2,-1"],
-        ["throughput", "--delta", "0", "--sweep", "1"],
-        ["table1", "--delta", "0"],
-        ["table1", "--clients", "0"],
-        ["throughput", "--size", "-100000", "--sweep", "1"],
+        (["throughput", "--sweep", "a,b"], SWEEP_ERROR + "'a'"),
+        (["throughput", "--sweep", "0"], SWEEP_ERROR + "'0'"),
+        (["throughput", "--sweep", "1,,2"], SWEEP_ERROR + "''"),
+        (["throughput", "--sweep", "2,-1"], SWEEP_ERROR + "'-1'"),
+        # digits that str.isdigit() accepts but are not ASCII 0-9
+        (["throughput", "--sweep", "\u00b2"], SWEEP_ERROR + "'\u00b2'"),
+        (["throughput", "--sweep", "\u0663"], SWEEP_ERROR + "'\u0663'"),
+        (["throughput", "--delta", "0", "--sweep", "1"], "error: delta must be >= 1, got 0"),
+        (["table1", "--delta", "0"], "error: delta must be >= 1, got 0"),
+        (["table1", "--clients", "0"], "error: clients must be >= 1, got 0"),
+        (["throughput", "--size", "-100000", "--sweep", "1"],
+         "error: request_size must be >= 0, got -100000"),
     ],
     ids=[
         "non-integer-sweep",
         "zero-sweep",
         "empty-sweep-entry",
         "negative-sweep",
+        "superscript-digit-sweep",
+        "arabic-indic-digit-sweep",
         "zero-delta-throughput",
         "zero-delta-table1",
         "zero-clients",
         "negative-size",
     ],
 )
-def test_bench_rejects_out_of_range_arguments_as_a_usage_error(capsys, argv):
+def test_bench_rejects_out_of_range_arguments_as_a_usage_error(capsys, argv, error):
     assert main(["bench", *argv]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err == error + "\n"
