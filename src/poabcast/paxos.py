@@ -28,8 +28,7 @@ each read phase, and its proposals end with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional, Set, Tuple
 
 from .sim import Simulator
 from .values import NOOP, app_payload, describe
@@ -48,33 +47,31 @@ RETRY_DELAYS = 6
 PhaseHook = Callable[[Optional[int]], None]
 
 
-@dataclass(frozen=True)
-class ReadMsg:
+# Messages are immutable tuple records, one per multicast, shared by its
+# receivers. They compare as plain tuples, ReadMsg(3, 1) == WriteAck(3, 1),
+# so nothing compares messages of different types: dispatch is by type.
+class ReadMsg(NamedTuple):
     ballot: int
     lo: int
 
 
-@dataclass(frozen=True)
-class ReadAck:
+class ReadAck(NamedTuple):
     ballot: int
     accepted: Tuple[Tuple[int, Tuple[Any, int]], ...]  # (instance, (value, ballot))
 
 
-@dataclass(frozen=True)
-class WriteMsg:
+class WriteMsg(NamedTuple):
     ballot: int
     instance: int
     value: Any
 
 
-@dataclass(frozen=True)
-class WriteAck:
+class WriteAck(NamedTuple):
     ballot: int
     instance: int
 
 
-@dataclass(frozen=True)
-class DecideMsg:
+class DecideMsg(NamedTuple):
     instance: int
     value: Any
 
@@ -131,8 +128,9 @@ class PaxosNode:
             self.proposals.clear()
             self.on_phase_change(None)
         self.sim.emit("paxos-read", self.pid, ballot=self.ballot, lo=self.read_lo)
+        msg = ReadMsg(self.ballot, self.read_lo)
         for q in range(self.n):
-            self.sim.send(self.pid, q, ReadMsg(self.ballot, self.read_lo))
+            self.sim.send(self.pid, q, msg)
         self._arm_watchdog()
 
     def relinquish(self) -> None:
@@ -160,8 +158,9 @@ class PaxosNode:
             "paxos-write", self.pid, instance=instance, value=describe(value),
             ballot=self.ballot, app=payload is not None, payload=digest,
         )
+        msg = WriteMsg(self.ballot, instance, value)
         for q in range(self.n):
-            self.sim.send(self.pid, q, WriteMsg(self.ballot, instance, value), size=size)
+            self.sim.send(self.pid, q, msg, size=size)
         self._arm_watchdog()
 
     # -- message handling -------------------------------------------------
@@ -249,9 +248,10 @@ class PaxosNode:
             app=app_payload(value) is not None,
         )
         if announce:
+            msg = DecideMsg(instance, value)
             for q in range(self.n):
                 if q != self.pid:
-                    self.sim.send(self.pid, q, DecideMsg(instance, value))
+                    self.sim.send(self.pid, q, msg)
         self.proposals.pop(instance, None)
         while self._next_decide in self.decided:
             i = self._next_decide

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .sim import Simulator
 from .values import AppValue
@@ -51,16 +51,14 @@ class StateUpdate(AppValue):
         return self.body
 
 
-@dataclass(frozen=True)
-class Request:
+class Request(NamedTuple):  # an immutable tuple record, as Paxos's messages
     client: int
     reqid: int
     op: str
     size: int = 0
 
 
-@dataclass(frozen=True)
-class Reply:
+class Reply(NamedTuple):
     client: int
     reqid: int
     record: str

@@ -9,6 +9,7 @@ are YAML on disk; see the bundled files under ``scenarios/``.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
@@ -27,6 +28,13 @@ def _int(value: Any, key: str) -> int:
     if type(value) is not int:  # int() would truncate 3.7 to 3 and read true as 1
         raise ScenarioError(f"{key} must be an integer, got {value!r}")
     return value
+
+
+def _number(value: Any, key: str) -> float:
+    # float() would read "0.5" and true; a nan or inf cost has no departure tick
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ScenarioError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _known(raw: Dict[Any, Any], where: str, *read: str) -> None:
@@ -114,8 +122,6 @@ class Scenario:
             for key in ("reorder", "expect_violation"):  # bool("false") is True
                 if not isinstance(raw.get(key, False), bool):
                     raise ScenarioError(f"{key} must be true or false, got {raw[key]!r}")
-            if isinstance(raw.get("per_byte"), bool):  # float(true) is 1.0
-                raise ScenarioError(f"per_byte must be a number, got {raw['per_byte']!r}")
             _known(raw, "scenario", "name", "protocol", "n", "horizon", "omega", "crashes",
                    "reorder", "per_byte", "clients", "expect_violation",
                    "jitter" if raw.get("jitter") else "delta")
@@ -174,7 +180,7 @@ class Scenario:
                 crashes={_int(p, "process"): _int(t, "crash tick")
                          for p, t in (raw.get("crashes") or {}).items()},
                 reorder=raw.get("reorder", False),
-                per_byte=float(raw.get("per_byte", 0.0)),
+                per_byte=_number(raw.get("per_byte", 0.0), "per_byte"),
                 clients=clients,
                 expect_violation=raw.get("expect_violation", False),
             )

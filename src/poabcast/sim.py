@@ -6,6 +6,8 @@ messages only at a crashed receiver. Every link is FIFO, as TCP makes
 it: a message is due no earlier than the one sent ahead of it on the same
 link. With ``reorder`` on, only client links (an end above ``n - 1``)
 drop that floor, so a request or reply may overtake an earlier one.
+A sender's link is busy only under a per-byte cost, when a message departs
+once the sender's earlier ones are on the wire; else it departs at once.
 """
 
 from __future__ import annotations
@@ -177,12 +179,14 @@ class Simulator:
             heapq.heappush(self._heap, (now, self._insertion, to, None, frm, msg))
             return
         self._msg_seq += 1
-        departure = self._busy_until.get(frm, 0)
-        if departure < now:
-            departure = now
-        if size:
-            departure += int(round(size * self.per_byte))
-        self._busy_until[frm] = departure
+        departure = now
+        if self.per_byte:
+            busy = self._busy_until.get(frm, 0)
+            if busy > now:
+                departure = busy
+            if size:
+                departure += int(round(size * self.per_byte))
+            self._busy_until[frm] = departure
         deliver_at = departure + self._delay(self._msg_seq)
         if not self.reorder or (frm < self.n and to < self.n):
             floor = self._fifo_floor.get((frm, to), 0)
@@ -192,7 +196,7 @@ class Simulator:
         heapq.heappush(self._heap, (deliver_at, self._insertion, to, None, frm, msg))
 
     def sender_free_at(self, pid: int) -> int:
-        """Tick at which ``pid``'s outgoing link has sent everything queued."""
+        """Tick at which ``pid``'s link has sent all it queued; 0 with no byte cost."""
         return self._busy_until.get(pid, 0)
 
     # -- omega --------------------------------------------------------------
@@ -217,9 +221,10 @@ class Simulator:
     # -- trace --------------------------------------------------------------
 
     def emit(self, kind: str, actor: int, **data: Any) -> None:
-        # one call per event, straight onto the trace; index = position
+        # one call per event, straight onto the trace; index = position.
+        # tuple.__new__ skips the Python-level __new__ a NamedTuple call runs
         events = self.trace.events
-        events.append(TraceEvent(self.now, len(events), actor, kind, data))
+        events.append(tuple.__new__(TraceEvent, (self.now, len(events), actor, kind, data)))
 
     # -- main loop ----------------------------------------------------------
 

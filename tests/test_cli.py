@@ -97,6 +97,11 @@ def test_run_rejects_bad_timing_or_target_as_a_usage_error(tmp_path, patch):
         "per_byte: 1.0\nclients: [{id: 3, kind: loop, ops: [a], size: -200}]",
         "per_byte: -1.0\nclients: [{id: 3, kind: scripted, sends: "
         "[{at: 50, to: 0, reqid: 1, op: x, size: 200}]}]",
+        # a cost that is not a finite number would reach the link timing
+        "per_byte: .nan\nclients: [{id: 3, kind: loop, ops: [a], size: 8}]",
+        "per_byte: .inf\nclients: [{id: 3, kind: loop, ops: [a], size: 8}]",
+        "per_byte: 1e400\nclients: [{id: 3, kind: loop, ops: [a], size: 8}]",
+        'per_byte: "0.5"\nclients: [{id: 3, kind: loop, ops: [a], size: 8}]',
         "clients: [{id: 3, kind: loop, ops: [a], retry_every: -5}]",
         "delta: 0",
         "jitter: {min: 0, max: 5}",
@@ -132,6 +137,10 @@ def test_run_rejects_bad_timing_or_target_as_a_usage_error(tmp_path, patch):
         "negative-send-size",
         "negative-client-size",
         "negative-per-byte",
+        "nan-per-byte",
+        "infinite-per-byte",
+        "overflowing-per-byte",
+        "string-per-byte",
         "negative-retry-every",
         "zero-delta",
         "zero-jitter-min",

@@ -2,6 +2,7 @@
 the black-box contract: its termination and latest-wins cases, and its four
 properties over random schedules."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,9 +11,11 @@ from poabcast.paxos import (
     PaxosNode,
     ReadAck,
     ReadMsg,
+    WriteAck,
     WriteMsg,
     WRITING,
 )
+from poabcast.replication import Reply, Request
 from poabcast.sim import DelayModel, OmegaScript, Simulator
 from poabcast.values import NOOP, AppValue, Batch, NewEpoch, Skip, ValTuple, app_payload
 
@@ -145,6 +148,41 @@ def test_stable_leader_keeps_no_decided_instance_in_flight():
     assert sorted(leader.decided) == [1, 2, 3, 4, 5]
     assert leader.proposals == {}
     assert leader.writes == {}
+
+
+def test_a_multicast_hands_one_message_object_to_every_receiver(monkeypatch):
+    sim, nodes = make_cluster(n=5)
+    sent = []
+    send = Simulator.send
+
+    def record(self, frm, to, msg, size=0):
+        sent.append((frm, to, msg))
+        send(self, frm, to, msg, size)
+
+    monkeypatch.setattr(Simulator, "send", record)
+    nodes[0].node.ensure_leadership()
+    nodes[0].node.propose(AppValue("v"), 1)
+    sim.run(500)
+    assert [nd.delivered for nd in nodes] == [[(1, AppValue("v"))]] * 5
+
+    def multicast(kind):
+        return [(to, msg) for frm, to, msg in sent if frm == 0 and type(msg) is kind]
+
+    for kind, receivers in ((ReadMsg, [0, 1, 2, 3, 4]), (WriteMsg, [0, 1, 2, 3, 4]),
+                            (DecideMsg, [1, 2, 3, 4])):
+        got = multicast(kind)
+        assert [to for to, _ in got] == receivers
+        assert len({id(msg) for _, msg in got}) == 1
+
+
+def test_messages_are_immutable_records():
+    v = AppValue("v")
+    for msg in (ReadMsg(3, 1), ReadAck(3, ()), WriteMsg(3, 1, v), WriteAck(3, 1),
+                DecideMsg(1, v), Request(5, 1, "op"), Reply(5, 1, "r", "d")):
+        for name in msg._fields:
+            with pytest.raises(AttributeError):
+                setattr(msg, name, 0)
+    assert Request(client=5, reqid=1, op="op") == Request(5, 1, "op", 0)
 
 
 def test_decide_stream_reorders_into_gap_free_sequence():

@@ -152,6 +152,34 @@ def test_per_byte_cost_serializes_the_sender():
     assert times == [("a", 15), ("b", 20)]
 
 
+def test_a_link_with_no_byte_cost_departs_at_the_send_tick():
+    sim = Simulator(n=3, delay_model=DelayModel.jitter(5, 15, seed=3),
+                    omega=OmegaScript.single(3, 0), per_byte=0)
+    due, got = [], []
+
+    class Probe:
+        def on_message(self, frm, msg):
+            got.append((msg, sim.now))
+
+    def burst(tag):
+        for k in range(4):
+            sim.send(0, 1, (tag, k), size=1000)  # link message len(due) + 1
+            due.append(((tag, k), sim.now + sim.delay_model.delay(len(due) + 1)))
+            assert sim.sender_free_at(0) <= sim.now
+
+    sim.add_actor(1, Probe())
+    sim.schedule(0, lambda: burst("a"))
+    sim.schedule(3, lambda: burst("b"))
+    sim.run(100)
+    floor, expected = 0, []
+    for msg, at in due:  # the FIFO floor: never due before the message ahead
+        floor = max(floor, at)
+        expected.append((msg, floor))
+    assert got == expected
+    assert expected != due  # some message waits for the one ahead of it
+    assert sim.sender_free_at(0) <= sim.now
+
+
 def test_jitter_is_a_pure_function_of_seed_and_seq():
     m1 = DelayModel.jitter(8, 12, seed=1)
     m2 = DelayModel.jitter(8, 12, seed=1)

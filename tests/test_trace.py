@@ -11,7 +11,7 @@ import poabcast
 from poabcast.cli import bundled_scenarios, load_scenario
 from poabcast.runner import run
 from poabcast.scenario import random_scenario
-from poabcast.trace import Trace, TraceEvent
+from poabcast.trace import _ITERENCODE, Trace, TraceEvent
 
 VARIANTS = ("tau-seq", "tau-paxos", "barrier-free")
 
@@ -115,3 +115,15 @@ def test_jsonl_round_trips_through_from_jsonl():
     texts += [run(load_scenario(name)).to_jsonl() for name in bundled]
     for text in texts:
         assert Trace.from_jsonl(text).to_jsonl() == text
+
+
+def test_an_event_the_encoder_writes_in_several_chunks_serializes_whole():
+    data = {"big": list(range(100_000)), "kind": "x"}
+    ev = TraceEvent(time=4, index=0, actor=2, kind="bulk", data=data)
+    if json.encoder.c_make_encoder:
+        assert len(_ITERENCODE(data, 0)) > 1  # the C encoder flushes long output
+    trace = Trace([ev])
+    expected = json.dumps({"data": data, "i": 0, "kind": "bulk", "p": 2, "t": 4},
+                          sort_keys=True, separators=(",", ":"))
+    assert jsonl_lines(trace)[0] == expected
+    assert Trace.from_jsonl(trace.to_jsonl()).to_jsonl() == trace.to_jsonl()
