@@ -329,7 +329,10 @@ def run_throughput(mode: str, clients: int, request_size: int, delta: int = 10) 
     load = [_LoadClient(request_size) for _ in range(clients)]
     # every client sends its first request at tick 1
     sim.schedule(1, lambda: leader.send_requests(load))
-    sim.run(WARMUP + WINDOW)
+    try:
+        sim.run(WARMUP + WINDOW)
+    finally:
+        sim.close()
 
     samples = [lat for c in load for lat in c.samples]
     if not samples:

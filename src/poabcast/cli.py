@@ -18,7 +18,7 @@ from typing import List, Optional
 from . import bench
 from .checker import Report, check_all
 from .runner import run
-from .scenario import Scenario, ScenarioError
+from .scenario import PROTOCOLS, Scenario, ScenarioError
 from .trace import Trace
 
 EXIT_OK = 0
@@ -125,6 +125,9 @@ def cmd_report(args) -> int:
     try:
         with open(args.trace) as f:
             trace = Trace.from_jsonl(f.read())
+        # a run's trace ends with its summary; without it every check reads as naive's
+        if not isinstance(trace.summary, dict) or trace.summary.get("protocol") not in PROTOCOLS:
+            raise ValueError("no summary line names a known protocol")
         report = check_all(trace)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)

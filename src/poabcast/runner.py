@@ -61,7 +61,10 @@ def build(scenario: Scenario) -> Tuple[Simulator, List[Replica], List[Any]]:
 
 def run(scenario: Scenario) -> Trace:
     sim, replicas, clients = build(scenario)
-    trace = sim.run(scenario.horizon)
+    try:
+        trace = sim.run(scenario.horizon)
+    finally:
+        sim.close()
     trace.summary.update(
         {
             "scenario": scenario.name,

@@ -111,6 +111,11 @@ class Scenario:
                     raise ScenarioError(f"client {c.cid}: send at t={at} to {to} is out of range")
                 if size < 0:
                     raise ScenarioError(f"client {c.cid}: send at t={at} has size {size} < 0")
+            big = sys.float_info.max  # a link charges int(round(size * per_byte)) ticks
+            for size in [c.op_size] + [s[4] for s in c.sends]:
+                if self.per_byte and not (size <= big and size * self.per_byte <= big):
+                    raise ScenarioError(f"client {c.cid}: size {size} at per_byte "
+                                        f"{self.per_byte} is no finite number of ticks")
         try:
             self.omega.validate(self.n, self.crashes)
         except ValueError as e:

@@ -8,6 +8,9 @@ link. With ``reorder`` on, only client links (an end above ``n - 1``)
 drop that floor, so a request or reply may overtake an earlier one.
 A sender's link is busy only under a per-byte cost, when a message departs
 once the sender's earlier ones are on the wire; else it departs at once.
+Actors and their simulator reach each other, so the builder closes it once
+``run`` returns (``runner.run``, ``bench.run_throughput``): the run is then
+freed without the cyclic collector, and its trace lives on with its holder.
 """
 
 from __future__ import annotations
@@ -257,3 +260,11 @@ class Simulator:
         self.now = until
         self.trace.summary.setdefault("horizon", until)
         return self.trace
+
+    def close(self) -> None:
+        """Drop the actors, the pending events (their callbacks close over
+        actors) and the trace; the trace ``run`` returned stays whole with
+        whoever holds it. A closed simulator is not run again."""
+        self.actors.clear()
+        self._heap.clear()
+        self.trace = None

@@ -101,6 +101,10 @@ def test_run_rejects_bad_timing_or_target_as_a_usage_error(tmp_path, patch):
         "per_byte: .nan\nclients: [{id: 3, kind: loop, ops: [a], size: 8}]",
         "per_byte: .inf\nclients: [{id: 3, kind: loop, ops: [a], size: 8}]",
         "per_byte: 1e400\nclients: [{id: 3, kind: loop, ops: [a], size: 8}]",
+        # each finite, but a request's byte cost is not
+        "per_byte: 1.0e+308\nclients: [{id: 3, kind: loop, ops: [a], size: 8}]",
+        "per_byte: 1.0e+308\nclients: [{id: 3, kind: scripted, sends: "
+        "[{at: 50, to: 0, reqid: 1, op: x, size: 8}]}]",
         'per_byte: "0.5"\nclients: [{id: 3, kind: loop, ops: [a], size: 8}]',
         "clients: [{id: 3, kind: loop, ops: [a], retry_every: -5}]",
         "delta: 0",
@@ -140,6 +144,8 @@ def test_run_rejects_bad_timing_or_target_as_a_usage_error(tmp_path, patch):
         "nan-per-byte",
         "infinite-per-byte",
         "overflowing-per-byte",
+        "overflowing-loop-request-cost",
+        "overflowing-send-cost",
         "string-per-byte",
         "negative-retry-every",
         "zero-delta",
@@ -191,19 +197,32 @@ def test_run_rejects_negative_or_malformed_values_as_a_usage_error(tmp_path, cap
 
 
 @pytest.mark.parametrize(
-    "line",
+    "text, reason",
     [
-        '{"t": 0, "i": 0',
-        '{"t": 0, "i": 0, "p": 0, "data": {}}',
-        '{"t": 0, "i": 0, "p": 0, "kind": "deliver", "data": {}}',
+        ('{"t": 0, "i": 0\n', "JSONDecodeError"),
+        ('{"t": 0, "i": 0, "p": 0, "data": {}}\n', "KeyError('kind')"),
+        ('{"t": 0, "i": 0, "p": 0, "kind": "deliver", "data": {}}\n'
+         '{"summary":{"protocol":"naive"}}\n', "KeyError('value')"),
+        ("", "no summary line"),
+        (None, "no summary line"),  # a saved trace cut before its summary line
+        ('{"summary": 5}\n', "no summary line"),
     ],
-    ids=["not-json", "lacks-kind", "deliver-lacks-value"],
+    ids=["not-json", "lacks-kind", "deliver-lacks-value", "empty", "summary-cut",
+         "summary-not-a-mapping"],
 )
-def test_report_on_a_malformed_trace_is_a_usage_error(tmp_path, capsys, line):
+def test_report_on_a_malformed_trace_is_a_usage_error(tmp_path, capsys, text, reason):
+    if text is None:
+        assert main(["run", "stable-tau-seq", "--out", str(tmp_path)]) == EXIT_OK
+        capsys.readouterr()
+        text = (tmp_path / "stable-tau-seq.trace.jsonl").read_text()
+        text = text[: text.rindex("\n", 0, -1) + 1]
+        assert '"summary"' not in text
     bad = tmp_path / "bad.jsonl"
-    bad.write_text(line + "\n")
+    bad.write_text(text)
     assert main(["report", str(bad)]) == EXIT_USAGE
-    assert capsys.readouterr().err.startswith("error: ")
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: {bad} is not a trace: ") and reason in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("name", list(MAPPING_FAULTS))

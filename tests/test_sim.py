@@ -1,13 +1,15 @@
 """Simulation kernel: scheduling, links, crashes, oracle script, determinism."""
 
+import gc
+import weakref
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poabcast.bench import bench_throughput
-from poabcast.runner import run
+from poabcast.bench import bench_throughput, run_throughput
+from poabcast.runner import build, run
 from poabcast.scenario import random_scenario
 from poabcast.sim import DelayModel, OmegaScript, SchedulingError, Simulator
 
@@ -492,18 +494,25 @@ def counted(monkeypatch, owner, attr):
     return calls
 
 
+def recorded_runs(monkeypatch, record=lambda sim, trace: (sim, trace)):
+    """Keep ``record(simulator, returned trace)`` of each ``Simulator.run`` call."""
+    runs = []
+    sim_run = Simulator.run
+
+    def recording_run(self, until):
+        trace = sim_run(self, until)
+        runs.append(record(self, trace))
+        return trace
+
+    monkeypatch.setattr(Simulator, "run", recording_run)
+    return runs
+
+
 @pytest.mark.parametrize("workload", ["corpus", "throughput"])
 def test_emit_runs_once_per_event_and_delay_once_per_link_message(monkeypatch, workload):
     # the benchmark counts trace events and delay draws by wrapping these two
     # class attributes, so no path may go round them
-    sims = []
-    init = Simulator.__init__
-
-    def recording_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        sims.append(self)
-
-    monkeypatch.setattr(Simulator, "__init__", recording_init)
+    runs = recorded_runs(monkeypatch)
     emits = counted(monkeypatch, Simulator, "emit")
     delays = counted(monkeypatch, DelayModel, "delay")
     if workload == "corpus":
@@ -512,6 +521,37 @@ def test_emit_runs_once_per_event_and_delay_once_per_link_message(monkeypatch, w
                 run(random_scenario(seed, variant))
     else:
         bench_throughput(request_size=1024, clients_sweep=[8])
-    assert sims
-    assert emits[0] == sum(len(sim.trace) for sim in sims) > 0
-    assert delays[0] == sum(sim._msg_seq for sim in sims) > 0
+    assert runs
+    assert emits[0] == sum(len(trace) for _, trace in runs) > 0
+    assert delays[0] == sum(sim._msg_seq for sim, _ in runs) > 0
+
+
+# -- a finished run is freed by reference counting ------------------------------
+
+def test_close_leaves_the_returned_trace_whole():
+    sim, _, _ = build(random_scenario(5, "tau-paxos"))
+    trace = sim.run(3000)
+    text = trace.to_jsonl()
+    sim.close()
+    assert trace.to_jsonl() == text
+
+
+def test_a_finished_run_is_freed_without_the_cyclic_collector():
+    gc.disable()
+    try:
+        trace = run(random_scenario(5, "tau-paxos"))
+        ref = weakref.ref(trace)
+        del trace
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_a_finished_throughput_run_is_freed_without_the_cyclic_collector(monkeypatch):
+    refs = recorded_runs(monkeypatch, lambda sim, trace: weakref.ref(trace))
+    gc.disable()
+    try:
+        run_throughput("parallel", 16, 1024)
+        assert len(refs) == 1 and refs[0]() is None
+    finally:
+        gc.enable()
