@@ -7,7 +7,7 @@ a deterministic discrete-event simulator with trace checkers for every
 safety property.
 """
 
-from .checker import check_all, check_linearizable, derive_primary_mapping
+from .checker import check_all, check_linearizable
 from .runner import build, run
 from .scenario import Scenario, random_scenario
 from .sim import DelayModel, OmegaScript, Simulator
@@ -23,7 +23,6 @@ __all__ = [
     "build",
     "check_all",
     "check_linearizable",
-    "derive_primary_mapping",
     "random_scenario",
     "run",
 ]

@@ -15,7 +15,7 @@ from typing import Any, Dict
 
 from .broadcast import PrimaryOrderLayer
 from .sim import Simulator
-from .values import Noop, describe
+from .values import Noop
 
 
 class NaiveAbcast(PrimaryOrderLayer):
@@ -40,7 +40,7 @@ class NaiveAbcast(PrimaryOrderLayer):
     def on_decide(self, value: Any, instance: int) -> None:
         self.dec = instance
         if not isinstance(value, Noop):
-            self.sim.emit("deliver", self.pid, instance=instance, value=describe(value))
+            self.sim.emit("deliver", self.pid, instance=instance, value=value.digest())
             self.delegate.on_deliver(value)
         mine = self.outstanding.pop(instance, None)
         if mine is not None and mine != value and self.leader == self.pid:
@@ -48,7 +48,7 @@ class NaiveAbcast(PrimaryOrderLayer):
             self.prop = max(self.prop + 1, self.dec + 1)
             self.outstanding[self.prop] = mine
             self.sim.emit(
-                "reproposed", self.pid, instance=self.prop, value=describe(mine)
+                "reproposed", self.pid, instance=self.prop, value=mine.digest()
             )
             self.paxos.propose(mine, self.prop)
 
@@ -58,5 +58,5 @@ class NaiveAbcast(PrimaryOrderLayer):
         self._require_primary()
         self.prop = max(self.prop + 1, self.dec + 1)
         self.outstanding[self.prop] = value
-        self.sim.emit("broadcast", self.pid, instance=self.prop, value=describe(value))
+        self.sim.emit("broadcast", self.pid, instance=self.prop, value=value.digest())
         self.paxos.propose(value, self.prop)

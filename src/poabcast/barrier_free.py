@@ -19,7 +19,7 @@ from typing import Any, Dict, Tuple
 
 from .broadcast import PrimaryOrderLayer
 from .sim import Simulator
-from .values import NewEpoch, Noop, ValTuple, describe
+from .values import NewEpoch, Noop, ValTuple
 
 
 class BarrierFreeBroadcast(PrimaryOrderLayer):
@@ -80,7 +80,7 @@ class BarrierFreeBroadcast(PrimaryOrderLayer):
                 v = self.dec_array.pop(self.deliv_seqno)
                 self.sim.emit(
                     "deliver", self.pid, instance=instance, epoch=self.epoch,
-                    seqno=self.deliv_seqno, value=describe(v),
+                    seqno=self.deliv_seqno, value=v.digest(),
                 )
                 self.deliv_seqno += 1
                 self.delegate.on_deliver(v)
@@ -103,7 +103,7 @@ class BarrierFreeBroadcast(PrimaryOrderLayer):
         self._require_primary()
         self.sim.emit(
             "broadcast", self.pid, instance=self.prop, seqno=self.seqno,
-            epoch=self.epoch, value=describe(value),
+            epoch=self.epoch, value=value.digest(),
         )
         self.prop_array[self.prop] = (value, self.seqno)
         self.paxos.propose(ValTuple(value, self.epoch, self.seqno), self.prop)

@@ -8,9 +8,8 @@ invariants (at-most-once, no failed applies, digest convergence),
 protocol-specific invariants, liveness, and linearizability of the client
 history, decided on every run by one walk along the service's digest chain.
 
-``check_all`` reads the trace once: one pass builds a ``TraceIndex`` and
-every check reads that index. Each check also accepts a plain ``Trace``
-and indexes it on entry.
+``check_all`` reads the trace once: one pass builds a ``TraceIndex``, every
+check reads that index, and ``check_all`` alone builds the ``Report``.
 
 Primary epochs are intervals between primary-begin and primary-end
 events at one process. Epochs in which at least one broadcast value was
@@ -20,7 +19,7 @@ identifiers' integer order is the epoch order every ordering property is
 checked against.
 
 A fault is always a verdict, so ``check_all`` returns a ``Report`` for
-every trace that parses: epochs that cannot be mapped fail
+every trace that names its protocol: epochs that cannot be mapped fail
 ``primary-mapping``, and the ordering properties are checked over the
 epochs that did map.
 """
@@ -31,25 +30,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import takewhile
 from operator import attrgetter
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple
 
 from .replication import INITIAL_STATE, _digest as _chain, op_record  # the service's steps
 from .trace import Trace, TraceEvent
-
-SAFETY_PROPERTIES = (
-    "integrity",
-    "total-order",
-    "agreement",
-    "local-primary-order",
-    "global-primary-order",
-    "primary-integrity",
-    "barrier",
-    "at-most-once",
-    "no-failed-applies",
-    "digest-convergence",
-    "primary-mapping",
-    "linearizable",
-)
 
 
 @dataclass
@@ -64,8 +48,10 @@ class Epoch:
 
 @dataclass
 class Report:
-    verdicts: Dict[str, Optional[str]] = field(default_factory=dict)
-    liveness: str = "skipped"  # "pass" | "inconclusive" | "skipped"
+    """A trace's verdicts and liveness; only ``check_all`` builds one."""
+
+    verdicts: Dict[str, Optional[str]]
+    liveness: str  # "pass" | "inconclusive"
 
     @property
     def violations(self) -> Dict[str, str]:
@@ -77,7 +63,7 @@ class Report:
 
     @property
     def linearizable(self) -> bool:
-        """The ``linearizable`` verdict passed, or was not checked."""
+        """The ``linearizable`` verdict passed."""
         return self.verdicts.get("linearizable") is None
 
 
@@ -146,11 +132,6 @@ class TraceIndex:
             None,
         )
 
-    @classmethod
-    def of(cls, trace: Union[Trace, TraceIndex]) -> TraceIndex:
-        """The index itself, or a new index of a plain trace."""
-        return trace if isinstance(trace, TraceIndex) else cls(trace)
-
     def by_kind(self, *kinds: str) -> List[TraceEvent]:
         """Events of the given kinds, in trace (event index) order."""
         if len(kinds) == 1:
@@ -198,9 +179,7 @@ class TraceIndex:
         return epochs, fault
 
 
-def derive_primary_mapping(
-    trace: Union[Trace, TraceIndex], protocol: str
-) -> Tuple[List[Epoch], Optional[str]]:
+def derive_primary_mapping(idx: TraceIndex, protocol: str) -> Tuple[List[Epoch], Optional[str]]:
     """Assign identifiers to epochs that had at least one value delivered,
     and return those epochs in identifier order, with the first fault: the
     epochs' own, else the first epoch left out for want of an identifier or
@@ -210,7 +189,6 @@ def derive_primary_mapping(
     value. tau-paxos: the ballot the primary crossed the barrier with.
     barrier-free: the instance in which the epoch was established.
     """
-    idx = TraceIndex.of(trace)
     epochs, fault = idx.epochs
     first = idx.first_delivery
     seen: Dict[int, Epoch] = {}
@@ -244,8 +222,7 @@ def derive_primary_mapping(
 # -- atomic broadcast properties --------------------------------------------
 
 
-def check_abcast(trace: Union[Trace, TraceIndex]) -> Report:
-    idx = TraceIndex.of(trace)
+def check_abcast(idx: TraceIndex) -> Dict[str, Optional[str]]:
     conflict = False
     if idx.chain_violation is not None:
         # classify: an order conflict is a total-order violation, a gap in an
@@ -254,20 +231,19 @@ def check_abcast(trace: Union[Trace, TraceIndex]) -> Report:
             indices = [idx.position.get(e.data["value"]) for e in evs]
             indices = [i for i in indices if i is not None]
             conflict = conflict or indices != sorted(indices)
-    return Report({
+    return {
         "integrity": idx.integrity,
         "total-order": idx.chain_violation if conflict else None,
         "agreement": None if conflict else idx.chain_violation,
-    })
+    }
 
 
 # -- primary order properties -------------------------------------------------
 
 
-def check_poabcast(trace: Union[Trace, TraceIndex], ordered: List[Epoch]) -> Report:
+def check_poabcast(idx: TraceIndex, ordered: List[Epoch]) -> Dict[str, Optional[str]]:
     """The primary-order properties over ``ordered``, the identified epochs in
     identifier order that ``derive_primary_mapping`` returns."""
-    idx = TraceIndex.of(trace)
     pos = idx.position
 
     # per epoch, the global delivery positions of its broadcasts, in broadcast order
@@ -313,9 +289,7 @@ def check_poabcast(trace: Union[Trace, TraceIndex], ordered: List[Epoch]) -> Rep
             if all(v is None for v in others):
                 gpo += f"; {early} was delivered before it was broadcast"
             break
-    return Report(
-        {"local-primary-order": lpo, "global-primary-order": gpo, "primary-integrity": pi}
-    )
+    return {"local-primary-order": lpo, "global-primary-order": gpo, "primary-integrity": pi}
 
 
 def _primary_integrity(idx: TraceIndex, ordered: List[Epoch]) -> Optional[str]:
@@ -345,11 +319,11 @@ def _primary_integrity(idx: TraceIndex, ordered: List[Epoch]) -> Optional[str]:
     return None
 
 
-def check_barrier(trace: Union[Trace, TraceIndex], ordered: List[Epoch]) -> Optional[str]:
+def check_barrier(idx: TraceIndex, ordered: List[Epoch]) -> Optional[str]:
     """Each crossing's decided watermark covers every instance at which an
     earlier epoch's value was decided (finite-trace restriction); ``ordered``
     as in ``check_poabcast``."""
-    decided_at = TraceIndex.of(trace).decided_instance
+    decided_at = idx.decided_instance
     highest = float("-inf")  # over the values of the epochs before the current one
     for i, epoch in enumerate(ordered):
         if epoch.crossing is not None and highest > epoch.crossing.data["dec"]:
@@ -371,8 +345,7 @@ def check_barrier(trace: Union[Trace, TraceIndex], ordered: List[Epoch]) -> Opti
 # -- replication invariants ---------------------------------------------------
 
 
-def check_replication(trace: Union[Trace, TraceIndex]) -> Report:
-    idx = TraceIndex.of(trace)
+def check_replication(idx: TraceIndex) -> Dict[str, Optional[str]]:
     bots = idx.by_kind("apply-bot")
     failed = (
         f"process {bots[0].actor} hit a failed apply at t={bots[0].time}"
@@ -405,16 +378,16 @@ def check_replication(trace: Union[Trace, TraceIndex]) -> Report:
     conv = None if first_break is None else (
         f"process {first_break[0]} state chain diverges from the common chain"
     )
-    return Report({"no-failed-applies": failed, "at-most-once": amo, "digest-convergence": conv})
+    return {"no-failed-applies": failed, "at-most-once": amo, "digest-convergence": conv}
 
 
 # -- protocol-specific invariants ----------------------------------------------
 
 
-def check_sequentiality(trace: Union[Trace, TraceIndex]) -> Optional[str]:
+def check_sequentiality(idx: TraceIndex) -> Optional[str]:
     """At most one undecided application proposal per process at any instant."""
     outstanding: Dict[int, Set[int]] = {}
-    for e in TraceIndex.of(trace).by_kind("broadcast", "decide"):
+    for e in idx.by_kind("broadcast", "decide"):
         if e.kind == "broadcast":
             pend = outstanding.setdefault(e.actor, set())
             pend.add(e.data["instance"])
@@ -428,11 +401,11 @@ def check_sequentiality(trace: Union[Trace, TraceIndex]) -> Optional[str]:
     return None
 
 
-def check_single_ballot_epochs(trace: Union[Trace, TraceIndex]) -> Optional[str]:
+def check_single_ballot_epochs(idx: TraceIndex) -> Optional[str]:
     """tau-paxos: a primary epoch spans one ballot, so no read phase starts at
     a process inside its own open primary epoch."""
     in_epoch: Set[int] = set()
-    for e in TraceIndex.of(trace).by_kind("primary-begin", "primary-end", "paxos-read"):
+    for e in idx.by_kind("primary-begin", "primary-end", "paxos-read"):
         if e.kind == "primary-begin":
             in_epoch.add(e.actor)
         elif e.kind == "primary-end":
@@ -445,10 +418,10 @@ def check_single_ballot_epochs(trace: Union[Trace, TraceIndex]) -> Optional[str]
     return None
 
 
-def check_consensus(trace: Union[Trace, TraceIndex]) -> Optional[str]:
+def check_consensus(idx: TraceIndex) -> Optional[str]:
     """Agreement at the consensus level: one value per decided instance."""
     chosen: Dict[int, str] = {}
-    for e in TraceIndex.of(trace).by_kind("decide"):
+    for e in idx.by_kind("decide"):
         v = chosen.setdefault(e.data["instance"], e.data["value"])
         if v != e.data["value"]:
             return (
@@ -458,14 +431,13 @@ def check_consensus(trace: Union[Trace, TraceIndex]) -> Optional[str]:
     return None
 
 
-def check_barrier_free(trace: Union[Trace, TraceIndex]) -> Optional[str]:
+def check_barrier_free(idx: TraceIndex) -> Optional[str]:
     """Election-protocol invariants on barrier-free traces.
 
     Each epoch is established at one election instance, and distinct epochs
     at distinct ones; per process and epoch, delivered seqnos run gap-free
     from the election instance + 1. Integrity, not this check, catches duplicates.
     """
-    idx = TraceIndex.of(trace)
     election_at: Dict[int, int] = {}
     for e in idx.by_kind("epoch-established"):
         inst = election_at.setdefault(e.data["epoch"], e.data["instance"])
@@ -497,13 +469,12 @@ def check_barrier_free(trace: Union[Trace, TraceIndex]) -> Optional[str]:
 # -- liveness --------------------------------------------------------------------
 
 
-def check_liveness(trace: Union[Trace, TraceIndex]) -> str:
+def check_liveness(idx: TraceIndex) -> str:
     """'pass' when the run demonstrably made progress, else 'inconclusive'.
 
     A finite trace can never prove a liveness failure, so the negative
     verdict only says the horizon was too short to tell.
     """
-    idx = TraceIndex.of(trace)
     horizon = idx.summary.get("horizon")
     base = idx.summary.get("base_delay", 10)
     stable_from = idx.summary.get("stable_from")
@@ -553,8 +524,7 @@ class HistoryOp:
         return op_record(self.client, self.reqid, self.op)
 
 
-def extract_history(trace: Union[Trace, TraceIndex]) -> List[HistoryOp]:
-    idx = TraceIndex.of(trace)
+def extract_history(idx: TraceIndex) -> List[HistoryOp]:
     invokes: Dict[Tuple[int, int], TraceEvent] = {}
     for e in idx.by_kind("request"):
         invokes.setdefault((e.actor, e.data["reqid"]), e)
@@ -632,25 +602,25 @@ def _extend(
 # -- one-stop entry point --------------------------------------------------------------
 
 
-def check_all(trace: Union[Trace, TraceIndex]) -> Report:
-    idx = TraceIndex.of(trace)
-    protocol = idx.summary.get("protocol", "naive")
-    report = Report({"consensus-agreement": check_consensus(idx)})
-    report.verdicts.update(check_abcast(idx).verdicts)
-    ordered, report.verdicts["primary-mapping"] = derive_primary_mapping(idx, protocol)
-    report.verdicts.update(check_poabcast(idx, ordered).verdicts)
+def check_all(trace: Trace) -> Report:
+    idx = TraceIndex(trace)
+    protocol = idx.summary["protocol"]
+    verdicts = {"consensus-agreement": check_consensus(idx)}
+    verdicts.update(check_abcast(idx))
+    ordered, verdicts["primary-mapping"] = derive_primary_mapping(idx, protocol)
+    verdicts.update(check_poabcast(idx, ordered))
     if protocol in ("tau-seq", "tau-paxos"):
-        report.verdicts["barrier"] = check_barrier(idx, ordered)
+        verdicts["barrier"] = check_barrier(idx, ordered)
     if protocol == "tau-seq":
-        report.verdicts["sequential-instances"] = check_sequentiality(idx)
+        verdicts["sequential-instances"] = check_sequentiality(idx)
     if protocol == "tau-paxos":
-        report.verdicts["single-ballot-epochs"] = check_single_ballot_epochs(idx)
+        verdicts["single-ballot-epochs"] = check_single_ballot_epochs(idx)
     if protocol == "barrier-free":
-        report.verdicts["election-order"] = check_barrier_free(idx)
-    report.verdicts.update(check_replication(idx).verdicts)
-    report.liveness = check_liveness(idx)
+        verdicts["election-order"] = check_barrier_free(idx)
+    verdicts.update(check_replication(idx))
+    liveness = check_liveness(idx)
     linearizable = check_linearizable(extract_history(idx))
-    report.verdicts["linearizable"] = None if linearizable else (
+    verdicts["linearizable"] = None if linearizable else (
         "no order of the client history follows the service's digest chain"
     )
-    return report
+    return Report(verdicts, liveness)

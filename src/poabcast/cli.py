@@ -121,13 +121,29 @@ def cmd_list(args) -> int:
     return EXIT_OK
 
 
+def _check_summary(summary) -> None:
+    """Raise ValueError unless ``summary`` names a known protocol and each
+    field the checks or the exit rule read, when present, has its type."""
+    # a run's trace ends with its summary, and check_all needs its protocol
+    if not isinstance(summary, dict) or summary.get("protocol") not in PROTOCOLS:
+        raise ValueError("no summary line names a known protocol")
+    for key in ("horizon", "stable_from", "base_delay"):
+        if key in summary and type(summary[key]) is not int:  # not a bool either
+            raise ValueError(f"summary {key} is not an integer: {summary[key]!r}")
+    if not isinstance(summary.get("expect_violation", False), bool):
+        raise ValueError("summary expect_violation is not a boolean")
+    crashes = summary.get("crashes", {})
+    if not isinstance(crashes, dict) or not all(
+        p.isascii() and p.isdigit() and type(t) is int for p, t in crashes.items()
+    ):
+        raise ValueError("summary crashes is not a map from process ids to ticks")
+
+
 def cmd_report(args) -> int:
     try:
         with open(args.trace) as f:
             trace = Trace.from_jsonl(f.read())
-        # a run's trace ends with its summary; without it every check reads as naive's
-        if not isinstance(trace.summary, dict) or trace.summary.get("protocol") not in PROTOCOLS:
-            raise ValueError("no summary line names a known protocol")
+        _check_summary(trace.summary)
         report = check_all(trace)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -135,7 +151,7 @@ def cmd_report(args) -> int:
     except (KeyError, TypeError, ValueError) as e:  # a line that is not JSON or lacks a field
         print(f"error: {args.trace} is not a trace: {e!r}", file=sys.stderr)
         return EXIT_USAGE
-    expect_violation = bool(trace.summary.get("expect_violation"))
+    expect_violation = trace.summary.get("expect_violation", False)
     sys.stdout.write(render_report(report, expect_violation))
     return exit_code(report, expect_violation)
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, NamedTuple, Optional, Set, Tuple
 
 from .sim import Simulator
-from .values import NOOP, app_payload, describe
+from .values import NOOP, app_payload
 
 
 IDLE = "idle"
@@ -144,7 +144,7 @@ class PaxosNode:
             return
         self.proposals[instance] = value  # replaces an earlier proposal
         self.sim.emit(
-            "propose", self.pid, instance=instance, value=describe(value),
+            "propose", self.pid, instance=instance, value=value.digest(),
             app=app_payload(value) is not None,
         )
         if self.phase == WRITING and instance not in self.writes:
@@ -155,7 +155,7 @@ class PaxosNode:
         payload = app_payload(value)
         digest, size = (None, 0) if payload is None else (payload.digest(), payload.size)
         self.sim.emit(
-            "paxos-write", self.pid, instance=instance, value=describe(value),
+            "paxos-write", self.pid, instance=instance, value=value.digest(),
             ballot=self.ballot, app=payload is not None, payload=digest,
         )
         msg = WriteMsg(self.ballot, instance, value)
@@ -244,7 +244,7 @@ class PaxosNode:
         self.writes.pop(instance, None)  # writes holds only undecided instances
         self._progress += 1
         self.sim.emit(
-            "decide", self.pid, instance=instance, value=describe(value),
+            "decide", self.pid, instance=instance, value=value.digest(),
             app=app_payload(value) is not None,
         )
         if announce:

@@ -25,7 +25,7 @@ from typing import Any, Optional
 
 from .broadcast import PrimaryOrderLayer
 from .sim import Simulator
-from .values import Noop, Skip, describe
+from .values import Noop, Skip
 
 TOP = float("inf")  # barrier value meaning "not currently passable"
 
@@ -85,7 +85,7 @@ class TauBroadcast(PrimaryOrderLayer):
     def on_decide(self, value: Any, instance: int) -> None:
         self.dec = instance
         if not isinstance(value, (Noop, Skip)):
-            self.sim.emit("deliver", self.pid, instance=instance, value=describe(value))
+            self.sim.emit("deliver", self.pid, instance=instance, value=value.digest())
             self.delegate.on_deliver(value)
         self._refresh()
 
@@ -95,7 +95,7 @@ class TauBroadcast(PrimaryOrderLayer):
         self._require_primary()
         self.prop = max(self.prop + 1, self.dec + 1)
         self.sim.emit(
-            "broadcast", self.pid, instance=self.prop, value=describe(value)
+            "broadcast", self.pid, instance=self.prop, value=value.digest()
         )
         self.paxos.propose(value, self.prop)
         self._refresh()

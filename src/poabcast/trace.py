@@ -80,7 +80,13 @@ class Trace:
             if "summary" in rec:
                 trace.summary = rec["summary"]
                 continue
-            trace.append(
-                TraceEvent(rec["t"], rec["i"], rec["p"], rec["kind"], rec["data"])
-            )
+            ev = TraceEvent(rec["t"], rec["i"], rec["p"], rec["kind"], rec["data"])
+            # time, index and actor are ints; isinstance would let a JSON true pass
+            if not (
+                all(type(x) is int for x in ev[:3])
+                and isinstance(ev.kind, str)
+                and isinstance(ev.data, dict)
+            ):
+                raise ValueError(f"an event field has the wrong type: {line}")
+            trace.append(ev)
         return trace

@@ -25,7 +25,7 @@ class AppValue:
 
     @cached_property
     def _digest(self) -> str:
-        # a value is described at every broadcast, write, decide and
+        # a value is digested at every broadcast, write, decide and
         # delivery: hash it once and keep the result on the instance
         h = hashlib.sha256(f"{self.vid}|{self.body}".encode()).hexdigest()
         return h[:12]
@@ -102,8 +102,3 @@ def app_payload(value) -> AppValue | Batch | None:
     if isinstance(value, ValTuple):
         value = value.value
     return value if isinstance(value, (AppValue, Batch)) else None
-
-
-def describe(value) -> str:
-    """Stable, short textual identity used in traces."""
-    return value.digest()

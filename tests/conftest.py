@@ -27,8 +27,12 @@ def corpus() -> Dict[str, List[CorpusRun]]:
     runs: Dict[str, List[CorpusRun]] = {}
     for variant in VARIANTS:
         for seed in CORPUS_SEEDS:
-            idx = TraceIndex(run(random_scenario(seed, variant)))
+            trace = run(random_scenario(seed, variant))
             runs.setdefault(variant, []).append(
-                CorpusRun(idx.summary["scenario"], check_all(idx), extract_history(idx))
+                CorpusRun(
+                    trace.summary["scenario"],
+                    check_all(trace),
+                    extract_history(TraceIndex(trace)),
+                )
             )
     return runs

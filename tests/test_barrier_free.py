@@ -4,7 +4,7 @@ import pytest
 
 from poabcast.barrier_free import BarrierFreeBroadcast
 from poabcast.broadcast import NotPrimaryError
-from poabcast.checker import check_all, check_barrier_free
+from poabcast.checker import TraceIndex, check_all, check_barrier_free
 from poabcast.cli import load_scenario
 from poabcast.runner import run
 from poabcast.sim import DelayModel, OmegaScript, Simulator
@@ -145,7 +145,7 @@ def test_racing_candidates_establish_epochs_at_distinct_instances():
     )
     sim, layers = make_cluster(omega=omega)
     trace = sim.run(1500)
-    assert check_barrier_free(trace) is None
+    assert check_barrier_free(TraceIndex(trace)) is None
     established = trace.by_kind("epoch-established")
     assert established, "no epoch was ever established"
 

@@ -38,31 +38,37 @@ def make_trace(rows):
     return trace
 
 
+def make_index(rows):
+    """The index of ``make_trace(rows)``, which the property checks read."""
+    return TraceIndex(make_trace(rows))
+
+
 # -- atomic broadcast ---------------------------------------------------------
 
 
 def test_empty_trace_passes_abcast():
-    assert check_abcast(make_trace([])).violations == {}
+    verdicts = check_abcast(make_index([]))
+    assert verdicts == {"integrity": None, "total-order": None, "agreement": None}
 
 
 def test_integrity_catches_delivery_of_unbroadcast_value():
-    trace = make_trace([(1, 0, "deliver", {"value": "ghost", "instance": 1})])
-    assert "integrity" in check_abcast(trace).violations
+    idx = make_index([(1, 0, "deliver", {"value": "ghost", "instance": 1})])
+    assert check_abcast(idx)["integrity"] is not None
 
 
 def test_integrity_catches_duplicate_delivery():
-    trace = make_trace(
+    idx = make_index(
         [
             (0, 0, "broadcast", {"value": "v", "instance": 1}),
             (1, 0, "deliver", {"value": "v", "instance": 1}),
             (2, 0, "deliver", {"value": "v", "instance": 1}),
         ]
     )
-    assert "delivered v twice" in check_abcast(trace).violations["integrity"]
+    assert "delivered v twice" in check_abcast(idx)["integrity"]
 
 
 def test_total_order_catches_swapped_deliveries():
-    trace = make_trace(
+    idx = make_index(
         [
             (0, 0, "broadcast", {"value": "v1", "instance": 1}),
             (0, 0, "broadcast", {"value": "v2", "instance": 2}),
@@ -72,13 +78,13 @@ def test_total_order_catches_swapped_deliveries():
             (2, 1, "deliver", {"value": "v1", "instance": 1}),
         ]
     )
-    report = check_abcast(trace)
-    assert report.verdicts["total-order"] is not None
-    assert report.verdicts["agreement"] is None
+    verdicts = check_abcast(idx)
+    assert verdicts["total-order"] is not None
+    assert verdicts["agreement"] is None
 
 
 def test_agreement_catches_a_gap_in_an_order_consistent_prefix():
-    trace = make_trace(
+    idx = make_index(
         [
             (0, 0, "broadcast", {"value": "v1", "instance": 1}),
             (0, 0, "broadcast", {"value": "v2", "instance": 2}),
@@ -87,9 +93,9 @@ def test_agreement_catches_a_gap_in_an_order_consistent_prefix():
             (1, 1, "deliver", {"value": "v2", "instance": 2}),  # missed v1
         ]
     )
-    report = check_abcast(trace)
-    assert report.verdicts["agreement"] is not None
-    assert report.verdicts["total-order"] is None
+    verdicts = check_abcast(idx)
+    assert verdicts["agreement"] is not None
+    assert verdicts["total-order"] is None
 
 
 def test_a_chain_break_names_the_first_process_to_leave_the_longest_sequence():
@@ -100,8 +106,8 @@ def test_a_chain_break_names_the_first_process_to_leave_the_longest_sequence():
     rows += [(2, 1, "deliver", {"value": v, "instance": 1}) for v in ("v1", "v3")]
     rows += [(3, 2, "deliver", {"value": "v2", "instance": 1})]
     rows += [(4, 0, "deliver", {"value": v, "instance": 1}) for v in ("v2", "v3")]
-    report = check_abcast(make_trace(rows))
-    assert report.verdicts["agreement"] == "process 1 delivery #1 is v3, global order has v2"
+    verdicts = check_abcast(make_index(rows))
+    assert verdicts["agreement"] == "process 1 delivery #1 is v3, global order has v2"
 
 
 def test_digest_convergence_names_the_first_replica_off_the_longest_chain():
@@ -111,7 +117,7 @@ def test_digest_convergence_names_the_first_replica_off_the_longest_chain():
 
     rows = [applied(0, 1, "s1"), applied(0, 2, "s2"), applied(1, 1, "s1"), applied(1, 2, "x")]
     rows += [applied(2, 1, "y")]
-    assert check_replication(make_trace(rows)).verdicts["digest-convergence"] == (
+    assert check_replication(make_index(rows))["digest-convergence"] == (
         "process 1 state chain diverges from the common chain"
     )
 
@@ -129,9 +135,9 @@ def primary_epoch_rows(actor, t0, values, instances):
     return rows
 
 
-def ordered_epochs(trace, protocol):
-    """The identified epochs of a trace whose epochs all map."""
-    ordered, fault = derive_primary_mapping(trace, protocol)
+def ordered_epochs(idx, protocol):
+    """The identified epochs of a trace's index whose epochs all map."""
+    ordered, fault = derive_primary_mapping(idx, protocol)
     assert fault is None
     return ordered
 
@@ -142,12 +148,12 @@ def test_epochs_without_deliveries_get_no_identifier():
         (1, 0, "broadcast", {"value": "lost", "instance": 1}),
         (2, 0, "primary-end", {}),
     ]
-    assert ordered_epochs(make_trace(rows), "tau-seq") == []
+    assert ordered_epochs(make_index(rows), "tau-seq") == []
 
 
 def test_identifier_is_the_first_delivered_instance_for_tau_seq():
     rows = primary_epoch_rows(0, 0, ["v1", "v2"], [5, 6])
-    assert [e.ident for e in ordered_epochs(make_trace(rows), "tau-seq")] == [5]
+    assert [e.ident for e in ordered_epochs(make_index(rows), "tau-seq")] == [5]
 
 
 def test_identified_epochs_come_in_identifier_order_not_trace_order():
@@ -157,7 +163,7 @@ def test_identified_epochs_come_in_identifier_order_not_trace_order():
     rows += primary_epoch_rows(0, 0, ["v1"], [1])
     rows += [(9, 1, "barrier-crossed", {"tau": 1, "dec": 1, "ballot": 4})]
     rows += primary_epoch_rows(1, 10, ["v2"], [2])
-    ordered = ordered_epochs(make_trace(rows), "tau-paxos")
+    ordered = ordered_epochs(make_index(rows), "tau-paxos")
     assert [(e.ident, e.process) for e in ordered] == [(4, 1), (9, 0)]
 
 
@@ -209,21 +215,22 @@ def mapping_fault_trace(name):
 
 
 def test_colliding_identifiers_leave_the_first_claimant_mapped():
-    ordered, fault = derive_primary_mapping(mapping_fault_trace("ambiguous-mapping"), "tau-seq")
+    idx = TraceIndex(mapping_fault_trace("ambiguous-mapping"))
+    ordered, fault = derive_primary_mapping(idx, "tau-seq")
     assert [(e.ident, e.process) for e in ordered] == [(5, 0)]
     assert fault == MAPPING_FAULTS["ambiguous-mapping"][2]
 
 
 def test_forged_epoch_without_establishment_is_left_unmapped():
-    trace = mapping_fault_trace("never-established")
-    ordered, fault = derive_primary_mapping(trace, "barrier-free")
+    idx = TraceIndex(mapping_fault_trace("never-established"))
+    ordered, fault = derive_primary_mapping(idx, "barrier-free")
     assert ordered == []
     assert fault == MAPPING_FAULTS["never-established"][2]
 
 
 def test_nested_primary_begin_is_rejected():
     rows = [(0, 0, "primary-begin", {}), (1, 0, "primary-begin", {}), (2, 0, "primary-end", {})]
-    epochs, fault = TraceIndex(make_trace(rows)).epochs
+    epochs, fault = make_index(rows).epochs
     assert [e.end_index for e in epochs] == [2]  # the open epoch goes on
     assert fault == "nested primary-begin at process 0"
 
@@ -261,10 +268,9 @@ def test_primary_integrity_catches_broadcast_before_delivery():
         (14, 1, "primary-end", {}),
         (15, 0, "deliver", {"value": "v2", "instance": 2}),
     ]
-    trace = make_trace(rows)
-    mapping = ordered_epochs(trace, "tau-seq")
-    report = check_poabcast(trace, mapping)
-    assert report.verdicts["primary-integrity"] is not None
+    idx = make_index(rows)
+    mapping = ordered_epochs(idx, "tau-seq")
+    assert check_poabcast(idx, mapping)["primary-integrity"] is not None
 
 
 def test_a_broadcast_after_its_first_delivery_is_a_global_order_violation():
@@ -302,10 +308,9 @@ def test_local_primary_order_catches_skipped_middle_value():
         (3, 0, "deliver", {"value": "v3", "instance": 3}),  # v2 skipped
         (4, 0, "primary-end", {}),
     ]
-    trace = make_trace(rows)
-    mapping = ordered_epochs(trace, "tau-seq")
-    report = check_poabcast(trace, mapping)
-    assert report.verdicts["local-primary-order"] is not None
+    idx = make_index(rows)
+    mapping = ordered_epochs(idx, "tau-seq")
+    assert check_poabcast(idx, mapping)["local-primary-order"] is not None
 
 
 def test_barrier_catches_crossing_below_earlier_decisions():
@@ -317,9 +322,9 @@ def test_barrier_catches_crossing_below_earlier_decisions():
         (12, 1, "decide", {"value": "v2", "instance": 6}),
         (12, 1, "deliver", {"value": "v2", "instance": 6}),
     ]
-    trace = make_trace(rows)
-    mapping = ordered_epochs(trace, "tau-seq")
-    msg = check_barrier(trace, mapping)
+    idx = make_index(rows)
+    mapping = ordered_epochs(idx, "tau-seq")
+    msg = check_barrier(idx, mapping)
     assert msg is not None and "dec=2" in msg
 
 
@@ -332,9 +337,9 @@ def test_barrier_passes_when_crossing_covers_earlier_decisions():
         (12, 1, "decide", {"value": "v2", "instance": 6}),
         (12, 1, "deliver", {"value": "v2", "instance": 6}),
     ]
-    trace = make_trace(rows)
-    mapping = ordered_epochs(trace, "tau-seq")
-    assert check_barrier(trace, mapping) is None
+    idx = make_index(rows)
+    mapping = ordered_epochs(idx, "tau-seq")
+    assert check_barrier(idx, mapping) is None
 
 
 def three_tau_seq_epochs(b_instance, a_late_instance, c_dec):
@@ -349,15 +354,15 @@ def three_tau_seq_epochs(b_instance, a_late_instance, c_dec):
     rows += primary_epoch_rows(1, 10, ["b1"], [b_instance])
     rows += [(19, 2, "barrier-crossed", {"tau": c_dec, "dec": c_dec, "ballot": 7})]
     rows += primary_epoch_rows(2, 20, ["c1"], [5])
-    trace = make_trace(sorted(rows, key=lambda r: r[0]))
-    return trace, ordered_epochs(trace, "tau-seq")
+    idx = make_index(sorted(rows, key=lambda r: r[0]))
+    return idx, ordered_epochs(idx, "tau-seq")
 
 
 def test_barrier_names_an_offending_epoch_two_epochs_back():
     # epoch 2 is covered by dec=3; epoch 1's late value at instance 4 is not
-    trace, mapping = three_tau_seq_epochs(b_instance=2, a_late_instance=4, c_dec=3)
+    idx, mapping = three_tau_seq_epochs(b_instance=2, a_late_instance=4, c_dec=3)
     assert [e.ident for e in mapping] == [1, 2, 5]
-    assert check_barrier(trace, mapping) == (
+    assert check_barrier(idx, mapping) == (
         "epoch 5 crossed with dec=3 but earlier epoch 1's value a2 was decided "
         "at instance 4"
     )
@@ -365,16 +370,16 @@ def test_barrier_names_an_offending_epoch_two_epochs_back():
 
 def test_barrier_names_the_earliest_offender_not_the_largest_instance():
     # both earlier epochs exceed dec=1; the middle one (3) holds the larger instance
-    trace, mapping = three_tau_seq_epochs(b_instance=3, a_late_instance=2, c_dec=1)
-    assert check_barrier(trace, mapping) == (
+    idx, mapping = three_tau_seq_epochs(b_instance=3, a_late_instance=2, c_dec=1)
+    assert check_barrier(idx, mapping) == (
         "epoch 5 crossed with dec=1 but earlier epoch 1's value a2 was decided "
         "at instance 2"
     )
 
 
 def test_barrier_passes_three_epochs_covered_by_every_crossing():
-    trace, mapping = three_tau_seq_epochs(b_instance=2, a_late_instance=4, c_dec=4)
-    assert check_barrier(trace, mapping) is None
+    idx, mapping = three_tau_seq_epochs(b_instance=2, a_late_instance=4, c_dec=4)
+    assert check_barrier(idx, mapping) is None
 
 
 def three_primaries(third_epoch_rows):
@@ -385,12 +390,12 @@ def three_primaries(third_epoch_rows):
     rows += primary_epoch_rows(1, 10, ["b1"], [2])
     rows += [(15, 2, "deliver", {"value": "b1", "instance": 2})]
     rows += third_epoch_rows
-    trace = make_trace(sorted(rows, key=lambda r: r[0]))
-    return check_poabcast(trace, ordered_epochs(trace, "tau-seq"))
+    idx = make_index(sorted(rows, key=lambda r: r[0]))
+    return check_poabcast(idx, ordered_epochs(idx, "tau-seq"))
 
 
 def test_primary_integrity_names_a_missed_value_two_epochs_back():
-    report = three_primaries(
+    verdicts = three_primaries(
         [
             (20, 2, "primary-begin", {}),
             (21, 2, "broadcast", {"value": "c1", "instance": 3}),
@@ -403,13 +408,13 @@ def test_primary_integrity_names_a_missed_value_two_epochs_back():
             (24, 2, "primary-end", {}),
         ]
     )
-    assert report.verdicts["primary-integrity"] == (
+    assert verdicts["primary-integrity"] == (
         "epoch 3 (process 2) broadcast c1 before delivering a1 from earlier epoch 1"
     )
 
 
 def test_primary_integrity_ignores_an_undelivered_first_broadcast():
-    report = three_primaries(
+    verdicts = three_primaries(
         [
             (20, 2, "primary-begin", {}),
             (21, 2, "broadcast", {"value": "c0", "instance": 3}),  # never delivered
@@ -420,7 +425,7 @@ def test_primary_integrity_ignores_an_undelivered_first_broadcast():
             (24, 2, "primary-end", {}),
         ]
     )
-    assert report.verdicts["primary-integrity"] is None
+    assert verdicts["primary-integrity"] is None
 
 
 # -- protocol-specific ------------------------------------------------------------
@@ -431,13 +436,13 @@ def test_sequentiality_catches_two_outstanding_proposals():
         (0, 0, "broadcast", {"value": "v1", "instance": 1}),
         (1, 0, "broadcast", {"value": "v2", "instance": 2}),
     ]
-    assert check_sequentiality(make_trace(rows)) is not None
+    assert check_sequentiality(make_index(rows)) is not None
     rows_ok = [
         (0, 0, "broadcast", {"value": "v1", "instance": 1}),
         (1, 0, "decide", {"value": "v1", "instance": 1}),
         (2, 0, "broadcast", {"value": "v2", "instance": 2}),
     ]
-    assert check_sequentiality(make_trace(rows_ok)) is None
+    assert check_sequentiality(make_index(rows_ok)) is None
 
 
 def test_single_ballot_epochs_catches_a_read_phase_inside_an_epoch():
@@ -447,9 +452,9 @@ def test_single_ballot_epochs_catches_a_read_phase_inside_an_epoch():
         (2, 1, "paxos-read", {"ballot": 4, "lo": 1}),  # another process: fine
         (3, 0, "paxos-read", {"ballot": 6, "lo": 1}),
     ]
-    assert "ballot 6" in check_single_ballot_epochs(make_trace(rows))
+    assert "ballot 6" in check_single_ballot_epochs(make_index(rows))
     rows_ok = rows[:3] + [(3, 0, "primary-end", {}), (3, 0, "paxos-read", {"ballot": 6, "lo": 1})]
-    assert check_single_ballot_epochs(make_trace(rows_ok)) is None
+    assert check_single_ballot_epochs(make_index(rows_ok)) is None
 
 
 def test_barrier_free_checker_catches_seqno_gap():
@@ -457,7 +462,7 @@ def test_barrier_free_checker_catches_seqno_gap():
         (0, 0, "epoch-established", {"epoch": 3, "instance": 1}),
         (1, 0, "deliver", {"value": "v", "instance": 2, "epoch": 3, "seqno": 3}),
     ]
-    assert "expected 2" in check_barrier_free(make_trace(rows))
+    assert "expected 2" in check_barrier_free(make_index(rows))
 
 
 def test_barrier_free_checker_catches_epoch_at_two_instances():
@@ -465,7 +470,7 @@ def test_barrier_free_checker_catches_epoch_at_two_instances():
         (0, 0, "epoch-established", {"epoch": 3, "instance": 1}),
         (1, 1, "epoch-established", {"epoch": 3, "instance": 4}),
     ]
-    assert check_barrier_free(make_trace(rows)) is not None
+    assert check_barrier_free(make_index(rows)) is not None
 
 
 def test_barrier_free_checker_catches_shared_election_instance():
@@ -473,7 +478,7 @@ def test_barrier_free_checker_catches_shared_election_instance():
         (0, 0, "epoch-established", {"epoch": 3, "instance": 1}),
         (1, 1, "epoch-established", {"epoch": 4, "instance": 1}),
     ]
-    assert "share election instance" in check_barrier_free(make_trace(rows))
+    assert "share election instance" in check_barrier_free(make_index(rows))
 
 
 # -- linearizability ------------------------------------------------------------------
@@ -621,23 +626,24 @@ def test_corrupted_reply_fails_linearizability():
     from poabcast.runner import run
 
     trace = run(load_scenario("stable-tau-paxos"))
-    assert check_linearizable(extract_history(trace)) is True
+    assert check_linearizable(extract_history(TraceIndex(trace))) is True
     # tamper with one response as a corrupted reply table would
     victim = trace.by_kind("response")[0]
     victim.data["record"] = "r(999:999:forged)"
-    assert check_linearizable(extract_history(trace)) is False
+    assert check_linearizable(extract_history(TraceIndex(trace))) is False
 
 
 # -- liveness & plumbing -----------------------------------------------------------------
 
 
 def test_liveness_without_summary_is_inconclusive():
-    assert check_liveness(make_trace([])) == "inconclusive"
+    assert check_liveness(make_index([])) == "inconclusive"
 
 
-def live_trace(extra=(), crashes=None):
-    """A leader (process 0) with an open epoch, one answered request and one
-    value delivered at processes 0 and 1; horizon 1000, slack 200."""
+def live_index(extra=(), crashes=None):
+    """The index of a trace in which a leader (process 0) has an open epoch,
+    one request is answered and one value is delivered at processes 0 and 1;
+    horizon 1000, slack 200."""
     rows = [
         (0, 0, "omega", {"leader": 0}),
         (0, 1, "omega", {"leader": 0}),
@@ -655,33 +661,33 @@ def live_trace(extra=(), crashes=None):
         "stable_from": 0,
         "crashes": {str(p): t for p, t in (crashes or {}).items()},
     }
-    return trace
+    return TraceIndex(trace)
 
 
 def test_liveness_passes_a_run_that_made_progress():
-    assert check_liveness(live_trace()) == "pass"
+    assert check_liveness(live_index()) == "pass"
 
 
 def test_liveness_needs_a_single_leader_among_correct_processes():
-    assert check_liveness(live_trace([(6, 1, "omega", {"leader": 1})])) == "inconclusive"
+    assert check_liveness(live_index([(6, 1, "omega", {"leader": 1})])) == "inconclusive"
 
 
 def test_liveness_needs_the_leader_epoch_open_at_the_horizon():
-    assert check_liveness(live_trace([(900, 0, "primary-end", {})])) == "inconclusive"
+    assert check_liveness(live_index([(900, 0, "primary-end", {})])) == "inconclusive"
 
 
 def test_liveness_needs_a_response_to_every_early_request():
     early = [(10, 6, "request", {"reqid": 1, "op": "b"})]
-    assert check_liveness(live_trace(early)) == "inconclusive"
+    assert check_liveness(live_index(early)) == "inconclusive"
     late = [(801, 6, "request", {"reqid": 1, "op": "b"})]
-    assert check_liveness(live_trace(late)) == "pass"
+    assert check_liveness(live_index(late)) == "pass"
 
 
 def test_liveness_needs_every_early_value_at_every_correct_process():
     early = [(6, 0, "deliver", {"value": "w", "instance": 2})]
-    assert check_liveness(live_trace(early)) == "inconclusive"
+    assert check_liveness(live_index(early)) == "inconclusive"
     late = [(801, 0, "deliver", {"value": "w", "instance": 2})]
-    assert check_liveness(live_trace(late)) == "pass"
+    assert check_liveness(live_index(late)) == "pass"
 
 
 def test_liveness_exempts_a_crashed_process():
@@ -690,8 +696,14 @@ def test_liveness_exempts_a_crashed_process():
         (6, 0, "deliver", {"value": "w", "instance": 2}),
         (7, 1, "omega", {"leader": 1}),
     ]
-    assert check_liveness(live_trace(extra)) == "inconclusive"
-    assert check_liveness(live_trace(extra, crashes={1: 8})) == "pass"
+    assert check_liveness(live_index(extra)) == "inconclusive"
+    assert check_liveness(live_index(extra, crashes={1: 8})) == "pass"
+
+
+def test_check_all_needs_the_protocol_the_summary_names():
+    trace = make_trace(primary_epoch_rows(0, 0, ["v1"], [1]))
+    with pytest.raises(KeyError, match="protocol"):
+        check_all(trace)
 
 
 def test_check_all_flags_nothing_on_clean_runs():

@@ -1,5 +1,6 @@
 """CLI harness: exit codes, artifacts, bundled scenarios, bench output."""
 
+import json
 import os
 import pathlib
 import re
@@ -196,6 +197,19 @@ def test_run_rejects_negative_or_malformed_values_as_a_usage_error(tmp_path, cap
     assert written == [bad]
 
 
+def summary_line(**fields):
+    """A summary line naming tau-seq, with ``fields`` added to it."""
+    return json.dumps({"summary": {"protocol": "tau-seq", **fields}}) + "\n"
+
+
+def event_line(**fields):
+    """An event line that no check reads, with ``fields`` overriding its own,
+    followed by a valid summary line."""
+    return json.dumps({"t": 0, "i": 0, "p": 0, "kind": "note", "data": {}, **fields}) + (
+        "\n" + summary_line()
+    )
+
+
 @pytest.mark.parametrize(
     "text, reason",
     [
@@ -206,9 +220,27 @@ def test_run_rejects_negative_or_malformed_values_as_a_usage_error(tmp_path, cap
         ("", "no summary line"),
         (None, "no summary line"),  # a saved trace cut before its summary line
         ('{"summary": 5}\n', "no summary line"),
+        # fields of the wrong type, each of which a check or the exit rule reads
+        (summary_line(horizon="x"), "horizon is not an integer"),
+        (summary_line(horizon=True), "horizon is not an integer"),
+        (summary_line(horizon=10.5), "horizon is not an integer"),
+        (summary_line(stable_from="x"), "stable_from is not an integer"),
+        (summary_line(base_delay="x"), "base_delay is not an integer"),
+        (summary_line(expect_violation="no"), "expect_violation is not a boolean"),
+        (summary_line(crashes=[1]), "crashes is not a map"),
+        (summary_line(crashes={"-1": 5}), "crashes is not a map"),
+        (summary_line(crashes={"1": "x"}), "crashes is not a map"),
+        (event_line(kind=5), "an event field has the wrong type"),
+        (event_line(p="0"), "an event field has the wrong type"),
+        (event_line(t="x"), "an event field has the wrong type"),
+        (event_line(i=True), "an event field has the wrong type"),
+        (event_line(data=[]), "an event field has the wrong type"),
     ],
     ids=["not-json", "lacks-kind", "deliver-lacks-value", "empty", "summary-cut",
-         "summary-not-a-mapping"],
+         "summary-not-a-mapping", "horizon-text", "horizon-bool", "horizon-float",
+         "stable-from-text", "base-delay-text", "expect-violation-text", "crashes-list",
+         "crash-pid-negative", "crash-tick-text", "kind-int", "pid-text", "time-text",
+         "index-bool", "data-list"],
 )
 def test_report_on_a_malformed_trace_is_a_usage_error(tmp_path, capsys, text, reason):
     if text is None:

@@ -5,7 +5,7 @@ import pytest
 from poabcast.broadcast import NotPrimaryError, NullDelegate
 from poabcast.runner import make_layer
 from poabcast.sim import DelayModel, OmegaScript, Simulator
-from poabcast.values import AppValue, describe
+from poabcast.values import AppValue
 
 PROTOCOLS = ("naive", "tau-seq", "tau-paxos", "barrier-free")
 
@@ -71,12 +71,12 @@ def test_naive_value_that_loses_its_instance_is_reproposed():
     sim.schedule(41, lambda: layers[1].poabcast(b))
     trace = sim.run(400)
     [bcast] = [e for e in trace.by_kind("broadcast") if e.actor == 1]
-    assert bcast.data == {"instance": 1, "value": describe(b)}
+    assert bcast.data == {"instance": 1, "value": b.digest()}
     [moved] = trace.by_kind("reproposed")
-    assert (moved.actor, moved.data) == (1, {"instance": 2, "value": describe(b)})
+    assert (moved.actor, moved.data) == (1, {"instance": 2, "value": b.digest()})
     for p in (1, 2):
         delivered = [
             (e.data["instance"], e.data["value"]) for e in trace.by_kind("deliver") if e.actor == p
         ]
-        assert delivered == [(1, describe(a)), (2, describe(b))]
+        assert delivered == [(1, a.digest()), (2, b.digest())]
     assert layers[1].outstanding == {}

@@ -350,7 +350,7 @@ def test_reordered_network_preserves_local_primary_order():
 
 
 def test_two_racing_leaders_decide_one_value_per_instance():
-    from poabcast.checker import check_consensus
+    from poabcast.checker import TraceIndex, check_consensus
 
     n = 3
     sim = Simulator(
@@ -368,7 +368,7 @@ def test_two_racing_leaders_decide_one_value_per_instance():
     sim.schedule(5, lambda: nodes[0].node.propose(AppValue("a"), 1))
     sim.schedule(5, lambda: nodes[1].node.propose(AppValue("b"), 1))
     trace = sim.run(2000)
-    assert check_consensus(trace) is None
+    assert check_consensus(TraceIndex(trace)) is None
     decided = {nd.delivered[0] for nd in nodes if nd.delivered}
     assert len(decided) == 1
 
