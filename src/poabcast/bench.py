@@ -13,9 +13,9 @@ keeps one instance in flight and batches arrivals until it completes;
 parallel mode cuts a batch whenever the sender is idle or the batch cap
 is reached, keeping many instances in flight. The byte cost of a batch
 is charged at the sender, so with large requests the serialization gap
-is what separates the two modes. The per-byte cost, the batch cap and
-the measurement window (a warm-up, then the window itself) are the
-module constants below.
+is what separates the two modes. The message delay, the per-byte cost,
+the batch cap and the measurement window (a warm-up, then the window
+itself) are the module constants below.
 
 A batch is one application value, ``b<instance>``, whose size is the
 sum of its requests' bytes; nothing reads a request's identity inside a
@@ -45,6 +45,7 @@ from .trace import Trace
 from .values import AppValue
 
 REQUEST_HEADER = 32  # per-request framing bytes inside a batch
+DELTA = 10  # message delay of the throughput runs, in ticks
 PER_BYTE = 0.00015  # sender ticks per byte of a batch
 BATCH_CAP = 50  # requests per batch, at most
 WARMUP = 2000  # ticks before the measurement window opens
@@ -313,12 +314,12 @@ class _LoadClient:
         self.samples: List[int] = []  # latencies of replies in [WARMUP, WARMUP + WINDOW)
 
 
-def run_throughput(mode: str, clients: int, request_size: int, delta: int = 10) -> MetricsRow:
-    _at_least(("clients", clients, 1), ("request_size", request_size, 0), ("delta", delta, 1))
+def run_throughput(mode: str, clients: int, request_size: int) -> MetricsRow:
+    _at_least(("clients", clients, 1), ("request_size", request_size, 0))
     n = 3
     sim = Simulator(
         n=n,
-        delay_model=DelayModel.fixed(delta),
+        delay_model=DelayModel.fixed(DELTA),
         omega=OmegaScript.single(n, 0),
         per_byte=PER_BYTE,
     )
@@ -349,8 +350,8 @@ def run_throughput(mode: str, clients: int, request_size: int, delta: int = 10) 
     )
 
 
-def bench_throughput(request_size: int = 1024, clients_sweep: Optional[List[int]] = None,
-                     delta: int = 10) -> List[MetricsRow]:
+def bench_throughput(request_size: int = 1024,
+                     clients_sweep: Optional[List[int]] = None) -> List[MetricsRow]:
     if clients_sweep is None:
         # keep the empty-request sweep below the batch cap so both modes face
         # the same effective batching; large requests need the deeper sweep
@@ -359,7 +360,7 @@ def bench_throughput(request_size: int = 1024, clients_sweep: Optional[List[int]
             if request_size > 0
             else [1, 2, 4, 8, 16, 32, 48]
         )
-    return [run_throughput(mode, c, request_size, delta)
+    return [run_throughput(mode, c, request_size)
             for mode in ("sequential", "parallel") for c in clients_sweep]
 
 

@@ -82,7 +82,7 @@ def scenario_metrics_csv(trace: Trace) -> str:
         for e in responses
         if (e.actor, e.data["reqid"]) in requests
     ]
-    horizon = trace.summary.get("horizon", 0) or 1
+    horizon = trace.summary["horizon"]
     deliveries = trace.by_kind("deliver")
     lines.append(f"count,responses,{len(responses)}")
     lines.append(f"count,deliveries,{len(deliveries)}")
@@ -95,11 +95,7 @@ def scenario_metrics_csv(trace: Trace) -> str:
 
 
 def cmd_run(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except (ScenarioError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    scenario = load_scenario(args.scenario)
     trace = run(scenario)
     report = check_all(trace)
     out = args.out
@@ -122,15 +118,18 @@ def cmd_list(args) -> int:
 
 
 def _check_summary(summary) -> None:
-    """Raise ValueError unless ``summary`` names a known protocol and each
-    field the checks or the exit rule read, when present, has its type."""
+    """Raise ValueError unless ``summary`` names a known protocol, holds each
+    field the checks or the exit rule read, and each field has its type."""
     # a run's trace ends with its summary, and check_all needs its protocol
     if not isinstance(summary, dict) or summary.get("protocol") not in PROTOCOLS:
         raise ValueError("no summary line names a known protocol")
+    for key in ("horizon", "base_delay", "expect_violation"):
+        if key not in summary:
+            raise ValueError(f"summary has no {key}")
     for key in ("horizon", "stable_from", "base_delay"):
         if key in summary and type(summary[key]) is not int:  # not a bool either
             raise ValueError(f"summary {key} is not an integer: {summary[key]!r}")
-    if not isinstance(summary.get("expect_violation", False), bool):
+    if not isinstance(summary["expect_violation"], bool):
         raise ValueError("summary expect_violation is not a boolean")
     crashes = summary.get("crashes", {})
     if not isinstance(crashes, dict) or not all(
@@ -145,13 +144,10 @@ def cmd_report(args) -> int:
             trace = Trace.from_jsonl(f.read())
         _check_summary(trace.summary)
         report = check_all(trace)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except (KeyError, TypeError, ValueError) as e:  # a line that is not JSON or lacks a field
         print(f"error: {args.trace} is not a trace: {e!r}", file=sys.stderr)
         return EXIT_USAGE
-    expect_violation = trace.summary.get("expect_violation", False)
+    expect_violation = trace.summary["expect_violation"]
     sys.stdout.write(render_report(report, expect_violation))
     return exit_code(report, expect_violation)
 
@@ -182,7 +178,7 @@ def cmd_bench(args) -> int:
         if args.what == "table1":
             rows, name = bench.bench_table1(args.delta, args.clients), "table1.csv"
         else:
-            rows = bench.bench_throughput(args.size, _parse_sweep(args.sweep), args.delta)
+            rows = bench.bench_throughput(args.size, _parse_sweep(args.sweep))
             name = f"throughput-{args.size}.csv"
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -214,11 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
     benches = p_bench.add_subparsers(dest="what", required=True)
     p_table1 = benches.add_parser("table1", help="latency table: stable and leader-change runs")
     p_table1.add_argument("--clients", type=int, default=5)
+    p_table1.add_argument("--delta", type=int, default=10, help="message delay in ticks")
     p_tput = benches.add_parser("throughput", help="sequential vs parallel throughput sweep")
     p_tput.add_argument("--size", type=int, default=1024, help="request bytes")
     p_tput.add_argument("--sweep", help="comma-separated client counts")
     for p in (p_table1, p_tput):
-        p.add_argument("--delta", type=int, default=10, help="message delay in ticks")
         p.add_argument("--out", help="directory for the CSV")
         p.set_defaults(fn=cmd_bench)
     return parser
@@ -232,7 +228,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE
     try:
         return args.fn(args)
-    except ScenarioError as e:
+    except (ScenarioError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -70,6 +70,7 @@ def run(scenario: Scenario) -> Trace:
             "scenario": scenario.name,
             "protocol": scenario.protocol,
             "n": scenario.n,
+            "horizon": scenario.horizon,
             "expect_violation": scenario.expect_violation,
             "crashes": {str(p): t for p, t in sorted(scenario.crashes.items())},
             "base_delay": scenario.delay.max_delay,

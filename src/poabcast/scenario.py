@@ -95,8 +95,8 @@ class Scenario:
         for p, t in self.crashes.items():
             if not 0 <= p < self.n:
                 raise ScenarioError(f"crash names unknown process {p}")
-            if t < 0:
-                raise ScenarioError(f"crash of process {p} at negative tick {t}")
+            if not 0 <= t <= self.horizon:  # a crash past the horizon never happens
+                raise ScenarioError(f"crash of process {p} at tick {t} is outside the run")
         seen = set()
         for c in self.clients:
             if c.cid < self.n or c.cid in seen:

@@ -258,7 +258,6 @@ class Simulator:
                 if receiver is not None:
                     receiver.on_message(frm, msg)
         self.now = until
-        self.trace.summary.setdefault("horizon", until)
         return self.trace
 
     def close(self) -> None:

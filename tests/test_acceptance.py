@@ -13,6 +13,7 @@
 
 import dataclasses
 import hashlib
+import pathlib
 
 import pytest
 
@@ -29,6 +30,7 @@ from poabcast.scenario import random_scenario
 from poabcast.sim import DelayModel
 
 from oracle import exhaustive_linearizable
+from pins import PINNED, pin_line
 
 VARIANTS = ("tau-seq", "tau-paxos", "barrier-free")
 
@@ -226,17 +228,6 @@ def test_benchmark_csv_is_byte_identical_across_runs():
     assert rows_to_csv(bench_table1()) == rows_to_csv(bench_table1())
 
 
-# sha256 over the concatenated traces of the bundled scenarios, in name order
-BUNDLED_TRACES = "afb00cff3e5e244a02c78b1aa79d26d1921b12a45a451b71e7a70c79dac87d17"
-
-
-def test_bundled_scenario_traces_are_pinned():
-    digest = hashlib.sha256()
-    for name in bundled_scenarios():
-        digest.update(run(load_scenario(name)).to_jsonl().encode())
-    assert digest.hexdigest() == BUNDLED_TRACES
-
-
 FIXED_DELAY_SCENARIOS = [
     name for name in bundled_scenarios()
     if load_scenario(name).delay.min_delay == load_scenario(name).delay.max_delay
@@ -253,30 +244,20 @@ def test_fixed_delay_traces_are_unchanged_under_a_zero_width_jitter(name):
         assert run(zero_width).to_jsonl() == want
 
 
-# sha256 over the concatenated traces of corpus seeds 0-29 x VARIANTS (seed
-# major) whose scenario draws reorder off (19 of the 30), then
-# random_scenario(99, "tau-paxos"): every one draws jitter, so a change that
-# moves any draw moves it, and every link keeps the FIFO floor
-JITTER_TRACES = "45cd0f2877c1f2f4dabd7ec1b8000ab87ec02beee61860e9ffe2e7075f112b7b"
-# the same over the other 11 seeds, which reorder client links
-REORDER_TRACES = "9cfd573f5f9d0d7ae1a310afda87a334fc37ca34e5424f8280e19797337921f7"
+# tests/pins.txt, one line per run of pins.PINNED: a run that moves fails
+# under its own name, and its re-pin is a line diff
+PIN_LINES = (pathlib.Path(__file__).parent / "pins.txt").read_text().splitlines()
+PINS = {line.split(" ", 1)[0]: line for line in PIN_LINES}
 
 
-def jitter_traces_digest(reorder: bool):
-    digest = hashlib.sha256()
-    for seed in range(30):
-        scenarios = [random_scenario(seed, variant) for variant in VARIANTS]
-        if scenarios[0].reorder == reorder:
-            for scenario in scenarios:
-                digest.update(run(scenario).to_jsonl().encode())
-    return digest
+@pytest.mark.parametrize("scenario", PINNED, ids=lambda s: s.name)
+def test_each_run_matches_its_pin(scenario):
+    assert pin_line(scenario) == PINS.get(scenario.name)
 
 
-def test_jitter_traces_are_pinned():
-    digest = jitter_traces_digest(reorder=False)
-    digest.update(run(random_scenario(99, "tau-paxos")).to_jsonl().encode())
-    assert digest.hexdigest() == JITTER_TRACES
-
-
-def test_reorder_traces_are_pinned():
-    assert jitter_traces_digest(reorder=True).hexdigest() == REORDER_TRACES
+def test_the_pin_table_has_one_line_per_pinned_run():
+    names = [s.name for s in PINNED]
+    table = [line.split(" ", 1)[0] for line in PIN_LINES]
+    assert [n for n in names if n not in PINS] == [], "pinned runs without a line"
+    assert [n for n in table if n not in names] == [], "lines of no pinned run"
+    assert table == names

@@ -1,6 +1,6 @@
 """Benchmark plumbing: metrics rows, CSV schema, batching leader mechanics."""
 
-import hashlib
+import itertools
 
 import pytest
 
@@ -15,7 +15,11 @@ from poabcast.bench import (
     stable_scenario,
 )
 from poabcast.cli import load_scenario
+from poabcast.paxos import PaxosNode
 from poabcast.runner import run
+from poabcast.scenario import PROTOCOLS
+
+from test_sim import counted
 
 
 def test_csv_columns_are_the_metrics_row_fields():
@@ -53,7 +57,6 @@ def test_throughput_row_shapes():
 
 def test_sequential_mode_keeps_one_instance_in_flight():
     from poabcast.bench import BatchingLeader, _LoadClient
-    from poabcast.paxos import PaxosNode
     from poabcast.sim import DelayModel, OmegaScript, Simulator
 
     sim = Simulator(
@@ -82,7 +85,6 @@ def test_sequential_mode_keeps_one_instance_in_flight():
     [
         ("clients", 0),
         ("request_size", -1),
-        ("delta", 0),
     ],
 )
 def test_throughput_rejects_out_of_range_arguments(arg, value, monkeypatch):
@@ -112,7 +114,6 @@ def test_table1_rejects_out_of_range_arguments(arg, value, monkeypatch):
 
 def test_batch_cap_limits_batch_size(monkeypatch):
     from poabcast import bench
-    from poabcast.paxos import PaxosNode
 
     sizes = []
     propose = PaxosNode.propose
@@ -170,31 +171,11 @@ def test_table1_rows_cover_all_four_protocols():
     assert all(r.leader_change_idle is not None for r in rows)
 
 
-# sha256 of the fixed-delay table1 traces; a change that moves any of them
-# on purpose re-pins it and says why
-TABLE1_TRACES = {
-    ("stable", "naive"): "59aa68ba4ab5c52b900d5da6fe2e58bcc8c0106f08177f42284c20346b7edab8",
-    ("leaderchange", "naive"): "96d854947b3e3d28f9e8b3eb2790f14e380551eff898971ce1e04c4355834678",
-    ("stable", "tau-seq"): "97ff5e579347674b7637f389774444304f1e8fe9b61045393940f5777b101530",
-    ("leaderchange", "tau-seq"): "61d517f62905e7e1d07942ac0e7f364f5a5e8b24f2c8bdf10f16a93968964b78",
-    ("stable", "tau-paxos"): "b2556d9d0585ef6276fc3641e66fb874d288415f243dcd1f9fcdbd9844619c86",
-    ("leaderchange", "tau-paxos"): "eea3664bad486f8712ff7465294f635391a2a41f057aa2c2728e7a0593598e22",
-    ("stable", "barrier-free"): "19756e158f8513e0468630c9a1ebd4206078fcd7e8cc0f1f61124ae8e9e63e2f",
-    ("leaderchange", "barrier-free"): "15c8aff659ed953d5f4af4689f0d4adefb81af5e1051d59d421b02a81912ec8e",
-}
-
-
-@pytest.mark.parametrize("kind, protocol", sorted(TABLE1_TRACES))
-def test_table1_traces_are_pinned(kind, protocol):
-    make = stable_scenario if kind == "stable" else leaderchange_scenario
-    digest = hashlib.sha256(run(make(protocol)).to_jsonl().encode()).hexdigest()
-    assert digest == TABLE1_TRACES[(kind, protocol)]
-
-
-@pytest.mark.parametrize("kind, protocol", sorted(TABLE1_TRACES))
+@pytest.mark.parametrize("kind, protocol", itertools.product(("stable", "leaderchange"), PROTOCOLS))
 def test_bundled_table1_scenarios_equal_their_generators(kind, protocol):
     # the bundled <kind>-<protocol>.yaml files are the generators' schedules
-    # at delta 10 and 5 clients; an edit to either side shows here
+    # at delta 10 and 5 clients; an edit to either side shows here, and the
+    # pin table pins the bundled files' traces
     make = stable_scenario if kind == "stable" else leaderchange_scenario
     assert load_scenario(f"{kind}-{protocol}") == make(protocol)
 
@@ -215,71 +196,48 @@ def test_sweep_points_keep_their_virtual_time_results(mode, clients, size, throu
     assert row.lat_mean == pytest.approx(lat_mean, abs=1e-9)
 
 
-def test_one_live_pump_per_batch_cut(monkeypatch):
-    from poabcast.bench import BatchingLeader
-    from poabcast.paxos import PaxosNode
-
-    counts = {"pumps": 0, "batches": 0}
-    pump, propose = BatchingLeader._pump, PaxosNode.propose
-
-    def counted_pump(self):
-        counts["pumps"] += 1
-        return pump(self)
+def counted_batches(monkeypatch):
+    """Count the proposals of the throughput leader, process 0: its batches."""
+    calls = [0]
+    propose = PaxosNode.propose
 
     def counted_propose(self, value, *args):
-        counts["batches"] += self.pid == 0
+        calls[0] += self.pid == 0
         return propose(self, value, *args)
 
-    monkeypatch.setattr(BatchingLeader, "_pump", counted_pump)
     monkeypatch.setattr(PaxosNode, "propose", counted_propose)
+    return calls
+
+
+def test_one_live_pump_per_batch_cut(monkeypatch):
+    from poabcast.bench import BatchingLeader
+
+    pumps, batches = counted(monkeypatch, BatchingLeader, "_pump"), counted_batches(monkeypatch)
     run_throughput("parallel", 192, 1024)
-    assert counts["batches"] > 0
-    assert counts["pumps"] <= 2 * counts["batches"]
+    assert batches[0] > 0
+    assert pumps[0] <= 2 * batches[0]
 
 
 def test_throughput_legs_cost_one_event_per_batch(monkeypatch):
     # the reply and request legs of a decided batch are one event each,
     # whatever the batch size; per-request events would be ~100 a batch here
-    from poabcast.paxos import PaxosNode
     from poabcast.sim import Simulator
 
-    counts = {"schedules": 0, "batches": 0}
-    schedule, propose = Simulator.schedule, PaxosNode.propose
-
-    def counted_schedule(self, *args, **kwargs):
-        counts["schedules"] += 1
-        return schedule(self, *args, **kwargs)
-
-    def counted_propose(self, value, *args):
-        counts["batches"] += self.pid == 0
-        return propose(self, value, *args)
-
-    monkeypatch.setattr(Simulator, "schedule", counted_schedule)
-    monkeypatch.setattr(PaxosNode, "propose", counted_propose)
+    schedules, batches = counted(monkeypatch, Simulator, "schedule"), counted_batches(monkeypatch)
     clients = 192
     run_throughput("parallel", clients, 1024)
-    assert counts["batches"] > 0
-    assert counts["schedules"] <= 8 * counts["batches"] + clients
+    assert batches[0] > 0
+    assert schedules[0] <= 8 * batches[0] + clients
 
 
 def test_throughput_bookkeeping_is_per_batch(monkeypatch):
     # one submit per arrival event, not per request; the clients keep only
     # the latencies of replies inside the measurement window
     from poabcast.bench import WARMUP, WINDOW, BatchingLeader, _LoadClient
-    from poabcast.paxos import PaxosNode
 
-    counts = {"submits": 0, "batches": 0}
+    submits, batches = counted(monkeypatch, BatchingLeader, "submit"), counted_batches(monkeypatch)
     load, replies = [], []  # every client; (reply time, clients replied to)
-    submit, reply, init = BatchingLeader.submit, BatchingLeader._reply, _LoadClient.__init__
-    propose = PaxosNode.propose
-
-    def counted_submit(self, *args):
-        counts["submits"] += 1
-        return submit(self, *args)
-
-    def counted_propose(self, value, *args):
-        counts["batches"] += self.pid == 0
-        return propose(self, value, *args)
+    reply, init = BatchingLeader._reply, _LoadClient.__init__
 
     def recorded_reply(self, clients):
         replies.append((self.sim.now, len(clients)))
@@ -289,13 +247,11 @@ def test_throughput_bookkeeping_is_per_batch(monkeypatch):
         load.append(self)
         init(self, *args)
 
-    monkeypatch.setattr(BatchingLeader, "submit", counted_submit)
     monkeypatch.setattr(BatchingLeader, "_reply", recorded_reply)
-    monkeypatch.setattr(PaxosNode, "propose", counted_propose)
     monkeypatch.setattr(_LoadClient, "__init__", recorded_init)
     row = run_throughput("parallel", 192, 1024)
-    assert counts["batches"] > 0
-    assert counts["submits"] <= counts["batches"] + 1
+    assert batches[0] > 0
+    assert submits[0] <= batches[0] + 1
     in_window = sum(k for at, k in replies if WARMUP <= at < WARMUP + WINDOW)
     assert sum(k for _, k in replies) > in_window  # the warm-up's replies are dropped
     samples = [lat for c in load for lat in c.samples]
