@@ -17,19 +17,21 @@ is what separates the two modes. The message delay, the per-byte cost,
 the batch cap and the measurement window (a warm-up, then the window
 itself) are the module constants below.
 
-A batch is one application value, ``b<instance>``, whose size is the
-sum of its requests' bytes; nothing reads a request's identity inside a
-batch, so a pending request is just the client awaiting it.
+A batch is one application value, ``b<instance>``, whose size is its
+request count times the run's bytes per request; nothing reads a
+request's identity inside a batch, so a pending request is just the
+client awaiting it.
 Each leg costs one event per decided batch, not one per request: a
 decided batch's reply event records its clients' latencies, if it falls
 inside the measurement window, and stamps their next requests' send
 tick; one arrival event a tick later hands those clients to the leader
 in a single ``submit``.
 
-There is at most one pending batch-cut decision (a pump) per tick.
-Arrivals and decisions ask for one at the end of the current tick, and a
+There is at most one pending batch-cut decision (a pump) per tick, and
+one is pending only while requests wait. Arrivals, and decisions that
+find requests waiting, ask for one at the end of the current tick, and a
 busy sender defers it to the tick its link frees up; an earlier request
-supersedes a later one, whose heap entry then fires as a no-op.
+supersedes a later one, whose queued callback then fires as a no-op.
 """
 
 from __future__ import annotations
@@ -217,11 +219,12 @@ class BatchingLeader:
     at a time, and each proposed instance maps to its batch value and
     those clients."""
 
-    def __init__(self, sim: Simulator, n: int, mode: str):
+    def __init__(self, sim: Simulator, n: int, mode: str, request_size: int):
         if mode not in ("sequential", "parallel"):
             raise ValueError(f"unknown batching mode: {mode}")
         self.sim = sim
         self.mode = mode
+        self.request_bytes = request_size + REQUEST_HEADER  # of each request in a batch
         self.node = PaxosNode(sim, 0, n, deliver=self._on_decide)
         # clients whose requests await a batch, in arrival order
         self.waiting: List[_LoadClient] = []
@@ -284,7 +287,7 @@ class BatchingLeader:
                 return
             instance, cut = self.next_instance, waiting[:BATCH_CAP]
             del waiting[:BATCH_CAP]
-            batch = AppValue(vid=f"b{instance}", size=sum(c.size for c in cut))
+            batch = AppValue(vid=f"b{instance}", size=len(cut) * self.request_bytes)
             self.proposed[instance] = (batch, cut)
             self.node.propose(batch, instance)
             self.next_instance += 1
@@ -296,7 +299,8 @@ class BatchingLeader:
             # value decided here answers none of them
             clients = proposed[1]
             self.sim.schedule(self.sim.now + 1, lambda: self._reply(clients))
-        self._schedule_pump(self.sim.now)
+        if self.waiting:  # with nothing waiting a pump would be a no-op
+            self._schedule_pump(self.sim.now)
 
     def on_message(self, frm: int, msg: Any) -> None:
         self.node.on_message(frm, msg)
@@ -304,12 +308,11 @@ class BatchingLeader:
 
 class _LoadClient:
     """Closed-loop client colocated with the leader, with one request
-    outstanding: its bytes in a batch and the tick it was sent. The leader
-    carries its requests and replies, and records the latency of each
-    reply inside the measurement window."""
+    outstanding, sent at ``sent_at``. The leader carries its requests and
+    replies, and records the latency of each reply inside the measurement
+    window."""
 
-    def __init__(self, size: int):
-        self.size = size + REQUEST_HEADER  # bytes of each request in a batch
+    def __init__(self):
         self.sent_at = 0
         self.samples: List[int] = []  # latencies of replies in [WARMUP, WARMUP + WINDOW)
 
@@ -323,11 +326,11 @@ def run_throughput(mode: str, clients: int, request_size: int) -> MetricsRow:
         omega=OmegaScript.single(n, 0),
         per_byte=PER_BYTE,
     )
-    leader = BatchingLeader(sim, n, mode)
+    leader = BatchingLeader(sim, n, mode, request_size)
     sim.add_actor(0, leader)
     for pid in range(1, n):
         sim.add_actor(pid, PaxosNode(sim, pid, n, deliver=lambda v, i: None))
-    load = [_LoadClient(request_size) for _ in range(clients)]
+    load = [_LoadClient() for _ in range(clients)]
     # every client sends its first request at tick 1
     sim.schedule(1, lambda: leader.send_requests(load))
     try:

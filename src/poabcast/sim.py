@@ -1,11 +1,18 @@
 """Deterministic discrete-event simulation kernel.
 
 Virtual time is integral ticks. Events scheduled at equal times fire in
-insertion order, so a run is a pure function of its inputs. Links lose
-messages only at a crashed receiver. Every link is FIFO, as TCP makes
-it: a message is due no earlier than the one sent ahead of it on the same
-link. With ``reorder`` on, only client links (an end above ``n - 1``)
-drop that floor, so a request or reply may overtake an earlier one.
+insertion order, so a run is a pure function of its inputs. The queue is
+a calendar queue (Brown, CACM 1988) with one bucket per tick: each tick
+with work due holds a list of its entries in insertion order, and a heap
+holds the distinct ticks. ``run`` pops a tick and walks its list, which
+grows as handlers queue work for that same tick, so a self-send or a
+``schedule(now)`` costs one append and no heap operation.
+
+Links lose messages only at a crashed receiver. Every link is FIFO, as
+TCP makes it: a message is due no earlier than the one sent ahead of it
+on the same link. With ``reorder`` on, only client links (an end above
+``n - 1``) drop that floor, so a request or reply may overtake an
+earlier one.
 A sender's link is busy only under a per-byte cost, when a message departs
 once the sender's earlier ones are on the wire; else it departs at once.
 Actors and their simulator reach each other, so the builder closes it once
@@ -133,10 +140,12 @@ class Simulator:
         self.now = 0
         self.trace = Trace()
         self.actors: Dict[int, Any] = {}
-        # (time, insertion handle, bound actor or None, callback, sender,
-        # message); a message has no callback and is bound to its receiver
-        self._heap: List[tuple] = []
-        self._insertion = 0
+        # tick -> its entries in insertion order, each (bound actor or None,
+        # callback, sender, message); a message has no callback and is bound
+        # to its receiver. _ticks heaps _due's ticks, each pushed once, when
+        # its list opens
+        self._due: Dict[int, List[tuple]] = {}
+        self._ticks: List[int] = []
         self._msg_seq = 0
         # per (frm, to), the delivery tick of the link's last message: no
         # message is due before it. Reorder lifts the floor on client links
@@ -161,13 +170,15 @@ class Simulator:
 
     # -- scheduling ---------------------------------------------------------
 
-    def schedule(self, at: int, fn: Callable[[], None], actor: Optional[int] = None) -> int:
+    def schedule(self, at: int, fn: Callable[[], None], actor: Optional[int] = None) -> None:
         if at < self.now:
             raise SchedulingError(f"cannot schedule at t={at} (now t={self.now})")
-        self._insertion += 1
-        handle = self._insertion
-        heapq.heappush(self._heap, (at, handle, actor, fn, None, None))
-        return handle
+        due = self._due.get(at)
+        if due is None:
+            self._due[at] = [(actor, fn, None, None)]
+            heapq.heappush(self._ticks, at)
+        else:
+            due.append((actor, fn, None, None))
 
     # -- messaging ----------------------------------------------------------
 
@@ -176,27 +187,31 @@ class Simulator:
         crash_at = self.crashes.get(frm)
         if crash_at is not None and now >= crash_at:
             return
-        self._insertion += 1
         if frm == to:
             # local self-delivery: immediate, no link traversal
-            heapq.heappush(self._heap, (now, self._insertion, to, None, frm, msg))
-            return
-        self._msg_seq += 1
-        departure = now
-        if self.per_byte:
-            busy = self._busy_until.get(frm, 0)
-            if busy > now:
-                departure = busy
-            if size:
-                departure += int(round(size * self.per_byte))
-            self._busy_until[frm] = departure
-        deliver_at = departure + self._delay(self._msg_seq)
-        if not self.reorder or (frm < self.n and to < self.n):
-            floor = self._fifo_floor.get((frm, to), 0)
-            if deliver_at < floor:
-                deliver_at = floor
-            self._fifo_floor[(frm, to)] = deliver_at
-        heapq.heappush(self._heap, (deliver_at, self._insertion, to, None, frm, msg))
+            at = now
+        else:
+            self._msg_seq += 1
+            departure = now
+            if self.per_byte:
+                busy = self._busy_until.get(frm, 0)
+                if busy > now:
+                    departure = busy
+                if size:
+                    departure += int(round(size * self.per_byte))
+                self._busy_until[frm] = departure
+            at = departure + self._delay(self._msg_seq)
+            if not self.reorder or (frm < self.n and to < self.n):
+                floor = self._fifo_floor.get((frm, to), 0)
+                if at < floor:
+                    at = floor
+                self._fifo_floor[(frm, to)] = at
+        due = self._due.get(at)
+        if due is None:
+            self._due[at] = [(to, None, frm, msg)]
+            heapq.heappush(self._ticks, at)
+        else:
+            due.append((to, None, frm, msg))
 
     def sender_free_at(self, pid: int) -> int:
         """Tick at which ``pid``'s link has sent all it queued; 0 with no byte cost."""
@@ -232,6 +247,9 @@ class Simulator:
     # -- main loop ----------------------------------------------------------
 
     def run(self, until: int) -> Trace:
+        """Fire every event due at or before ``until``, then set ``now`` to
+        ``until``. A handler's exception propagates out with the rest of its
+        tick dropped; later ticks stay queued for the next ``run``."""
         if not self._started:
             self._started = True
             self._install_omega_notifications()
@@ -241,22 +259,28 @@ class Simulator:
                 starter = getattr(self.actors[aid], "on_start", None)
                 if starter is not None:
                     self.schedule(0, starter, actor=aid)
-        heap, crashes, actors = self._heap, self.crashes, self.actors
-        while heap and heap[0][0] <= until:
-            at, _, actor, fn, frm, msg = heapq.heappop(heap)
+        ticks, dues, crashes, actors = self._ticks, self._due, self.crashes, self.actors
+        while ticks and ticks[0] <= until:
+            at = heapq.heappop(ticks)
             self.now = at
-            if actor is not None:
-                # an actor-bound event at or after its actor's crash is dropped
-                crash_at = crashes.get(actor)
-                if crash_at is not None and at >= crash_at:
-                    continue
-            if fn is not None:
-                fn()
-            else:
-                # a message to an id with no actor is dropped
-                receiver = actors.get(actor)
-                if receiver is not None:
-                    receiver.on_message(frm, msg)
+            # the walk also fires what this tick's handlers queue for it; the
+            # list goes even if one raises, so its tick is never orphaned
+            try:
+                for actor, fn, frm, msg in dues[at]:
+                    if actor is not None:
+                        # an actor-bound event at or after its actor's crash is dropped
+                        crash_at = crashes.get(actor)
+                        if crash_at is not None and at >= crash_at:
+                            continue
+                    if fn is not None:
+                        fn()
+                    else:
+                        # a message to an id with no actor is dropped
+                        receiver = actors.get(actor)
+                        if receiver is not None:
+                            receiver.on_message(frm, msg)
+            finally:
+                del dues[at]
         self.now = until
         return self.trace
 
@@ -265,5 +289,6 @@ class Simulator:
         actors) and the trace; the trace ``run`` returned stays whole with
         whoever holds it. A closed simulator is not run again."""
         self.actors.clear()
-        self._heap.clear()
+        self._due.clear()
+        self._ticks.clear()
         self.trace = None

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Tuple
 
 
@@ -20,15 +19,14 @@ class AppValue:
     body: str = ""
     size: int = 0
 
+    def __post_init__(self):
+        # a value is digested at every broadcast, write, decide and
+        # delivery: hash it once, as it is made, and keep the result
+        h = hashlib.sha256(f"{self.vid}|{self.body}".encode()).hexdigest()
+        object.__setattr__(self, "_digest", h[:12])
+
     def digest(self) -> str:
         return self._digest
-
-    @cached_property
-    def _digest(self) -> str:
-        # a value is digested at every broadcast, write, decide and
-        # delivery: hash it once and keep the result on the instance
-        h = hashlib.sha256(f"{self.vid}|{self.body}".encode()).hexdigest()
-        return h[:12]
 
 
 @dataclass(frozen=True)
@@ -37,17 +35,16 @@ class Batch:
 
     items: Tuple[AppValue, ...]
 
-    def digest(self) -> str:
-        return self._digest
-
-    @cached_property
-    def _digest(self) -> str:
+    def __post_init__(self):
         # one hash over the items' (vid, body) pairs, each string prefixed
         # by its length so that no two item lists share an encoding
         text = "".join(
             f"{len(v.vid)}:{v.vid}{len(v.body)}:{v.body}" for v in self.items
         )
-        return "b" + hashlib.sha256(text.encode()).hexdigest()[:11]
+        object.__setattr__(self, "_digest", "b" + hashlib.sha256(text.encode()).hexdigest()[:11])
+
+    def digest(self) -> str:
+        return self._digest
 
     @property
     def size(self) -> int:

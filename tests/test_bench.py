@@ -62,11 +62,11 @@ def test_sequential_mode_keeps_one_instance_in_flight():
     sim = Simulator(
         n=3, delay_model=DelayModel.fixed(10), omega=OmegaScript.single(3, 0)
     )
-    leader = BatchingLeader(sim, 3, "sequential")
+    leader = BatchingLeader(sim, 3, "sequential", 0)
     sim.add_actor(0, leader)
     for pid in (1, 2):
         sim.add_actor(pid, PaxosNode(sim, pid, 3, deliver=lambda v, i: None))
-    clients = [_LoadClient(0) for _ in range(8)]
+    clients = [_LoadClient() for _ in range(8)]
     sim.schedule(1, lambda: leader.send_requests(clients))
     trace = sim.run(2000)
     outstanding = 0
@@ -271,9 +271,9 @@ def test_a_foreign_decide_replies_to_no_client(foreign, monkeypatch):
     monkeypatch.setattr(BatchingLeader, "_reply", lambda self, clients: replied.append(clients))
     # no acceptors: consensus never decides, so the foreign value is the only decide
     sim = Simulator(n=3, delay_model=DelayModel.fixed(10), omega=OmegaScript.single(3, 0))
-    leader = BatchingLeader(sim, 3, "parallel")
+    leader = BatchingLeader(sim, 3, "parallel", 0)
     sim.add_actor(0, leader)
-    clients = [_LoadClient(0) for _ in range(4)]
+    clients = [_LoadClient() for _ in range(4)]
     sim.schedule(1, lambda: leader.send_requests(clients))
     sim.run(2)
     assert list(leader.proposed) == [1]

@@ -1,6 +1,7 @@
 """Simulation kernel: scheduling, links, crashes, oracle script, determinism."""
 
 import gc
+import heapq
 import weakref
 from collections import Counter
 
@@ -368,6 +369,164 @@ def test_message_and_callback_due_at_the_same_tick_fire_in_insertion_order(messa
     sim.run(100)
     expected = ["message", "callback"] if message_first else ["callback", "message"]
     assert order == expected
+
+
+# -- the calendar queue: one list per tick, walked as it grows ------------------
+
+def test_work_queued_for_the_current_tick_fires_after_what_was_queued_before():
+    sim = make_sim()
+    order = []
+
+    class Probe:
+        def on_message(self, frm, msg):
+            order.append(msg)
+
+    sim.add_actor(0, Probe())
+
+    def handler():
+        order.append("handler")
+        sim.send(0, 0, "self-send")
+        sim.schedule(sim.now, lambda: order.append("callback"))
+
+    sim.schedule(5, handler)
+    sim.schedule(5, lambda: order.append("queued before"))
+    sim.run(10)
+    assert order == ["handler", "queued before", "self-send", "callback"]
+
+
+def test_a_schedule_at_now_after_run_returns_fires_on_the_next_run():
+    sim = make_sim()
+    fired = []
+    sim.schedule(10, lambda: fired.append(("in run", sim.now)))
+    sim.run(10)
+    sim.schedule(sim.now, lambda: fired.append(("after run", sim.now)))
+    assert fired == [("in run", 10)]
+    sim.run(20)
+    assert fired == [("in run", 10), ("after run", 10)]
+
+
+def test_close_leaves_no_pending_tick():
+    sim = make_sim()
+    sim.add_actor(1, Recorder())
+    sim.schedule(50, lambda: None)
+    sim.schedule(5, lambda: sim.send(0, 1, "in flight"))
+    sim.run(10)
+    assert sim._ticks and sim._due
+    sim.close()
+    assert sim._ticks == [] and sim._due == {}
+
+
+def test_a_handler_that_raises_drops_the_rest_of_its_tick_and_no_later_one():
+    sim = make_sim()
+    fired = []
+
+    def boom():
+        raise RuntimeError("boom")
+
+    sim.schedule(5, boom)
+    sim.schedule(5, lambda: fired.append(("dropped", sim.now)))
+    sim.schedule(6, lambda: fired.append(("later", sim.now)))
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run(10)
+    assert sim.now == 5 and fired == []
+    # the raising tick left the queue whole: work queued at it again fires
+    sim.schedule(5, lambda: fired.append(("again", sim.now)))
+    sim.run(10)
+    assert fired == [("again", 5), ("later", 6)]
+
+
+class HeapKernel:
+    """The queue the calendar replaced: one heap ordered by (tick, insertion),
+    with a fixed link delay, crashes and the same dropping rules."""
+
+    def __init__(self, delta, crashes):
+        self.now, self.heap, self.seq, self.actors = 0, [], 0, {}
+        self.delta, self.crashes = delta, crashes
+
+    def schedule(self, at, fn, actor=None):
+        self.seq += 1
+        heapq.heappush(self.heap, (at, self.seq, actor, fn, None, None))
+
+    def send(self, frm, to, msg):
+        if self.now < self.crashes.get(frm, self.now + 1):
+            self.seq += 1
+            at = self.now if frm == to else self.now + self.delta
+            heapq.heappush(self.heap, (at, self.seq, to, None, frm, msg))
+
+    def run(self, until):
+        while self.heap and self.heap[0][0] <= until:
+            at, _, actor, fn, frm, msg = heapq.heappop(self.heap)
+            self.now = at
+            if at >= self.crashes.get(actor, at + 1):
+                continue
+            if fn is not None:
+                fn()
+            elif actor in self.actors:
+                self.actors[actor].on_message(frm, msg)
+        self.now = until
+
+
+# one step of a program: ("schedule", ticks ahead, bound actor or None) or
+# ("send", sender, receiver); a receiver equal to the sender is a self-send
+PROGRAM_STEPS = st.one_of(
+    st.tuples(st.just("schedule"), st.integers(0, 4), st.sampled_from([None, 0, 1, 2])),
+    st.tuples(st.just("send"), st.integers(0, 2), st.integers(0, 2)),
+)
+
+
+def play(kernel, program, starts, horizons, budget=120):
+    """Run ``program`` on ``kernel``: event k, a callback or a message, logs
+    (tick, k) as it fires and then takes the steps of ``program[k % len]``,
+    each queueing a fresh event, until ``budget`` events exist. ``starts``
+    are queued before the first run, and after each run one more callback
+    is queued at the tick the run left ``now`` at."""
+    log, made = [], [0]
+
+    def fire(k):
+        log.append((kernel.now, k))
+        for step in program[k % len(program)]:
+            if made[0] >= budget:
+                return
+            made[0] += 1
+            if step[0] == "schedule":
+                kernel.schedule(kernel.now + step[1], lambda k=made[0]: fire(k), step[2])
+            else:
+                kernel.send(step[1], step[2], made[0])
+
+    class Probe:
+        def on_message(self, frm, msg):
+            fire(msg)
+
+    for p in range(3):
+        kernel.actors[p] = Probe()
+    for at, actor in starts:
+        made[0] += 1
+        kernel.schedule(at, lambda k=made[0]: fire(k), actor)
+    for until in horizons:
+        kernel.run(until)
+        made[0] += 1
+        kernel.schedule(kernel.now, lambda k=made[0]: fire(k))
+    return log
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    delta=st.integers(1, 3),
+    crashes=st.dictionaries(st.sampled_from([1, 2]), st.integers(0, 40)),
+    program=st.lists(st.lists(PROGRAM_STEPS, max_size=4), min_size=1, max_size=8),
+    starts=st.lists(st.tuples(st.integers(0, 6), st.sampled_from([None, 0, 1, 2])),
+                    min_size=1, max_size=5),
+    horizons=st.lists(st.integers(0, 30), min_size=1, max_size=3).map(
+        lambda hs: sorted(set(hs))),
+)
+def test_the_calendar_queue_fires_in_the_heaps_order(delta, crashes, program, starts, horizons):
+    """Property: random programs of callbacks, process and self sends,
+    schedules at the current tick from handlers, crashes and runs resumed
+    at later horizons fire in the order of a heap keyed by (tick,
+    insertion), the queue the kernel had before its calendar."""
+    sim = make_sim(delta=delta, crashes=crashes)
+    want = play(HeapKernel(delta, crashes), program, starts, horizons)
+    assert play(sim, program, starts, horizons) == want
 
 
 # jitter seed 1 draws 20 ticks for message 1 and 7 for message 2, so two
