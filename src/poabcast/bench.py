@@ -32,10 +32,14 @@ one is pending only while requests wait. Arrivals, and decisions that
 find requests waiting, ask for one at the end of the current tick, and a
 busy sender defers it to the tick its link frees up; an earlier request
 supersedes a later one, whose queued callback then fires as a no-op.
+
+Scenario row: ``scenario_row`` reads a finished scenario run's trace into
+the ``MetricsRow`` that ``poabcast run --out`` writes as its metrics.csv.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -97,6 +101,27 @@ def _percentile(xs: List[float], q: float) -> float:
     ys = sorted(xs)
     idx = min(len(ys) - 1, max(0, int(round(q * (len(ys) - 1)))))
     return ys[idx]
+
+
+def _latencies(lats: List[int]) -> Dict[str, float]:
+    """A row's latency columns over ``lats``; none, so blank, when it is empty."""
+    return dict(lat_min=min(lats), lat_mean=sum(lats) / len(lats),
+                lat_p99=_percentile([float(x) for x in lats], 0.99)) if lats else {}
+
+
+def scenario_row(trace: Trace) -> MetricsRow:
+    """A scenario run's row: the clients that sent a request, the largest
+    request, each answered request's latency from its first ``request``
+    event, and responses per 1000 ticks of the horizon."""
+    requests, responses = trace.by_kind("request"), trace.by_kind("response")
+    sent: Dict[Tuple[int, Any], int] = {}
+    for e in requests:
+        sent.setdefault((e.actor, e.data["reqid"]), e.time)
+    lats = [e.time - sent[k] for e in responses if (k := (e.actor, e.data["reqid"])) in sent]
+    s = trace.summary
+    return MetricsRow(s["scenario"], s["protocol"], len({e.actor for e in requests}),
+                      max((e.data["size"] for e in requests), default=0),
+                      throughput_per_1k=len(responses) / s["horizon"] * 1000, **_latencies(lats))
 
 
 # -- latency table -------------------------------------------------------------
@@ -200,11 +225,9 @@ def bench_table1(delta: int = 10, clients: int = 5) -> List[MetricsRow]:
                 protocol=protocol,
                 clients=clients,
                 request_size=0,
-                lat_min=min(lats),
-                lat_mean=sum(lats) / len(lats),
-                lat_p99=_percentile([float(x) for x in lats], 0.99),
                 stable_latency=span,
                 leader_change_idle=idle,
+                **_latencies(lats),
             )
         )
     return rows
@@ -319,6 +342,9 @@ class _LoadClient:
 
 def run_throughput(mode: str, clients: int, request_size: int) -> MetricsRow:
     _at_least(("clients", clients, 1), ("request_size", request_size, 0))
+    big, batch = sys.float_info.max, BATCH_CAP * (request_size + REQUEST_HEADER)
+    if not (batch <= big and batch * PER_BYTE <= big):  # a full batch's sender ticks
+        raise ValueError(f"request_size {request_size} has no finite batch cost in ticks")
     n = 3
     sim = Simulator(
         n=n,
@@ -346,10 +372,8 @@ def run_throughput(mode: str, clients: int, request_size: int) -> MetricsRow:
         protocol=mode,
         clients=clients,
         request_size=request_size,
-        lat_min=min(samples),
-        lat_mean=sum(samples) / len(samples),
-        lat_p99=_percentile([float(x) for x in samples], 0.99),
         throughput_per_1k=len(samples) / WINDOW * 1000,
+        **_latencies(samples),
     )
 
 

@@ -71,43 +71,23 @@ def exit_code(report: Report, expect_violation: bool) -> int:
     return EXIT_OK
 
 
-def scenario_metrics_csv(trace: Trace) -> str:
-    lines = ["kind,key,value"]
-    responses = trace.by_kind("response")
-    requests = {}
-    for e in trace.by_kind("request"):
-        requests.setdefault((e.actor, e.data["reqid"]), e.time)
-    lats = [
-        e.time - requests[(e.actor, e.data["reqid"])]
-        for e in responses
-        if (e.actor, e.data["reqid"]) in requests
-    ]
-    horizon = trace.summary["horizon"]
-    deliveries = trace.by_kind("deliver")
-    lines.append(f"count,responses,{len(responses)}")
-    lines.append(f"count,deliveries,{len(deliveries)}")
-    lines.append(f"rate,deliveries_per_1k,{len(deliveries) / horizon * 1000:.3f}")
-    if lats:
-        lines.append(f"latency,min,{min(lats)}")
-        lines.append(f"latency,mean,{sum(lats) / len(lats):.3f}")
-        lines.append(f"latency,max,{max(lats)}")
-    return "\n".join(lines) + "\n"
+def _save(out: str, name: str, text: str) -> None:
+    os.makedirs(out, exist_ok=True)
+    with open(os.path.join(out, name), "w") as f:
+        f.write(text)
 
 
 def cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
     trace = run(scenario)
     report = check_all(trace)
-    out = args.out
-    if out:
-        os.makedirs(out, exist_ok=True)
-        with open(os.path.join(out, f"{scenario.name}.trace.jsonl"), "w") as f:
-            f.write(trace.to_jsonl())
-        with open(os.path.join(out, f"{scenario.name}.report.txt"), "w") as f:
-            f.write(render_report(report, scenario.expect_violation))
-        with open(os.path.join(out, f"{scenario.name}.metrics.csv"), "w") as f:
-            f.write(scenario_metrics_csv(trace))
-    sys.stdout.write(render_report(report, scenario.expect_violation))
+    rendered = render_report(report, scenario.expect_violation)
+    if args.out:
+        _save(args.out, f"{scenario.name}.trace.jsonl", trace.to_jsonl())
+        _save(args.out, f"{scenario.name}.report.txt", rendered)
+        _save(args.out, f"{scenario.name}.metrics.csv",
+              bench.rows_to_csv([bench.scenario_row(trace)]))
+    sys.stdout.write(rendered)
     return exit_code(report, scenario.expect_violation)
 
 
@@ -131,11 +111,6 @@ def _check_summary(summary) -> None:
             raise ValueError(f"summary {key} is not an integer: {summary[key]!r}")
     if not isinstance(summary["expect_violation"], bool):
         raise ValueError("summary expect_violation is not a boolean")
-    crashes = summary.get("crashes", {})
-    if not isinstance(crashes, dict) or not all(
-        p.isascii() and p.isdigit() and type(t) is int for p, t in crashes.items()
-    ):
-        raise ValueError("summary crashes is not a map from process ids to ticks")
 
 
 def cmd_report(args) -> int:
@@ -155,9 +130,7 @@ def cmd_report(args) -> int:
 def _emit_rows(rows, out: Optional[str], name: str) -> None:
     csv = bench.rows_to_csv(rows)
     if out:
-        os.makedirs(out, exist_ok=True)
-        with open(os.path.join(out, name), "w") as f:
-            f.write(csv)
+        _save(out, name, csv)
     sys.stdout.write(csv)
 
 

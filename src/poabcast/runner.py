@@ -72,7 +72,6 @@ def run(scenario: Scenario) -> Trace:
             "n": scenario.n,
             "horizon": scenario.horizon,
             "expect_violation": scenario.expect_violation,
-            "crashes": {str(p): t for p, t in sorted(scenario.crashes.items())},
             "base_delay": scenario.delay.max_delay,
             "stable_from": scenario.omega.segments[-1][0],
         }

@@ -32,7 +32,7 @@ _M64 = 2**64 - 1
 
 
 class SchedulingError(Exception):
-    """Raised when an event is scheduled in the virtual past."""
+    """Raised when an event is scheduled, or a run ends, in the virtual past."""
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,8 @@ class OmegaScript:
         if not self.segments:
             raise ValueError("omega script needs at least one segment")
         times = [t for t, _ in self.segments]
-        if times != sorted(times) or len(set(times)) != len(times):
-            raise ValueError("omega segment start times must strictly increase")
+        if times[0] < 0 or times != sorted(times) or len(set(times)) != len(times):
+            raise ValueError("omega segment start times must be >= 0 and strictly increase")
         for t, outputs in self.segments:
             for p, out in outputs.items():
                 if not (0 <= p < n and 0 <= out < n):
@@ -221,8 +221,7 @@ class Simulator:
 
     def _install_omega_notifications(self) -> None:
         for start, _ in self.omega_script.segments:
-            at = max(start, 0)
-            self.schedule(at, self._notify_omega)
+            self.schedule(start, self._notify_omega)
 
     def _notify_omega(self) -> None:
         for p in range(self.n):
@@ -248,8 +247,11 @@ class Simulator:
 
     def run(self, until: int) -> Trace:
         """Fire every event due at or before ``until``, then set ``now`` to
-        ``until``. A handler's exception propagates out with the rest of its
-        tick dropped; later ticks stay queued for the next ``run``."""
+        ``until``; an ``until`` below ``now`` raises ``SchedulingError``. A
+        handler's exception propagates out with the rest of its tick dropped;
+        later ticks stay queued for the next ``run``."""
+        if until < self.now:
+            raise SchedulingError(f"cannot run until t={until} (now t={self.now})")
         if not self._started:
             self._started = True
             self._install_omega_notifications()

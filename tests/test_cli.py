@@ -8,6 +8,7 @@ import shlex
 
 import pytest
 
+from poabcast.bench import CSV_COLUMNS, rows_to_csv, scenario_row
 from poabcast.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
@@ -17,6 +18,7 @@ from poabcast.cli import (
     bundled_scenarios,
     main,
 )
+from poabcast.trace import Trace
 
 from test_checker import MAPPING_FAULTS, mapping_fault_trace
 
@@ -49,8 +51,23 @@ def test_run_clean_scenario_exits_zero_and_writes_artifacts(tmp_path, capsys):
     assert "liveness: pass" in out
     for suffix in ("trace.jsonl", "report.txt", "metrics.csv"):
         assert os.path.exists(tmp_path / f"stable-tau-paxos.{suffix}")
-    metrics = (tmp_path / "stable-tau-paxos.metrics.csv").read_text()
-    assert metrics.startswith("kind,key,value")
+
+
+def test_run_writes_one_metrics_row_under_the_bench_header(tmp_path, capsys):
+    # five scripted requests at tick 40, each answered 40 ticks later, in a
+    # 400-tick horizon: 5 responses are 12.5 per 1000 ticks
+    assert main(["run", "stable-tau-paxos", "--out", str(tmp_path)]) == EXIT_OK
+    assert (tmp_path / "stable-tau-paxos.metrics.csv").read_text() == (
+        ",".join(CSV_COLUMNS) + "\n"
+        + "stable-tau-paxos,tau-paxos,5,0,40,40.000,40.000,,12.500,\n"
+    )
+
+
+@pytest.mark.parametrize("name", list(bundled_scenarios()))
+def test_run_metrics_are_the_row_of_the_saved_trace(tmp_path, capsys, name):
+    main(["run", name, "--out", str(tmp_path)])
+    trace = Trace.from_jsonl((tmp_path / f"{name}.trace.jsonl").read_text())
+    assert (tmp_path / f"{name}.metrics.csv").read_text() == rows_to_csv([scenario_row(trace)])
 
 
 def test_run_expected_violation_scenario_exits_zero_and_names_the_fault(capsys):
@@ -138,6 +155,7 @@ def test_run_rejects_bad_timing_or_target_as_a_usage_error(tmp_path, patch):
         "jitter: {min: 5, max: 12, sed: 3}",
         "delta: 10\njitter: {min: 5, max: 12}",
         "omega: [{at: 0, leader: 0, outputs: {0: 0, 1: 0, 2: 0}}]",
+        "omega: [{at: -50, leader: 0}, {at: -10, leader: 1}]",
     ],
     ids=[
         "negative-send-size",
@@ -179,6 +197,7 @@ def test_run_rejects_bad_timing_or_target_as_a_usage_error(tmp_path, patch):
         "misspelt-jitter-seed",
         "delta-beside-jitter",
         "leader-beside-outputs",
+        "negative-omega-at",
     ],
 )
 def test_run_rejects_negative_or_malformed_values_as_a_usage_error(tmp_path, capsys, patch):
@@ -235,9 +254,6 @@ def event_line(**fields):
         (summary_line(stable_from="x"), "stable_from is not an integer"),
         (summary_line(base_delay="x"), "base_delay is not an integer"),
         (summary_line(expect_violation="no"), "expect_violation is not a boolean"),
-        (summary_line(crashes=[1]), "crashes is not a map"),
-        (summary_line(crashes={"-1": 5}), "crashes is not a map"),
-        (summary_line(crashes={"1": "x"}), "crashes is not a map"),
         (event_line(kind=5), "an event field has the wrong type"),
         (event_line(p="0"), "an event field has the wrong type"),
         (event_line(t="x"), "an event field has the wrong type"),
@@ -247,7 +263,7 @@ def event_line(**fields):
     ids=["not-json", "lacks-kind", "deliver-lacks-value", "empty", "summary-cut",
          "summary-not-a-mapping", "no-horizon", "no-base-delay", "no-expect-violation",
          "horizon-text", "horizon-bool", "horizon-float", "stable-from-text", "base-delay-text",
-         "expect-violation-text", "crashes-list", "crash-pid-negative", "crash-tick-text",
+         "expect-violation-text",
          "kind-int", "pid-text", "time-text", "index-bool", "data-list"],
 )
 def test_report_on_a_malformed_trace_is_a_usage_error(tmp_path, capsys, text, reason):
@@ -288,14 +304,11 @@ def test_report_on_a_saved_trace_exits_as_run_did(tmp_path, capsys, name):
 @pytest.mark.parametrize("name", ["fig2-tau-paxos"] + [
     name for name in bundled_scenarios() if name.startswith("leaderchange-")])
 def test_report_reads_the_crashes_from_the_trace(tmp_path, capsys, name):
-    # each run crashes a process and is live; its crash events, not the
-    # summary's crash schedule, exempt the process from liveness
+    # each run crashes a process and is live; the summary holds no crash
+    # schedule, so its crash events exempt the process from liveness
     assert main(["run", name, "--out", str(tmp_path)]) == EXIT_OK
     path = tmp_path / f"{name}.trace.jsonl"
-    *events, last = path.read_text().splitlines()
-    summary = json.loads(last)
-    del summary["summary"]["crashes"]
-    path.write_text("\n".join(events + [json.dumps(summary)]) + "\n")
+    assert "crashes" not in json.loads(path.read_text().splitlines()[-1])["summary"]
     assert main(["report", str(path)]) == EXIT_OK
 
 
@@ -405,6 +418,9 @@ SWEEP_ERROR = "error: --sweep entries must be integers >= 1, got "
         (["table1", "--clients", "0"], "error: clients must be >= 1, got 0"),
         (["throughput", "--size", "-100000", "--sweep", "1"],
          "error: request_size must be >= 0, got -100000"),
+        # a batch of it costs more ticks than a float holds
+        (["throughput", "--size", "9" * 321, "--sweep", "1"],
+         f"error: request_size {'9' * 321} has no finite batch cost in ticks"),
     ],
     ids=[
         "non-integer-sweep",
@@ -416,6 +432,7 @@ SWEEP_ERROR = "error: --sweep entries must be integers >= 1, got "
         "zero-delta-table1",
         "zero-clients",
         "negative-size",
+        "huge-size",
     ],
 )
 def test_bench_rejects_out_of_range_arguments_as_a_usage_error(capsys, argv, error):

@@ -405,6 +405,21 @@ def test_a_schedule_at_now_after_run_returns_fires_on_the_next_run():
     assert fired == [("in run", 10), ("after run", 10)]
 
 
+def test_a_run_that_would_turn_the_clock_back_raises_and_fires_nothing():
+    sim = make_sim()
+    fired = []
+    sim.run(100)
+    sim.schedule(120, lambda: fired.append(sim.now))
+    with pytest.raises(SchedulingError):
+        sim.run(50)
+    assert sim.now == 100 and fired == []
+    with pytest.raises(SchedulingError):
+        sim.schedule(60, lambda: fired.append(sim.now))
+    sim.run(100)  # a run until now is allowed and fires nothing new
+    sim.run(150)
+    assert fired == [120]
+
+
 def test_close_leaves_no_pending_tick():
     sim = make_sim()
     sim.add_actor(1, Recorder())
