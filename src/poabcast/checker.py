@@ -385,19 +385,25 @@ def check_replication(idx: TraceIndex) -> Dict[str, Optional[str]]:
 
 
 def check_sequentiality(idx: TraceIndex) -> Optional[str]:
-    """At most one undecided application proposal per process at any instant."""
-    outstanding: Dict[int, Set[int]] = {}
-    for e in idx.by_kind("broadcast", "decide"):
-        if e.kind == "broadcast":
-            pend = outstanding.setdefault(e.actor, set())
-            pend.add(e.data["instance"])
-            if len(pend) > 1:
-                return (
-                    f"process {e.actor} had {sorted(pend)} outstanding at "
-                    f"t={e.time}"
-                )
-        else:
-            outstanding.get(e.actor, set()).discard(e.data["instance"])
+    """tau-seq runs one instance at a time: each ``broadcast`` ``instance`` and
+    ``skip-proposed`` ``target`` is the lowest instance its process has not
+    seen a ``decide`` for."""
+    lowest: Dict[int, int] = {}
+    above: Dict[int, Set[int]] = {}  # per process, decided instances past a gap
+    for e in idx.by_kind("broadcast", "skip-proposed", "decide"):
+        nxt = lowest.get(e.actor, 1)
+        if e.kind == "decide":
+            done = above.setdefault(e.actor, set())
+            done.add(e.data["instance"])
+            while nxt in done:
+                done.remove(nxt)
+                nxt += 1
+            lowest[e.actor] = nxt
+            continue
+        at = e.data["instance" if e.kind == "broadcast" else "target"]
+        if at != nxt:
+            return (f"process {e.actor} proposed at instance {at} at t={e.time}; "
+                    f"its lowest undecided instance is {nxt}")
     return None
 
 

@@ -197,7 +197,7 @@ class Client:
         self.waiting: Optional[Request] = None
 
     def on_start(self) -> None:
-        self.sim.schedule(max(self.sim.now, self.start_at), self._issue, actor=self.cid)
+        self.sim.schedule(self.start_at, self._issue, actor=self.cid)
 
     def _issue(self) -> None:
         if self.next_op >= len(self.ops):

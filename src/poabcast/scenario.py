@@ -37,11 +37,23 @@ def _number(value: Any, key: str) -> float:
     return float(value)
 
 
+# what each key takes: a string or a mapping read as a list would split
+# silently into its items, and bool("false") is True
+_SHAPES = {"clients": list, "omega": list, "ops": list, "sends": list, "jitter": dict,
+           "crashes": dict, "outputs": dict, "reorder": bool, "expect_violation": bool}
+_NOUNS = {list: "a list", dict: "a mapping", bool: "true or false"}
+
+
 def _known(raw: Dict[Any, Any], where: str, *read: str) -> None:
     # a key that nothing reads is a typo or misplaced, never a silent default
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{where} must be a mapping, got {raw!r}")
     unread = sorted(map(str, set(raw) - set(read)))
     if unread:
         raise ScenarioError(f"{where} key {unread[0]!r} is not read here")
+    for key, kind in _SHAPES.items():
+        if key in raw and not isinstance(raw[key], kind):
+            raise ScenarioError(f"{key} must be {_NOUNS[kind]}, got {raw[key]!r}")
 
 
 def _yaml_problem(e: Exception) -> str:
@@ -104,9 +116,12 @@ class Scenario:
             seen.add(c.cid)
             if c.kind not in ("loop", "scripted"):
                 raise ScenarioError(f"unknown client kind: {c.kind}")
-            if c.op_size < 0 or c.retry_every < 0:
-                raise ScenarioError(f"client {c.cid}: size and retry_every must not be negative")
-            for at, to, _, _, size in c.sends:
+            if c.op_size < 0 or c.retry_every < 0 or c.start_at < 0:
+                raise ScenarioError(f"client {c.cid}: size, retry_every and start_at must be >= 0")
+            ops = {}  # a reply names its reqid alone, so one reqid names one op
+            for at, to, reqid, op, size in c.sends:
+                if ops.setdefault(reqid, op) != op:
+                    raise ScenarioError(f"client {c.cid}: reqid {reqid} names two ops")
                 if at < 0 or not 0 <= to < self.n:
                     raise ScenarioError(f"client {c.cid}: send at t={at} to {to} is out of range")
                 if size < 0:
@@ -124,9 +139,6 @@ class Scenario:
     @classmethod
     def from_dict(cls, raw: Dict[str, Any]) -> "Scenario":
         try:
-            for key in ("reorder", "expect_violation"):  # bool("false") is True
-                if not isinstance(raw.get(key, False), bool):
-                    raise ScenarioError(f"{key} must be true or false, got {raw[key]!r}")
             _known(raw, "scenario", "name", "protocol", "n", "horizon", "omega", "crashes",
                    "reorder", "per_byte", "clients", "expect_violation",
                    "jitter" if raw.get("jitter") else "delta")
@@ -183,7 +195,7 @@ class Scenario:
                 delay=delay,
                 omega=omega,
                 crashes={_int(p, "process"): _int(t, "crash tick")
-                         for p, t in (raw.get("crashes") or {}).items()},
+                         for p, t in raw.get("crashes", {}).items()},
                 reorder=raw.get("reorder", False),
                 per_byte=_number(raw.get("per_byte", 0.0), "per_byte"),
                 clients=clients,

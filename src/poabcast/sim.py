@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .trace import Trace, TraceEvent
@@ -154,7 +155,6 @@ class Simulator:
         # prefix-closed per primary.
         self._fifo_floor: Dict[Tuple[int, int], int] = {}
         self._busy_until: Dict[int, int] = {}
-        self._omega_view: Dict[int, Optional[int]] = {}
         self._started = False
 
         omega.validate(n, self.crashes)
@@ -163,10 +163,6 @@ class Simulator:
 
     def add_actor(self, actor_id: int, actor: Any) -> None:
         self.actors[actor_id] = actor
-
-    def alive(self, actor_id: int) -> bool:
-        crash_at = self.crashes.get(actor_id)
-        return crash_at is None or self.now < crash_at
 
     # -- scheduling ---------------------------------------------------------
 
@@ -220,20 +216,22 @@ class Simulator:
     # -- omega --------------------------------------------------------------
 
     def _install_omega_notifications(self) -> None:
-        for start, _ in self.omega_script.segments:
-            self.schedule(start, self._notify_omega)
-
-    def _notify_omega(self) -> None:
+        # one entry per change of a process's output, bound to it so that its
+        # crash silences its oracle; a tick's entries come in process order
         for p in range(self.n):
-            if p not in self.actors or not self.alive(p):
-                continue
-            out = self.omega_script.output(p, self.now)
-            if self._omega_view.get(p) != out:
-                self._omega_view[p] = out
-                self.emit("omega", p, leader=out)
-                handler = getattr(self.actors[p], "on_omega", None)
-                if handler is not None:
-                    handler(out)
+            if p in self.actors:
+                last = None
+                for start, outputs in self.omega_script.segments:
+                    out = outputs.get(p, last)
+                    if out != last:
+                        last = out
+                        self.schedule(start, partial(self._notify_omega, p, out), actor=p)
+
+    def _notify_omega(self, p: int, leader: int) -> None:
+        self.emit("omega", p, leader=leader)
+        handler = getattr(self.actors[p], "on_omega", None)
+        if handler is not None:
+            handler(leader)
 
     # -- trace --------------------------------------------------------------
 

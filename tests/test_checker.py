@@ -193,10 +193,12 @@ MAPPING_FAULTS = {
         ],
         "epoch at process 0 was never established",
     ),
-    # both epochs' first delivered values sit at instance 5
+    # both epochs' first delivered values sit at instance 5, which each
+    # process proposes once it has decided 1-4
     "ambiguous-mapping": (
         "tau-seq",
-        primary_epoch_rows(0, 0, ["v1"], [5]) + [
+        [(0, p, "decide", {"value": f"d{i}", "instance": i}) for p in (0, 1) for i in range(1, 5)]
+        + primary_epoch_rows(0, 0, ["v1"], [5]) + [
             (10, 1, "primary-begin", {}),
             (11, 1, "broadcast", {"value": "v2", "instance": 5}),
             (12, 1, "deliver", {"value": "v2", "instance": 5}),
@@ -442,8 +444,25 @@ def test_sequentiality_catches_two_outstanding_proposals():
         (0, 0, "broadcast", {"value": "v1", "instance": 1}),
         (1, 0, "decide", {"value": "v1", "instance": 1}),
         (2, 0, "broadcast", {"value": "v2", "instance": 2}),
+        (3, 0, "decide", {"value": "v3", "instance": 3}),  # learned past the gap at 2
+        (4, 0, "decide", {"value": "v2", "instance": 2}),
+        (5, 0, "skip-proposed", {"lo": 4, "target": 4}),
     ]
     assert check_sequentiality(make_index(rows_ok)) is None
+
+
+@pytest.mark.parametrize(
+    "kind, data",
+    [("broadcast", {"value": "v2", "instance": 1}), ("broadcast", {"value": "v3", "instance": 3}),
+     ("skip-proposed", {"lo": 2, "target": 3})],
+    ids=["broadcast-at-a-decided-instance", "broadcast-past-a-gap", "skip-past-a-gap"],
+)
+def test_sequentiality_catches_a_proposal_off_the_lowest_undecided_instance(kind, data):
+    rows = [(0, 0, "decide", {"value": "v1", "instance": 1}), (1, 0, kind, data)]
+    at = data.get("instance", data.get("target"))
+    assert check_sequentiality(make_index(rows)) == (
+        f"process 0 proposed at instance {at} at t=1; its lowest undecided instance is 2"
+    )
 
 
 def test_single_ballot_epochs_catches_a_read_phase_inside_an_epoch():

@@ -156,6 +156,14 @@ def test_run_rejects_bad_timing_or_target_as_a_usage_error(tmp_path, patch):
         "delta: 10\njitter: {min: 5, max: 12}",
         "omega: [{at: 0, leader: 0, outputs: {0: 0, 1: 0, 2: 0}}]",
         "omega: [{at: -50, leader: 0}, {at: -10, leader: 1}]",
+        # a string or a mapping would be split into its items
+        "clients: [{id: 3, kind: loop, ops: abc}]",
+        "clients: [{id: 3, kind: loop, ops: {a: 1, b: 2}}]",
+        "clients: [{id: 3, kind: scripted, sends: {at: 1}}]",
+        "clients: [{id: 3, kind: loop, ops: [a], start_at: -50}]",
+        # a reply names its reqid only, so the history would take the first op
+        "protocol: tau-paxos\nclients: [{id: 3, kind: scripted, sends: "
+        "[{at: 5, to: 0, reqid: 1, op: x}, {at: 9, to: 1, reqid: 1, op: y}]}]",
     ],
     ids=[
         "negative-send-size",
@@ -198,6 +206,11 @@ def test_run_rejects_bad_timing_or_target_as_a_usage_error(tmp_path, patch):
         "delta-beside-jitter",
         "leader-beside-outputs",
         "negative-omega-at",
+        "ops-string",
+        "ops-mapping",
+        "sends-mapping",
+        "negative-start-at",
+        "reqid-names-two-ops",
     ],
 )
 def test_run_rejects_negative_or_malformed_values_as_a_usage_error(tmp_path, capsys, patch):

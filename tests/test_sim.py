@@ -255,21 +255,19 @@ def test_omega_validation_rejects_bad_scripts():
 
 
 def test_omega_notifications_reach_live_actors_once_per_change():
+    # process 0 crashes between the first two segments; the one at 50 names
+    # process 1's output again unchanged, so 1 hears of it only at 80
     sim = make_sim(
-        omega=OmegaScript([(0, {p: 0 for p in range(3)}), (50, {p: 1 for p in range(3)})])
+        crashes={0: 20},
+        omega=OmegaScript([(0, {0: 0, 1: 0, 2: 0}), (50, {0: 1, 1: 0, 2: 1}), (80, {1: 1})]),
     )
     seen = []
-
-    class Probe:
-        def on_message(self, frm, msg):
-            pass
-
-        def on_omega(self, leader):
-            seen.append((sim.now, leader))
-
-    sim.add_actor(0, Probe())
-    sim.run(200)
-    assert seen == [(0, 0), (50, 1)]
+    for p in range(3):
+        sim.add_actor(p, Recorder())
+        sim.actors[p].on_omega = lambda leader, p=p: seen.append((sim.now, p, leader))
+    trace = sim.run(200)
+    assert seen == [(0, 0, 0), (0, 1, 0), (0, 2, 0), (50, 2, 1), (80, 1, 1)]
+    assert [(e.time, e.actor, e.data["leader"]) for e in trace.by_kind("omega")] == seen
 
 
 def test_empty_workload_trace_contains_only_omega_events():
