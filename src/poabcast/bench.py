@@ -44,7 +44,7 @@ from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Optional, Tuple
 
 from .paxos import PaxosNode
-from .scenario import ClientSpec, Scenario
+from .scenario import PROTOCOLS, ClientSpec, Scenario
 from .sim import DelayModel, OmegaScript, Simulator
 from .runner import run
 from .trace import Trace
@@ -110,17 +110,16 @@ def _latencies(lats: List[int]) -> Dict[str, float]:
 
 
 def scenario_row(trace: Trace) -> MetricsRow:
-    """A scenario run's row: the clients that sent a request, the largest
-    request, each answered request's latency from its first ``request``
-    event, and responses per 1000 ticks of the horizon."""
+    """A scenario run's row: the clients that sent a request, size 0 (they
+    carry no bytes), each answered request's latency from its first
+    ``request`` event, and responses per 1000 ticks of the horizon."""
     requests, responses = trace.by_kind("request"), trace.by_kind("response")
     sent: Dict[Tuple[int, Any], int] = {}
     for e in requests:
         sent.setdefault((e.actor, e.data["reqid"]), e.time)
     lats = [e.time - sent[k] for e in responses if (k := (e.actor, e.data["reqid"])) in sent]
     s = trace.summary
-    return MetricsRow(s["scenario"], s["protocol"], len({e.actor for e in requests}),
-                      max((e.data["size"] for e in requests), default=0),
+    return MetricsRow(s["scenario"], s["protocol"], len({e.actor for e in requests}), 0,
                       throughput_per_1k=len(responses) / s["horizon"] * 1000, **_latencies(lats))
 
 
@@ -132,7 +131,7 @@ def stable_scenario(protocol: str, delta: int = 10, clients: int = 5) -> Scenari
         ClientSpec(
             cid=3 + i,
             kind="scripted",
-            sends=[(4 * delta, 0, 1, f"s{i}", 0)],
+            sends=[(4 * delta, 0, 1, f"s{i}")],
         )
         for i in range(clients)
     ]
@@ -151,13 +150,13 @@ def leaderchange_scenario(protocol: str, delta: int = 10) -> Scenario:
     switch = 10 * delta
     crash = switch - delta // 2
     specs = [
-        ClientSpec(cid=3, kind="scripted", sends=[(4 * delta, 1, 1, "b", 0)])
+        ClientSpec(cid=3, kind="scripted", sends=[(4 * delta, 1, 1, "b")])
     ]
     if protocol in ("tau-seq", "tau-paxos"):
         # leave the old leader a written-but-undecided value: accepted by the
         # followers, acks lost to the crash
         specs.append(
-            ClientSpec(cid=4, kind="scripted", sends=[(7 * delta, 0, 1, "a", 0)])
+            ClientSpec(cid=4, kind="scripted", sends=[(7 * delta, 0, 1, "a")])
         )
     return Scenario(
         name=f"leaderchange-{protocol}",
@@ -191,11 +190,12 @@ def stable_metrics(trace: Trace) -> Tuple[List[int], int]:
 
 
 def leader_change_idle(trace: Trace) -> int:
-    """Ticks from the oracle switch (the final omega segment's start) to the
-    first consensus write of a fresh, eventually-delivered application value
-    at the new leader (the process that the trace's last omega event names)."""
-    switch = trace.summary["stable_from"]
-    new_leader = trace.by_kind("omega")[-1].data["leader"]
+    """Ticks from the oracle switch, the trace's last omega event (in the
+    leaderchange scenarios, at the final omega segment's start), to the first
+    consensus write of a fresh, eventually-delivered application value at the
+    new leader, the process that event names."""
+    last = trace.by_kind("omega")[-1]
+    switch, new_leader = last.time, last.data["leader"]
     delivered = {e.data["value"] for e in trace.by_kind("deliver")}
     fresh = {
         e.data["value"]
@@ -215,7 +215,7 @@ def leader_change_idle(trace: Trace) -> int:
 def bench_table1(delta: int = 10, clients: int = 5) -> List[MetricsRow]:
     _at_least(("delta", delta, 1), ("clients", clients, 1))
     rows = []
-    for protocol in ("naive", "tau-seq", "tau-paxos", "barrier-free"):
+    for protocol in PROTOCOLS:
         trace = run(stable_scenario(protocol, delta, clients))
         lats, span = stable_metrics(trace)
         idle = leader_change_idle(run(leaderchange_scenario(protocol, delta)))

@@ -106,8 +106,8 @@ def _check_summary(summary) -> None:
     for key in ("horizon", "base_delay", "expect_violation"):
         if key not in summary:
             raise ValueError(f"summary has no {key}")
-    for key in ("horizon", "stable_from", "base_delay"):
-        if key in summary and type(summary[key]) is not int:  # not a bool either
+    for key in ("horizon", "base_delay"):
+        if type(summary[key]) is not int:  # not a bool either
             raise ValueError(f"summary {key} is not an integer: {summary[key]!r}")
     if not isinstance(summary["expect_violation"], bool):
         raise ValueError("summary expect_violation is not a boolean")
@@ -136,7 +136,7 @@ def _emit_rows(rows, out: Optional[str], name: str) -> None:
 
 def _parse_sweep(sweep: Optional[str]) -> Optional[List[int]]:
     """The ``--sweep`` client counts, or None for the default sweep."""
-    entries = sweep.split(",") if sweep else []
+    entries = sweep.split(",") if sweep is not None else []
     for entry in entries:
         # ASCII digits only: str.isdigit() also takes '²' and '٣'
         digits = entry.strip()

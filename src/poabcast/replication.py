@@ -55,7 +55,6 @@ class Request(NamedTuple):  # an immutable tuple record, as Paxos's messages
     client: int
     reqid: int
     op: str
-    size: int = 0
 
 
 class Reply(NamedTuple):
@@ -68,8 +67,8 @@ class Reply(NamedTuple):
 def execute(state: str, req: Request, vid: str) -> StateUpdate:
     record = op_record(req.client, req.reqid, req.op)
     return StateUpdate(
-        vid=vid, body=record, size=req.size, client=req.client, reqid=req.reqid,
-        pre=state, post=_digest(state, record),
+        vid=vid, body=record, client=req.client, reqid=req.reqid, pre=state,
+        post=_digest(state, record),
     )
 
 
@@ -183,7 +182,6 @@ class Client:
         n: int,
         ops: List[str],
         retry_every: int = 0,
-        op_size: int = 0,
         start_at: int = 0,
     ):
         self.sim = sim
@@ -191,7 +189,6 @@ class Client:
         self.n = n
         self.ops = list(ops)
         self.retry_every = retry_every or 4 * sim.delay_model.max_delay
-        self.op_size = op_size
         self.start_at = start_at
         self.next_op = 0
         self.waiting: Optional[Request] = None
@@ -202,17 +199,15 @@ class Client:
     def _issue(self) -> None:
         if self.next_op >= len(self.ops):
             return
-        req = Request(self.cid, self.next_op + 1, self.ops[self.next_op], self.op_size)
+        req = Request(self.cid, self.next_op + 1, self.ops[self.next_op])
         self.next_op += 1
         self.waiting = req
-        self.sim.emit(
-            "request", self.cid, reqid=req.reqid, op=req.op, size=req.size
-        )
+        self.sim.emit("request", self.cid, reqid=req.reqid, op=req.op)
         self._send(req)
 
     def _send(self, req: Request) -> None:
         for p in range(self.n):
-            self.sim.send(self.cid, p, req, size=req.size)
+            self.sim.send(self.cid, p, req)
         self.sim.schedule(
             self.sim.now + self.retry_every, lambda: self._retry(req), actor=self.cid
         )
@@ -235,27 +230,24 @@ class Client:
 
 
 class ScriptedClient:
-    """Client with fully scripted sends: (time, replica, reqid, op, size).
+    """Client with fully scripted sends: (time, replica, reqid, op).
 
     Each send targets exactly one replica and is never retransmitted, which
     is what adversarial and latency-measurement schedules need.
     """
 
-    def __init__(self, sim: Simulator, cid: int, sends: List[Tuple[int, int, int, str, int]]):
+    def __init__(self, sim: Simulator, cid: int, sends: List[Tuple[int, int, int, str]]):
         self.sim = sim
         self.cid = cid
         self.sends = list(sends)
         self.seen: Set[int] = set()
 
     def on_start(self) -> None:
-        for at, replica, reqid, op, size in self.sends:
-            req = Request(self.cid, reqid, op, size)
+        for at, replica, reqid, op in self.sends:
+            req = Request(self.cid, reqid, op)
             def push(req=req, replica=replica):
-                self.sim.emit(
-                    "request", self.cid, reqid=req.reqid, op=req.op,
-                    size=req.size, to=replica,
-                )
-                self.sim.send(self.cid, replica, req, size=req.size)
+                self.sim.emit("request", self.cid, reqid=req.reqid, op=req.op, to=replica)
+                self.sim.send(self.cid, replica, req)
             self.sim.schedule(at, push, actor=self.cid)
 
     def on_message(self, frm: int, msg: Any) -> None:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, List, Tuple
+from typing import Any
 
 from .abcast import NaiveAbcast
 from .barrier_free import BarrierFreeBroadcast
@@ -25,42 +25,30 @@ def make_layer(protocol: str, sim: Simulator, pid: int, n: int):
     raise ValueError(f"unknown protocol: {protocol}")
 
 
-def build(scenario: Scenario) -> Tuple[Simulator, List[Replica], List[Any]]:
+def build(scenario: Scenario) -> Simulator:
+    """The scenario's simulator, its replicas and clients added, not yet run."""
     sim = Simulator(
         n=scenario.n,
         delay_model=scenario.delay,
         omega=scenario.omega,
         crashes=scenario.crashes,
         reorder=scenario.reorder,
-        per_byte=scenario.per_byte,
     )
-    replicas = []
     for pid in range(scenario.n):
         layer = make_layer(scenario.protocol, sim, pid, scenario.n)
-        replica = Replica(sim, pid, layer)
-        sim.add_actor(pid, replica)
-        replicas.append(replica)
-    clients: List[Any] = []
+        sim.add_actor(pid, Replica(sim, pid, layer))
     for spec in scenario.clients:
         if spec.kind == "scripted":
             client: Any = ScriptedClient(sim, spec.cid, spec.sends)
         else:
-            client = Client(
-                sim,
-                spec.cid,
-                scenario.n,
-                spec.ops,
-                retry_every=spec.retry_every,
-                op_size=spec.op_size,
-                start_at=spec.start_at,
-            )
+            client = Client(sim, spec.cid, scenario.n, spec.ops,
+                            retry_every=spec.retry_every, start_at=spec.start_at)
         sim.add_actor(spec.cid, client)
-        clients.append(client)
-    return sim, replicas, clients
+    return sim
 
 
 def run(scenario: Scenario) -> Trace:
-    sim, replicas, clients = build(scenario)
+    sim = build(scenario)
     try:
         trace = sim.run(scenario.horizon)
     finally:
@@ -73,7 +61,6 @@ def run(scenario: Scenario) -> Trace:
             "horizon": scenario.horizon,
             "expect_violation": scenario.expect_violation,
             "base_delay": scenario.delay.max_delay,
-            "stable_from": scenario.omega.segments[-1][0],
         }
     )
     return trace

@@ -9,7 +9,6 @@ are YAML on disk; see the bundled files under ``scenarios/``.
 from __future__ import annotations
 
 import random
-import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
@@ -28,13 +27,6 @@ def _int(value: Any, key: str) -> int:
     if type(value) is not int:  # int() would truncate 3.7 to 3 and read true as 1
         raise ScenarioError(f"{key} must be an integer, got {value!r}")
     return value
-
-
-def _number(value: Any, key: str) -> float:
-    # float() would read "0.5" and true; a nan or inf cost has no departure tick
-    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-        raise ScenarioError(f"{key} must be a finite number, got {value!r}")
-    return float(value)
 
 
 # what each key takes: a string or a mapping read as a list would split
@@ -69,10 +61,9 @@ class ClientSpec:
     cid: int
     kind: str  # "loop" | "scripted"
     ops: List[str] = field(default_factory=list)
-    # scripted sends, each (at, to, reqid, op, size)
-    sends: List[Tuple[int, int, int, str, int]] = field(default_factory=list)
+    # scripted sends, each (at, to, reqid, op)
+    sends: List[Tuple[int, int, int, str]] = field(default_factory=list)
     retry_every: int = 0
-    op_size: int = 0
     start_at: int = 0
 
 
@@ -86,7 +77,6 @@ class Scenario:
     omega: OmegaScript
     crashes: Dict[int, int] = field(default_factory=dict)
     reorder: bool = False
-    per_byte: float = 0.0
     clients: List[ClientSpec] = field(default_factory=list)
     expect_violation: bool = False
 
@@ -100,8 +90,6 @@ class Scenario:
             raise ScenarioError("n must be an odd number >= 3")
         if self.horizon < 1:
             raise ScenarioError(f"horizon must be at least 1 tick, got {self.horizon}")
-        if self.per_byte < 0:
-            raise ScenarioError(f"per_byte must not be negative, got {self.per_byte}")
         if len(self.crashes) > (self.n - 1) // 2:
             raise ScenarioError("crashes must leave a quorum of correct processes")
         for p, t in self.crashes.items():
@@ -116,21 +104,14 @@ class Scenario:
             seen.add(c.cid)
             if c.kind not in ("loop", "scripted"):
                 raise ScenarioError(f"unknown client kind: {c.kind}")
-            if c.op_size < 0 or c.retry_every < 0 or c.start_at < 0:
-                raise ScenarioError(f"client {c.cid}: size, retry_every and start_at must be >= 0")
+            if c.retry_every < 0 or c.start_at < 0:
+                raise ScenarioError(f"client {c.cid}: retry_every and start_at must be >= 0")
             ops = {}  # a reply names its reqid alone, so one reqid names one op
-            for at, to, reqid, op, size in c.sends:
+            for at, to, reqid, op in c.sends:
                 if ops.setdefault(reqid, op) != op:
                     raise ScenarioError(f"client {c.cid}: reqid {reqid} names two ops")
                 if at < 0 or not 0 <= to < self.n:
                     raise ScenarioError(f"client {c.cid}: send at t={at} to {to} is out of range")
-                if size < 0:
-                    raise ScenarioError(f"client {c.cid}: send at t={at} has size {size} < 0")
-            big = sys.float_info.max  # a link charges int(round(size * per_byte)) ticks
-            for size in [c.op_size] + [s[4] for s in c.sends]:
-                if self.per_byte and not (size <= big and size * self.per_byte <= big):
-                    raise ScenarioError(f"client {c.cid}: size {size} at per_byte "
-                                        f"{self.per_byte} is no finite number of ticks")
         try:
             self.omega.validate(self.n, self.crashes)
         except ValueError as e:
@@ -140,10 +121,10 @@ class Scenario:
     def from_dict(cls, raw: Dict[str, Any]) -> "Scenario":
         try:
             _known(raw, "scenario", "name", "protocol", "n", "horizon", "omega", "crashes",
-                   "reorder", "per_byte", "clients", "expect_violation",
-                   "jitter" if raw.get("jitter") else "delta")
+                   "reorder", "clients", "expect_violation",
+                   "jitter" if "jitter" in raw else "delta")
             n = _int(raw["n"], "n")
-            if raw.get("jitter"):
+            if "jitter" in raw:
                 j = raw["jitter"]
                 _known(j, "jitter", "min", "max", "seed")
                 lo, hi = _int(j["min"], "jitter min"), _int(j["max"], "jitter max")
@@ -166,13 +147,13 @@ class Scenario:
             clients = []
             for c in raw.get("clients", []):
                 kind = c.get("kind", "loop")
-                reads = ("ops", "retry_every", "size", "start_at") if kind == "loop" else ("sends",)
+                reads = ("ops", "retry_every", "start_at") if kind == "loop" else ("sends",)
                 _known(c, f"{kind} client", "id", "kind", *reads)
                 for s in c.get("sends", []):
-                    _known(s, "send", "at", "to", "reqid", "op", "size")
+                    _known(s, "send", "at", "to", "reqid", "op")
                 sends = [
                     (_int(s["at"], "send at"), _int(s["to"], "send to"), _int(s["reqid"], "reqid"),
-                     str(s["op"]), _int(s.get("size", 0), "size"))
+                     str(s["op"]))
                     for s in c.get("sends", [])
                 ]
                 clients.append(
@@ -182,7 +163,6 @@ class Scenario:
                         ops=[str(o) for o in c.get("ops", [])],
                         sends=sends,
                         retry_every=_int(c.get("retry_every", 0), "retry_every"),
-                        op_size=_int(c.get("size", 0), "size"),
                         start_at=_int(c.get("start_at", 0), "start_at"),
                     )
                 )
@@ -197,7 +177,6 @@ class Scenario:
                 crashes={_int(p, "process"): _int(t, "crash tick")
                          for p, t in raw.get("crashes", {}).items()},
                 reorder=raw.get("reorder", False),
-                per_byte=_number(raw.get("per_byte", 0.0), "per_byte"),
                 clients=clients,
                 expect_violation=raw.get("expect_violation", False),
             )

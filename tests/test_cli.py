@@ -111,16 +111,16 @@ def test_run_rejects_bad_timing_or_target_as_a_usage_error(tmp_path, patch):
 @pytest.mark.parametrize(
     "patch",
     [
+        # a scenario carries no byte model, so each of these keys is unread and
+        # the file fails as a whole rather than running without its byte costs
         "per_byte: 1.0\nclients: [{id: 3, kind: scripted, sends: "
         "[{at: 50, to: 0, reqid: 1, op: x, size: -200}]}]",
         "per_byte: 1.0\nclients: [{id: 3, kind: loop, ops: [a], size: -200}]",
         "per_byte: -1.0\nclients: [{id: 3, kind: scripted, sends: "
         "[{at: 50, to: 0, reqid: 1, op: x, size: 200}]}]",
-        # a cost that is not a finite number would reach the link timing
         "per_byte: .nan\nclients: [{id: 3, kind: loop, ops: [a], size: 8}]",
         "per_byte: .inf\nclients: [{id: 3, kind: loop, ops: [a], size: 8}]",
         "per_byte: 1e400\nclients: [{id: 3, kind: loop, ops: [a], size: 8}]",
-        # each finite, but a request's byte cost is not
         "per_byte: 1.0e+308\nclients: [{id: 3, kind: loop, ops: [a], size: 8}]",
         "per_byte: 1.0e+308\nclients: [{id: 3, kind: scripted, sends: "
         "[{at: 50, to: 0, reqid: 1, op: x, size: 8}]}]",
@@ -264,7 +264,6 @@ def event_line(**fields):
         (summary_line(horizon="x"), "horizon is not an integer"),
         (summary_line(horizon=True), "horizon is not an integer"),
         (summary_line(horizon=10.5), "horizon is not an integer"),
-        (summary_line(stable_from="x"), "stable_from is not an integer"),
         (summary_line(base_delay="x"), "base_delay is not an integer"),
         (summary_line(expect_violation="no"), "expect_violation is not a boolean"),
         (event_line(kind=5), "an event field has the wrong type"),
@@ -275,7 +274,7 @@ def event_line(**fields):
     ],
     ids=["not-json", "lacks-kind", "deliver-lacks-value", "empty", "summary-cut",
          "summary-not-a-mapping", "no-horizon", "no-base-delay", "no-expect-violation",
-         "horizon-text", "horizon-bool", "horizon-float", "stable-from-text", "base-delay-text",
+         "horizon-text", "horizon-bool", "horizon-float", "base-delay-text",
          "expect-violation-text",
          "kind-int", "pid-text", "time-text", "index-bool", "data-list"],
 )
@@ -423,6 +422,7 @@ SWEEP_ERROR = "error: --sweep entries must be integers >= 1, got "
         (["throughput", "--sweep", "a,b"], SWEEP_ERROR + "'a'"),
         (["throughput", "--sweep", "0"], SWEEP_ERROR + "'0'"),
         (["throughput", "--sweep", "1,,2"], SWEEP_ERROR + "''"),
+        (["throughput", "--sweep", ""], SWEEP_ERROR + "''"),
         (["throughput", "--sweep", "2,-1"], SWEEP_ERROR + "'-1'"),
         # digits that str.isdigit() accepts but are not ASCII 0-9
         (["throughput", "--sweep", "\u00b2"], SWEEP_ERROR + "'\u00b2'"),
@@ -439,6 +439,7 @@ SWEEP_ERROR = "error: --sweep entries must be integers >= 1, got "
         "non-integer-sweep",
         "zero-sweep",
         "empty-sweep-entry",
+        "empty-sweep",
         "negative-sweep",
         "superscript-digit-sweep",
         "arabic-indic-digit-sweep",

@@ -182,7 +182,8 @@ def test_messages_are_immutable_records():
         for name in msg._fields:
             with pytest.raises(AttributeError):
                 setattr(msg, name, 0)
-    assert Request(client=5, reqid=1, op="op") == Request(5, 1, "op", 0)
+    assert Request._fields == ("client", "reqid", "op")
+    assert Request(client=5, reqid=1, op="op") == Request(5, 1, "op")
 
 
 def test_decide_stream_reorders_into_gap_free_sequence():

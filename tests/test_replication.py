@@ -26,9 +26,9 @@ def test_execute_produces_a_chained_update():
 
 
 def test_an_update_is_the_value_it_is_broadcast_as():
-    u = execute(INITIAL_STATE, Request(4, 7, "op", size=100), vid="u4.7.0.1")
+    u = execute(INITIAL_STATE, Request(4, 7, "op"), vid="u4.7.0.1")
     assert isinstance(u, AppValue)
-    assert (u.vid, u.body, u.size) == ("u4.7.0.1", u.record, 100)
+    assert (u.vid, u.body, u.size) == ("u4.7.0.1", u.record, 0)
     assert (u.client, u.reqid, u.pre) == (4, 7, INITIAL_STATE)
     # the digest is the plain value's: the update's own fields do not enter it
     assert u.digest() == AppValue("u4.7.0.1", u.record).digest()

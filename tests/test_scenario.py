@@ -21,7 +21,7 @@ clients:
   - id: 4
     kind: scripted
     sends:
-      - {at: 50, to: 0, reqid: 1, op: x, size: 16}
+      - {at: 50, to: 0, reqid: 1, op: x}
 """
 
 
@@ -33,7 +33,7 @@ def test_yaml_round_trip_fields():
     assert s.omega.segments[1] == (100, {0: 0, 1: 1, 2: 1})
     assert s.crashes == {0: 150}
     assert s.clients[0].kind == "loop" and s.clients[0].ops == ["a", "b"]
-    assert s.clients[1].sends == [(50, 0, 1, "x", 16)]
+    assert s.clients[1].sends == [(50, 0, 1, "x")]
 
 
 def test_jitter_block_builds_a_jitter_delay_model():
@@ -72,9 +72,10 @@ def test_non_mapping_file_is_a_scenario_error():
         "crashes: {1: -5}",  # negative crash tick
         "clients: [{id: 3, kind: scripted, sends: [{at: -5, to: 0, reqid: 1, op: x}]}]",
         "clients: [{id: 3, kind: scripted, sends: [{at: 5, to: 7, reqid: 1, op: x}]}]",
+        "clients: [{id: 3, kind: loop, ops: [a], retry_every: -5}]",
+        # byte-model keys, which a scenario no longer reads
         "clients: [{id: 3, kind: scripted, sends: [{at: 5, to: 0, reqid: 1, op: x, size: -1}]}]",
         "clients: [{id: 3, kind: loop, ops: [a], size: -1}]",
-        "clients: [{id: 3, kind: loop, ops: [a], retry_every: -5}]",
         "per_byte: -1.0",
         # integer fields take no float or bool, which int() would truncate
         "n: 3.7",
@@ -94,6 +95,29 @@ def test_validation_rejects_bad_scenarios(patch):
     doc = base + patch + "\n"
     with pytest.raises(ScenarioError):
         Scenario.from_yaml(doc)
+
+
+@pytest.mark.parametrize(
+    "patch, message",
+    [
+        # a scenario carries no byte model: the link cost is the throughput bench's
+        ("per_byte: 0.5", "scenario key 'per_byte' is not read here"),
+        ("clients: [{id: 3, kind: loop, ops: [a], size: 8}]",
+         "loop client key 'size' is not read here"),
+        ("clients: [{id: 3, kind: scripted, sends: [{at: 5, to: 0, reqid: 1, op: x, size: 8}]}]",
+         "send key 'size' is not read here"),
+        # a jitter block is read whatever its value, so an empty one is named as such
+        ("jitter: {}", "scenario is missing required key: 'min'"),
+        ("jitter: null", "jitter must be a mapping, got None"),
+        ("jitter: []", "jitter must be a mapping, got []"),
+    ],
+    ids=["per-byte", "loop-size", "send-size", "empty-jitter", "null-jitter", "list-jitter"],
+)
+def test_a_scenario_error_says_what_is_wrong_with_the_key(patch, message):
+    base = "name: x\nprotocol: naive\nn: 3\nhorizon: 100\nomega: [{at: 0, leader: 0}]\n"
+    with pytest.raises(ScenarioError) as e:
+        Scenario.from_yaml(base + patch + "\n")
+    assert str(e.value) == message
 
 
 @pytest.mark.parametrize("key", ["reorder", "expect_violation"])

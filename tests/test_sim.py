@@ -701,7 +701,7 @@ def test_emit_runs_once_per_event_and_delay_once_per_link_message(monkeypatch, w
 # -- a finished run is freed by reference counting ------------------------------
 
 def test_close_leaves_the_returned_trace_whole():
-    sim, _, _ = build(random_scenario(5, "tau-paxos"))
+    sim = build(random_scenario(5, "tau-paxos"))
     trace = sim.run(3000)
     text = trace.to_jsonl()
     sim.close()
