@@ -12,11 +12,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
-import yaml
-
 from .sim import DelayModel, OmegaScript
 
 PROTOCOLS = ("naive", "tau-seq", "tau-paxos", "barrier-free")
+CLIENT_KINDS = ("loop", "scripted")
 
 
 class ScenarioError(Exception):
@@ -36,10 +35,16 @@ _SHAPES = {"clients": list, "omega": list, "ops": list, "sends": list, "jitter":
 _NOUNS = {list: "a list", dict: "a mapping", bool: "true or false"}
 
 
-def _known(raw: Dict[Any, Any], where: str, *read: str) -> None:
-    # a key that nothing reads is a typo or misplaced, never a silent default
+def _mapping(raw: Any, where: str) -> Dict[Any, Any]:
+    # checked before any key is looked up, so a list or a number gets a shape error
     if not isinstance(raw, dict):
         raise ScenarioError(f"{where} must be a mapping, got {raw!r}")
+    return raw
+
+
+def _known(raw: Dict[Any, Any], where: str, *read: str) -> None:
+    # a key that nothing reads is a typo or misplaced, never a silent default
+    _mapping(raw, where)
     unread = sorted(map(str, set(raw) - set(read)))
     if unread:
         raise ScenarioError(f"{where} key {unread[0]!r} is not read here")
@@ -102,7 +107,7 @@ class Scenario:
             if c.cid < self.n or c.cid in seen:
                 raise ScenarioError("client ids must be unique and >= n")
             seen.add(c.cid)
-            if c.kind not in ("loop", "scripted"):
+            if c.kind not in CLIENT_KINDS:
                 raise ScenarioError(f"unknown client kind: {c.kind}")
             if c.retry_every < 0 or c.start_at < 0:
                 raise ScenarioError(f"client {c.cid}: retry_every and start_at must be >= 0")
@@ -134,7 +139,8 @@ class Scenario:
 
             segments = []
             for seg in raw.get("omega", [{"at": 0, "leader": 0}]):
-                _known(seg, "omega segment", "at", "outputs" if "outputs" in seg else "leader")
+                shape = "outputs" if "outputs" in _mapping(seg, "omega segment") else "leader"
+                _known(seg, "omega segment", "at", shape)
                 at = _int(seg["at"], "omega at")
                 if "outputs" in seg:
                     outputs = {_int(p, "process"): _int(l, "leader")
@@ -146,7 +152,9 @@ class Scenario:
 
             clients = []
             for c in raw.get("clients", []):
-                kind = c.get("kind", "loop")
+                kind = _mapping(c, "client").get("kind", "loop")
+                if kind not in CLIENT_KINDS:  # before its kind picks the keys it reads
+                    raise ScenarioError(f"unknown client kind: {kind}")
                 reads = ("ops", "retry_every", "start_at") if kind == "loop" else ("sends",)
                 _known(c, f"{kind} client", "id", "kind", *reads)
                 for s in c.get("sends", []):
@@ -189,6 +197,8 @@ class Scenario:
 
     @classmethod
     def from_yaml(cls, text: str) -> "Scenario":
+        import yaml  # here, not at the top: only a parse pays PyYAML's start-up
+
         try:
             raw = yaml.safe_load(text)
         except (yaml.YAMLError, ValueError) as e:  # ValueError: a bad tagged scalar, !!int x

@@ -230,6 +230,27 @@ def test_run_rejects_negative_or_malformed_values_as_a_usage_error(tmp_path, cap
     assert written == [bad]
 
 
+@pytest.mark.parametrize(
+    "patch, error",
+    [
+        ("clients: [5]", "client must be a mapping, got 5"),
+        ("omega: [5]", "omega segment must be a mapping, got 5"),
+        ("clients: [{id: 3, kind: lop, ops: [a]}]", "unknown client kind: lop"),
+        ("clients: [{id: 3, kind: [a], ops: [a]}]", "unknown client kind: ['a']"),
+    ],
+    ids=["client-not-a-mapping", "omega-segment-not-a-mapping", "misspelt-client-kind",
+         "client-kind-a-list"],
+)
+def test_run_names_a_bad_client_or_omega_segment_in_its_own_words(tmp_path, capsys, patch, error):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(
+        "name: x\nprotocol: naive\nn: 3\nhorizon: 100\nomega: [{at: 0, leader: 0}]\n"
+        + patch + "\n"
+    )
+    assert main(["run", str(bad)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 def summary_line(*omit, **fields):
     """A complete summary line of a tau-seq run, without the keys in ``omit``
     and with ``fields`` overriding its own."""

@@ -1,9 +1,11 @@
 """A stdlib stand-in for a linter: every name a module imports is used in it,
 and every top-level function or class of the package, and every method of
 such a class, has a caller in the package or the benchmark (a test alone
-does not keep a definition alive)."""
+does not keep a definition alive). Importing the kit loads no YAML parser."""
 
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -112,3 +114,16 @@ def test_the_checker_finds_a_dead_definition():
 def test_every_package_definition_is_named_outside_itself():
     modules = {path: path.read_text() for path in READERS}
     assert dead_definitions(modules, PACKAGE) == []
+
+
+def test_importing_the_kit_loads_no_yaml_parser():
+    # only Scenario.from_yaml parses YAML, so only a parse pays PyYAML's start-up
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+        "import poabcast.bench, poabcast.checker, poabcast.runner, poabcast.scenario, "
+        "poabcast.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'yaml'))"
+    )
+    run = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
