@@ -13,6 +13,11 @@ TCP makes it: a message is due no earlier than the one sent ahead of it
 on the same link. With ``reorder`` on, only client links (an end above
 ``n - 1``) drop that floor, so a request or reply may overtake an
 earlier one.
+Link messages are numbered 1, 2, … in send order, and message ``seq`` is
+delayed by ``DelayModel.delay(seq)``, splitmix64 of the seed and ``seq``.
+Each run draws them from its own stream, ``DelayModel.draws``, which
+evaluates that definition for 64 consecutive seqs at once; the
+definition and ``delay(seq)`` stay the reference.
 A sender's link is busy only under a per-byte cost, when a message departs
 once the sender's earlier ones are on the wire; else it departs at once.
 Actors and their simulator reach each other, so the builder closes it once
@@ -23,13 +28,31 @@ freed without the cyclic collector, and its trace lives on with its holder.
 from __future__ import annotations
 
 import heapq
+import itertools
+import struct
 from dataclasses import dataclass
-from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from functools import lru_cache, partial
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from .trace import Trace, TraceEvent
 
 _M64 = 2**64 - 1
+_LOW32 = 2**32 - 1
+# seqs a run draws at once: a short run draws few that it never takes, and
+# blocks of 256 or 1024 lanes lifted the long-history benchmark's peak RSS by
+# ~2.6 MB (BENCH_delay.json) to save 1-2% of its time
+_BLOCK = 64
+
+
+@lru_cache(maxsize=32)
+def _lanes(count: int) -> Tuple[int, int, int, struct.Struct]:
+    """Seed-free constants for ``count`` 128-bit lanes of one int, lane i at
+    bit 128 * i: a 1 in every lane, i in lane i, every lane's low 64 bits
+    set, and a reader of every lane's low word, little-endian on any host."""
+    reader = struct.Struct("<" + "Q8x" * count)
+    ones = int.from_bytes((b"\x01" + bytes(15)) * count, "little")
+    iota = int.from_bytes(reader.pack(*range(count)), "little")
+    return ones, iota, ones * _M64, reader
 
 
 class SchedulingError(Exception):
@@ -50,6 +73,10 @@ class DelayModel:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("min_delay", "max_delay", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:  # a float tick, or a bool read as 0 or 1
+                raise ValueError(f"delay {name} must be an integer, got {value!r}")
         if self.min_delay < 1 or self.min_delay > self.max_delay:
             raise ValueError("delay bounds must satisfy 1 <= min <= max")
 
@@ -58,12 +85,39 @@ class DelayModel:
         splitmix64's output (Steele, Lea & Flood, OOPSLA 2014) from the state
         ``(seed << 32) ^ seq`` mod 2**64, or ``min`` outright when min == max.
         Only the seed's low 32 bits count: seeds congruent mod 2**32 draw alike."""
+        return self.delays(seq, 1)[0]
+
+    def delays(self, first: int, count: int) -> List[int]:
+        """``delay(seq)`` for the ``count`` seqs from ``first`` on, from one
+        evaluation of splitmix64 over ``count`` 128-bit lanes of one int (SWAR).
+        Each lane holds one 64-bit state; a mask clears every lane's top half
+        after each step, so a product or a shifted-in neighbour never carries
+        into the next lane."""
+        lo, width = self.min_delay, self.max_delay - self.min_delay + 1
+        if width == 1:
+            return [lo] * count
+        # (seed << 32) ^ seq is high + (seq & _LOW32) while seq >> 32 holds,
+        # so a block that crosses a multiple of 2**32 is drawn in two
+        cut = ((first >> 32) + 1) << 32
+        if first + count > cut:
+            return self.delays(first, cut - first) + self.delays(cut, first + count - cut)
+        ones, iota, mask, reader = _lanes(count)
+        high = ((self.seed ^ (first >> 32)) << 32) & _M64
+        z = ((high + (first & _LOW32) + 0x9E3779B97F4A7C15) * ones + iota) & mask
+        z = (((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9) & mask
+        z = (((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB) & mask
+        # the reader skips each lane's top half, where z >> 31 shifts bits in
+        z ^= z >> 31
+        return [lo + v % width for v in reader.unpack(z.to_bytes(16 * count, "little"))]
+
+    def draws(self) -> Iterator[int]:
+        """``delay(1), delay(2), …`` without end: one run's link delays, drawn
+        ``_BLOCK`` seqs at a time. A fresh stream per call; the model keeps no
+        draw state."""
         if self.min_delay == self.max_delay:
-            return self.min_delay
-        z = (((self.seed << 32) ^ seq) + 0x9E3779B97F4A7C15) & _M64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-        return self.min_delay + (z ^ (z >> 31)) % (self.max_delay - self.min_delay + 1)
+            return itertools.repeat(self.min_delay)
+        blocks = map(self.delays, itertools.count(1, _BLOCK), itertools.repeat(_BLOCK))
+        return itertools.chain.from_iterable(blocks)
 
     @classmethod
     def fixed(cls, delta: int) -> "DelayModel":
@@ -132,7 +186,8 @@ class Simulator:
     ):
         self.n = n
         self.delay_model = delay_model
-        self._delay = delay_model.delay
+        # this run's stream of link delays: delay(1), delay(2), … in send order
+        self._next_delay = delay_model.draws().__next__
         self.omega_script = omega
         self.crashes = dict(crashes or {})
         self.reorder = reorder
@@ -147,7 +202,6 @@ class Simulator:
         # its list opens
         self._due: Dict[int, List[tuple]] = {}
         self._ticks: List[int] = []
-        self._msg_seq = 0
         # per (frm, to), the delivery tick of the link's last message: no
         # message is due before it. Reorder lifts the floor on client links
         # only. Consensus needs FIFO process links: the read phase's no-op
@@ -187,7 +241,6 @@ class Simulator:
             # local self-delivery: immediate, no link traversal
             at = now
         else:
-            self._msg_seq += 1
             departure = now
             if self.per_byte:
                 busy = self._busy_until.get(frm, 0)
@@ -196,12 +249,13 @@ class Simulator:
                 if size:
                     departure += int(round(size * self.per_byte))
                 self._busy_until[frm] = departure
-            at = departure + self._delay(self._msg_seq)
+            at = departure + self._next_delay()
             if not self.reorder or (frm < self.n and to < self.n):
-                floor = self._fifo_floor.get((frm, to), 0)
+                link = (frm, to)
+                floor = self._fifo_floor.get(link, 0)
                 if at < floor:
                     at = floor
-                self._fifo_floor[(frm, to)] = at
+                self._fifo_floor[link] = at
         due = self._due.get(at)
         if due is None:
             self._due[at] = [(to, None, frm, msg)]

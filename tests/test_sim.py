@@ -4,6 +4,7 @@ import gc
 import heapq
 import weakref
 from collections import Counter
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -199,6 +200,18 @@ def test_jitter_bounds_validated():
         DelayModel.fixed(0)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [(1.5, 3), (True, 3), (1, 3.5), (1, True), (5, 20, 1.5), (5, 20, False), (5, 20, "7")],
+    ids=["float-min", "bool-min", "float-max", "bool-max", "float-seed", "bool-seed", "str-seed"],
+)
+def test_a_non_integer_delay_field_is_rejected(fields):
+    # time is integral ticks: 1.5..3.5 would draw 2.5, and a float seed
+    # would fail only at the run's first link message
+    with pytest.raises(ValueError, match="must be an integer"):
+        DelayModel(*fields)
+
+
 def test_a_zero_width_jitter_is_a_fixed_delay():
     for d in (1, 10, 55):
         for seed in (0, 3, 2**40 + 1):
@@ -312,6 +325,52 @@ JITTER_DRAWS = {
 def test_jitter_draws_are_pinned():
     for (lo, hi, seed, seq), want in JITTER_DRAWS.items():
         assert DelayModel.jitter(lo, hi, seed=seed).delay(seq) == want, (lo, hi, seed, seq)
+
+
+def splitmix64_delay(lo, hi, seed, seq):
+    """The README's definition, one seq at a time: the reference for ``delays``."""
+    z = (((seed << 32) ^ seq) + 0x9E3779B97F4A7C15) % 2**64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+    z = z ^ (z >> 31)
+    return lo + z % (hi - lo + 1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    lo=st.integers(1, 50),
+    width=st.sampled_from([1, 2, 3, 16, 1000, 2**32 + 1, 2**64]) | st.integers(1, 2**70),
+    seed=st.sampled_from([0, 1, -1, -7, 2**31 - 1, 2**32, 2**40 + 3]) | st.integers(-2**70, 2**70),
+    first=st.sampled_from([0, 1, 2**32 - 1100, 2**32 - 1, 2**64 - 700, -1, -2**32 - 5])
+    | st.integers(-2**66, 2**66),
+    count=st.integers(1, 1100),
+)
+def test_delays_are_the_scalar_draws_lane_by_lane(lo, width, seed, first, count):
+    """Property: the 128-bit-lane evaluation gives, for every seq of the
+    block, what the four-line definition gives for that seq alone, also for
+    blocks that cross a multiple of 2**32 or of 2**64 and for negative seqs."""
+    hi = lo + width - 1
+    got = DelayModel.jitter(lo, hi, seed).delays(first, count)
+    assert got == [splitmix64_delay(lo, hi, seed, s) for s in range(first, first + count)]
+
+
+def test_a_runs_draws_are_delay_of_1_2_3_across_every_block_edge():
+    # a run draws 64 seqs at a time: 3100 seqs cross 48 block edges
+    for model in (DelayModel.jitter(5, 20, 3), DelayModel.jitter(1, 2**64, -9),
+                  DelayModel.fixed(7)):
+        assert list(islice(model.draws(), 3100)) == [model.delay(s) for s in range(1, 3101)]
+
+
+def test_two_simulators_of_one_scenario_run_interleaved_give_its_trace():
+    """No draw state lives on the shared ``DelayModel``: two runs built from
+    one scenario and advanced in turn each give ``run(scenario)``'s events."""
+    scenario = random_scenario(11, "barrier-free")
+    want = run(scenario).events
+    a, b = build(scenario), build(scenario)
+    for until in range(0, scenario.horizon + 1, 50):
+        a.run(until)
+        b.run(until)
+    assert a.run(scenario.horizon).events == b.run(scenario.horizon).events == want
 
 
 def test_seeds_congruent_mod_2_to_the_32_draw_alike():
@@ -680,13 +739,39 @@ def recorded_runs(monkeypatch, record=lambda sim, trace: (sim, trace)):
     return runs
 
 
+class CountedStream:
+    """A run's delay stream that counts the draws taken from it."""
+
+    def __init__(self, stream):
+        self.stream = stream
+        self.taken = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        self.taken += 1
+        return next(self.stream)
+
+
 @pytest.mark.parametrize("workload", ["corpus", "throughput"])
 def test_emit_runs_once_per_event_and_delay_once_per_link_message(monkeypatch, workload):
-    # the benchmark counts trace events and delay draws by wrapping these two
-    # class attributes, so no path may go round them
+    # the benchmark counts trace events by wrapping this class attribute, so
+    # no path may go round it; a link message is a send from a live sender to
+    # another id, and it takes exactly one draw from its run's own stream
     runs = recorded_runs(monkeypatch)
     emits = counted(monkeypatch, Simulator, "emit")
-    delays = counted(monkeypatch, DelayModel, "delay")
+    draws, send = DelayModel.draws, Simulator.send
+    monkeypatch.setattr(DelayModel, "draws", lambda model: CountedStream(draws(model)))
+    links = Counter()
+
+    def counting_send(sim, frm, to, msg, size=0):
+        crash_at = sim.crashes.get(frm)
+        if frm != to and (crash_at is None or sim.now < crash_at):
+            links[sim] += 1
+        send(sim, frm, to, msg, size)
+
+    monkeypatch.setattr(Simulator, "send", counting_send)
     if workload == "corpus":
         for seed in range(3):
             for variant in ("tau-seq", "tau-paxos", "barrier-free"):
@@ -695,7 +780,8 @@ def test_emit_runs_once_per_event_and_delay_once_per_link_message(monkeypatch, w
         bench_throughput(request_size=1024, clients_sweep=[8])
     assert runs
     assert emits[0] == sum(len(trace) for _, trace in runs) > 0
-    assert delays[0] == sum(sim._msg_seq for sim, _ in runs) > 0
+    assert [sim._next_delay.__self__.taken for sim, _ in runs] == [links[sim] for sim, _ in runs]
+    assert sum(links.values()) > 0
 
 
 # -- a finished run is freed by reference counting ------------------------------
