@@ -4,14 +4,54 @@ A trace is the single source of truth for every checker: a globally
 ordered list of events, serializable to line-delimited JSON so that
 identical runs compare byte-for-byte. Events are tuple records; each line
 is ``{"data","i","kind","p","t"}`` as ``json.dumps`` sorts and packs it.
+An event of a layout ``SCHEMA`` declares is written by a line function
+compiled from that layout; any other event, by the JSON encoder, with the
+same bytes.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, NamedTuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
+
+# each event kind the simulator emits -> its data layouts, field -> type;
+# the layouts of one kind differ in their number of fields
+SCHEMA: Dict[str, Tuple[Dict[str, Any], ...]] = {
+    "crash": ({},),
+    "omega": ({"leader": int},),
+    "paxos-read": ({"ballot": int, "lo": int},),
+    "propose": ({"instance": int, "value": str, "app": bool},),
+    "paxos-write": (
+        {"instance": int, "value": str, "ballot": int, "app": bool, "payload": str | None},
+    ),
+    "paxos-writing": ({"ballot": int, "watermark": int},),
+    "decide": ({"instance": int, "value": str, "app": bool},),
+    "primary-begin": ({},),
+    "primary-end": ({},),
+    "broadcast": (
+        {"instance": int, "value": str},
+        {"instance": int, "seqno": int, "epoch": int, "value": str},
+    ),
+    "deliver": (
+        {"instance": int, "value": str},
+        {"instance": int, "epoch": int, "seqno": int, "value": str},
+    ),
+    "reproposed": ({"instance": int, "value": str},),
+    "barrier-crossed": ({"tau": int, "dec": int, "ballot": int},),
+    "skip-proposed": ({"lo": int, "target": int},),
+    "new-epoch-proposed": ({"epoch": int, "instance": int},),
+    "epoch-established": ({"epoch": int, "instance": int},),
+    "val-resent": ({"instance": int, "seqno": int},),
+    "request": ({"reqid": int, "op": str}, {"reqid": int, "op": str, "to": int}),
+    "retransmit": ({"reqid": int},),
+    "response": ({"reqid": int, "record": str, "post": str},),
+    "execute": ({"client": int, "reqid": int, "pre": str, "post": str},),
+    "applied": ({"client": int, "reqid": int, "record": str, "state": str},),
+    "apply-bot": ({"client": int, "reqid": int, "expected": str, "state": str},),
+}
 
 # what json.dumps(obj, sort_keys=True, separators=(",", ":")) builds on each call
 _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -21,7 +61,58 @@ _ITERENCODE = json.encoder.c_make_encoder(
     None, _ENCODE.__self__.default, json.encoder.encode_basestring_ascii, None, ":", ",",
     True, False, True,
 ) if json.encoder.c_make_encoder else lambda obj, _level: (_ENCODE(obj),)
-_KINDS: Dict[str, str] = {}  # event kind -> its JSON string
+
+# a declared kind -> its line function, (t, i, p, data) -> the event's JSON
+# line, or None when the data fits none of the kind's layouts exactly
+_LINES: Dict[str, Callable[[int, int, int, Any], Optional[str]]] = {}
+# a SCHEMA name that may be written into generated source: it holds no quote,
+# brace or backslash, and JSON writes it as itself in quotes
+_NAME = re.compile(r"[a-z][a-z-]*\Z")
+# each declared type -> the test its value {v} must pass, and the expression
+# that writes it as JSON
+_TYPES = {
+    int: ("type({v}) is int", "{v}"),
+    str: ("type({v}) is str", "esc({v})"),
+    bool: ("type({v}) is bool", '"true" if {v} else "false"'),
+    str | None: ("({v} is None or type({v}) is str)", '"null" if {v} is None else esc({v})'),
+}
+
+
+def _undeclared(t: int, i: int, p: int, d: Any) -> None:
+    return None
+
+
+def _compile(kind: str) -> Callable[[int, int, int, Any], Optional[str]]:
+    """The line function of a declared kind, compiled and kept on its first
+    use: one branch per layout, an f-string behind exact type tests. Its
+    source holds SCHEMA's names only, never text read from a trace."""
+    layouts = SCHEMA.get(kind)
+    if layouts is None:
+        return _undeclared
+    bad = [name for name in (kind, *(k for lay in layouts for k in lay)) if not _NAME.match(name)]
+    if bad:
+        raise ValueError(f"SCHEMA name {bad[0]!r} cannot be written into a line function")
+    src = ["def line(t, i, p, d):", " if type(d) is not dict: return None", " n = len(d)"]
+    for layout in layouts:
+        names = sorted(layout)
+        vs = [(f"v{k}", _TYPES[layout[name]]) for k, name in enumerate(names)]
+        reads = "; ".join(f"{v} = d[{name!r}]" for name, (v, _) in zip(names, vs))
+        tests = " and ".join(test.format(v=v) for v, (test, _) in vs)
+        data = ",".join(f'"{name}":{{{write.format(v=v)}}}'
+                        for name, (v, (_, write)) in zip(names, vs))
+        text = '{{"data":{{' + data + '}},"i":{i},"kind":"' + kind + '","p":{p},"t":{t}}}'
+        src += [
+            f" if n == {len(names)}:",
+            f"  try: {reads or 'pass'}",
+            "  except KeyError: return None",
+            f"  if {tests or 'True'}:",
+            f"   return f'{text}'",
+        ]
+    src.append(" return None")
+    scope = {"esc": json.encoder.encode_basestring_ascii}
+    exec(compile("\n".join(src), f"<trace line {kind}>", "exec"), scope)
+    line = _LINES[kind] = scope["line"]
+    return line
 
 
 class TraceEvent(NamedTuple):
@@ -36,13 +127,14 @@ class TraceEvent(NamedTuple):
 
 def _lines(events: Iterable[TraceEvent]) -> List[str]:
     """Each event's JSON line, keys sorted; the int fields print as in JSON."""
-    kinds, encode, join = _KINDS, _ITERENCODE, "".join
+    lines, encode, join = _LINES, _ITERENCODE, "".join
     out = []
     for t, i, p, kind, data in events:
-        k = kinds.get(kind)
-        if k is None:
-            k = kinds[kind] = join(encode(kind, 0))
-        out.append(f'{{"data":{join(encode(data, 0))},"i":{i},"kind":{k},"p":{p},"t":{t}}}')
+        line = (lines.get(kind) or _compile(kind))(t, i, p, data)
+        if line is None:
+            k = join(encode(kind, 0))
+            line = f'{{"data":{join(encode(data, 0))},"i":{i},"kind":{k},"p":{p},"t":{t}}}'
+        out.append(line)
     return out
 
 

@@ -1,4 +1,5 @@
-"""Shared fixtures: the randomized corpus, simulated and checked once a session."""
+"""Shared fixtures: the randomized corpus, simulated, checked and serialized
+once a session."""
 
 from dataclasses import dataclass
 from typing import Dict, List
@@ -9,6 +10,8 @@ from poabcast.checker import HistoryOp, Report, TraceIndex, check_all, extract_h
 from poabcast.runner import run
 from poabcast.scenario import random_scenario
 
+from fallbacks import encoder_fallbacks
+
 VARIANTS = ("tau-seq", "tau-paxos", "barrier-free")
 CORPUS_SEEDS = range(1000)
 
@@ -18,12 +21,14 @@ class CorpusRun:
     scenario: str
     report: Report
     history: List[HistoryOp]
+    fallbacks: List[str]  # events to_jsonl wrote through the JSON encoder
 
 
 @pytest.fixture(scope="session")
 def corpus() -> Dict[str, List[CorpusRun]]:
-    """Per variant, the report and client history of ``random_scenario(seed,
-    variant)`` for every corpus seed; the traces themselves are not kept."""
+    """Per variant, the report, client history and encoder fallbacks of
+    ``random_scenario(seed, variant)`` for every corpus seed; the traces
+    themselves are not kept."""
     runs: Dict[str, List[CorpusRun]] = {}
     for variant in VARIANTS:
         for seed in CORPUS_SEEDS:
@@ -33,6 +38,7 @@ def corpus() -> Dict[str, List[CorpusRun]]:
                     trace.summary["scenario"],
                     check_all(trace),
                     extract_history(TraceIndex(trace)),
+                    encoder_fallbacks(trace),
                 )
             )
     return runs

@@ -1,17 +1,27 @@
-"""Trace serialization: the encoder against json.dumps, and the round trip."""
+"""Trace serialization: the compiled lines and the encoder against json.dumps,
+the schema against the emit sites, and the round trip."""
 
+import ast
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import poabcast
+from poabcast import trace as trace_module
 from poabcast.cli import bundled_scenarios, load_scenario
 from poabcast.runner import run
-from poabcast.scenario import random_scenario
-from poabcast.trace import _ITERENCODE, Trace, TraceEvent
+from poabcast.scenario import ClientSpec, Scenario, random_scenario
+from poabcast.sim import DelayModel, OmegaScript
+from poabcast.trace import _ITERENCODE, SCHEMA, Trace, TraceEvent
+
+from fallbacks import encoder_fallbacks
 
 VARIANTS = ("tau-seq", "tau-paxos", "barrier-free")
 
@@ -127,3 +137,162 @@ def test_an_event_the_encoder_writes_in_several_chunks_serializes_whole():
                           sort_keys=True, separators=(",", ":"))
     assert jsonl_lines(trace)[0] == expected
     assert Trace.from_jsonl(trace.to_jsonl()).to_jsonl() == trace.to_jsonl()
+
+
+LAYOUTS = [(kind, layout) for kind, layouts in SCHEMA.items() for layout in layouts]
+
+
+def type_name(t) -> str:
+    return t.__name__ if isinstance(t, type) else str(t)
+
+
+# what JSON must escape, line separators, a lone surrogate, non-ASCII and
+# astral characters
+HOSTILE_TEXT = st.text(st.sampled_from('"\\\x00\x1f\x7f\n\t/\u2028\u2029é✓\ud800\U0001f600az'))
+INTS = st.integers() | st.sampled_from([2**63, 2**64 + 1, -(2**63) - 1, -1, 0])
+VALUES = {int: INTS, str: HOSTILE_TEXT | st.text(), bool: st.booleans(),
+          str | None: st.none() | HOSTILE_TEXT}
+# a misfit puts a value in one field of the declared types; data of any such
+# event, and data with a field missing or added, or not a dict, fits no layout
+MISFITS = {
+    "bool in an int field": ((int,), True),
+    "float in an int field": ((int,), 1.5),
+    "int in a text field": ((str, str | None), 7),
+    "int in app": ((bool,), 1),
+    "nested list": ((int, str, bool, str | None), [1, "a", None]),
+}
+
+
+@st.composite
+def events(draw, kind, layout):
+    """An event of ``layout``, and the misfit it was given, if any."""
+    data = {name: draw(VALUES[t]) for name, t in layout.items()}
+    misfit = draw(st.sampled_from([None, "missing field", "extra field", "data not a dict",
+                                   *MISFITS]))
+    fields = sorted(layout)
+    if misfit in MISFITS:
+        fields = [k for k in fields if layout[k] in MISFITS[misfit][0]]
+    if not fields and misfit not in ("extra field", "data not a dict"):
+        misfit = None
+    elif misfit == "missing field":
+        del data[draw(st.sampled_from(fields))]
+    elif misfit == "extra field":
+        data["zz"] = draw(VALUES[int])
+    elif misfit == "data not a dict":
+        data = [[k, v] for k, v in data.items()]
+    elif misfit is not None:
+        data[draw(st.sampled_from(fields))] = MISFITS[misfit][1]
+    return TraceEvent(draw(INTS), draw(INTS), draw(INTS), kind, data), misfit
+
+
+@pytest.mark.parametrize("kind, layout", LAYOUTS)
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_layout_writes_json_dumps_bytes_on_either_path(kind, layout, data):
+    ev, misfit = data.draw(events(kind, layout))
+    trace = Trace([ev])
+    assert jsonl_lines(trace)[0] == reference_json(ev)
+    assert len(encoder_fallbacks(trace)) == (misfit is not None)
+
+
+def long_history_shaped(seed: int = 0, protocol: str = "barrier-free") -> Scenario:
+    """A smaller run of the long-history benchmark's shape: n=5 under 5-15
+    jitter with reordering, a rotating then settled leader, a crash, and
+    loop clients."""
+    n, horizon = 5, 6000
+    segments = [(t, {p: (t // 1000) % n for p in range(n)}) for t in range(0, horizon // 2, 1000)]
+    segments.append((horizon // 2, {p: 0 for p in range(n)}))
+    return Scenario(
+        name=f"long-shaped-{protocol}", protocol=protocol, n=n, horizon=horizon,
+        delay=DelayModel.jitter(5, 15, seed), omega=OmegaScript(segments),
+        crashes={n - 1: horizon // 3}, reorder=True,
+        clients=[ClientSpec(cid=n + c, kind="loop", ops=[f"c{c}.{k}" for k in range(20)],
+                            retry_every=120, start_at=10 * c) for c in range(4)],
+    )
+
+
+def test_every_simulator_event_takes_a_compiled_line(corpus):
+    fell = [f"{r.scenario}: {f}" for runs in corpus.values() for r in runs for f in r.fallbacks]
+    traces = [run(random_scenario(seed, "naive")) for seed in range(50)]
+    traces += [run(load_scenario(name)) for name in bundled_scenarios()]
+    traces += [run(long_history_shaped(protocol=variant)) for variant in VARIANTS]
+    assert sum(len(t) for t in traces) > 10000
+    fell += [f"{t.summary['scenario']}: {f}" for t in traces for f in encoder_fallbacks(t)]
+    assert fell == [], f"{len(fell)} events fell back to the encoder, first {fell[:5]}"
+
+
+def emitted_layouts():
+    """(kind, keyword names) of every ``emit`` call in the package's source."""
+    found = set()
+    for path in sorted(pathlib.Path(poabcast.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "emit"):
+                continue
+            kind = node.args[0]
+            kinds = [kind.body, kind.orelse] if isinstance(kind, ast.IfExp) else [kind]
+            names = [k.arg for k in node.keywords]
+            assert None not in names, f"{path.name}:{node.lineno} emits **data"
+            for k in kinds:
+                assert isinstance(k, ast.Constant), f"{path.name}:{node.lineno} kind is not literal"
+                found.add((k.value, frozenset(names)))
+    return found
+
+
+def test_every_emit_site_is_a_declared_layout():
+    emitted = emitted_layouts()
+    declared = {(kind, frozenset(layout)) for kind, layout in LAYOUTS}
+    assert len(declared) == len(LAYOUTS) == 26 and len(SCHEMA) == 23
+    # a line function picks a kind's layout by the number of fields alone
+    assert all(len({len(lay) for lay in lays}) == len(lays) for lays in SCHEMA.values())
+    # the crash lambda, both arms of primary-begin/end, and branches that
+    # random scenarios seldom reach
+    for kind in ("crash", "primary-begin", "primary-end", "apply-bot", "reproposed",
+                 "val-resent", "skip-proposed"):
+        assert kind in {k for k, _ in emitted}
+    assert emitted - declared == set(), "emitted but not declared"
+    assert declared - emitted == set(), "declared but never emitted"
+
+
+HOSTILE = ["x'", 'x"', "x{", "x}", "a\nb", "__import__('os')", "{v}", "deliver\n"]
+
+
+def test_no_trace_text_reaches_generated_code(monkeypatch):
+    events = [{"t": 1, "i": k, "p": 0, "kind": kind, "data": {"instance": 1, "value": "v"}}
+              for k, kind in enumerate(HOSTILE)]
+    events += [{"t": 2, "i": len(events) + k, "p": 0, "kind": "deliver",
+                "data": {key: 1, "value": "v"}} for k, key in enumerate(HOSTILE)]
+    text = "".join(json.dumps(e) + "\n" for e in events) + '{"summary": {}}\n'
+    trace = Trace.from_jsonl(text)
+    table, sources = {}, []
+    monkeypatch.setattr(trace_module, "_LINES", table)
+    monkeypatch.setattr(trace_module, "compile", lambda src, *a: sources.append(src)
+                        or compile(src, *a), raising=False)
+    assert jsonl_lines(trace) == reference_lines(trace)
+    assert len(encoder_fallbacks(trace)) == len(events)
+    # only the declared deliver line was compiled, from SCHEMA's names
+    assert set(table) == {"deliver"} and len(sources) == 1
+    assert [h for h in HOSTILE if h in sources[0]] == []
+    # a SCHEMA name that could break out of the generated line is refused
+    monkeypatch.setitem(SCHEMA, "x'", ({},))
+    with pytest.raises(ValueError, match="cannot be written"):
+        Trace([TraceEvent(0, 0, 0, "x'", {})]).to_jsonl()
+    assert len(sources) == 1
+
+
+def readme_layouts():
+    """(kind, {field: type}) of each row of README's trace-event table."""
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    table = readme[readme.index("| kind | data fields |"):]
+    table = table[:table.index("\n\n")]
+    rows = re.findall(r"^\| `([a-z-]+)` \| ((?:\\\||[^|])*) \|", table, re.M)
+    return [(kind, dict(re.findall(r"`(\w+): ([^`]+)`", fields.replace("\\|", "|"))))
+            for kind, fields in rows]
+
+
+def test_readme_lists_the_schema_layouts():
+    declared = [(kind, {name: type_name(t) for name, t in sorted(layout.items())})
+                for kind, layout in LAYOUTS]
+    documented = readme_layouts()
+    key = lambda row: (row[0], sorted(row[1].items()))
+    assert sorted(documented, key=key) == sorted(declared, key=key)
