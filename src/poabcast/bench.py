@@ -205,7 +205,7 @@ def leader_change_idle(trace: Trace) -> int:
     writes = [
         e
         for e in trace.by_kind("paxos-write")
-        if e.actor == new_leader and e.data.get("payload") in fresh
+        if e.actor == new_leader and e.data["payload"] in fresh
     ]
     if not writes:
         raise ValueError("new leader never wrote a fresh delivered value")

@@ -143,10 +143,7 @@ class PaxosNode:
         if instance in self.decided:
             return
         self.proposals[instance] = value  # replaces an earlier proposal
-        self.sim.emit(
-            "propose", self.pid, instance=instance, value=value.digest(),
-            app=app_payload(value) is not None,
-        )
+        self.sim.emit("propose", self.pid, instance=instance, value=value.digest())
         if self.phase == WRITING and instance not in self.writes:
             self._write(instance, value)
 
@@ -156,7 +153,7 @@ class PaxosNode:
         digest, size = (None, 0) if payload is None else (payload.digest(), payload.size)
         self.sim.emit(
             "paxos-write", self.pid, instance=instance, value=value.digest(),
-            ballot=self.ballot, app=payload is not None, payload=digest,
+            ballot=self.ballot, payload=digest,
         )
         msg = WriteMsg(self.ballot, instance, value)
         for q in range(self.n):
@@ -243,10 +240,7 @@ class PaxosNode:
         self.decided[instance] = value
         self.writes.pop(instance, None)  # writes holds only undecided instances
         self._progress += 1
-        self.sim.emit(
-            "decide", self.pid, instance=instance, value=value.digest(),
-            app=app_payload(value) is not None,
-        )
+        self.sim.emit("decide", self.pid, instance=instance, value=value.digest())
         if announce:
             msg = DecideMsg(instance, value)
             for q in range(self.n):

@@ -150,10 +150,7 @@ class Replica:
         vid = f"u{req.client}.{req.reqid}.{self.pid}.{self._seq}"
         update = execute(self.shadow, req, vid)
         self.shadow = update.post
-        self.sim.emit(
-            "execute", self.pid, client=req.client, reqid=req.reqid,
-            pre=update.pre, post=update.post,
-        )
+        self.sim.emit("execute", self.pid, client=req.client, reqid=req.reqid)
         self.layer.poabcast(update)
 
     # -- simulator plumbing ------------------------------------------------------

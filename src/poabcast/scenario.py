@@ -111,6 +111,8 @@ class Scenario:
                 raise ScenarioError(f"unknown client kind: {c.kind}")
             if c.retry_every < 0 or c.start_at < 0:
                 raise ScenarioError(f"client {c.cid}: retry_every and start_at must be >= 0")
+            if any(type(op) is not str for op in [*c.ops, *(send[3] for send in c.sends)]):
+                raise ScenarioError(f"client {c.cid}: each op must be text")
             ops = {}  # a reply names its reqid alone, so one reqid names one op
             for at, to, reqid, op in c.sends:
                 if ops.setdefault(reqid, op) != op:

@@ -4,9 +4,9 @@ A trace is the single source of truth for every checker: a globally
 ordered list of events, serializable to line-delimited JSON so that
 identical runs compare byte-for-byte. Events are tuple records; each line
 is ``{"data","i","kind","p","t"}`` as ``json.dumps`` sorts and packs it.
-An event of a layout ``SCHEMA`` declares is written by a line function
-compiled from that layout; any other event, by the JSON encoder, with the
-same bytes.
+``SCHEMA`` is the trace's contract: each event is written, and each loaded
+event admitted, by a line function compiled from its kind's layouts, and an
+event that fits none of them is an error.
 """
 
 from __future__ import annotations
@@ -23,12 +23,10 @@ SCHEMA: Dict[str, Tuple[Dict[str, Any], ...]] = {
     "crash": ({},),
     "omega": ({"leader": int},),
     "paxos-read": ({"ballot": int, "lo": int},),
-    "propose": ({"instance": int, "value": str, "app": bool},),
-    "paxos-write": (
-        {"instance": int, "value": str, "ballot": int, "app": bool, "payload": str | None},
-    ),
+    "propose": ({"instance": int, "value": str},),
+    "paxos-write": ({"instance": int, "value": str, "ballot": int, "payload": str | None},),
     "paxos-writing": ({"ballot": int, "watermark": int},),
-    "decide": ({"instance": int, "value": str, "app": bool},),
+    "decide": ({"instance": int, "value": str},),
     "primary-begin": ({},),
     "primary-end": ({},),
     "broadcast": (
@@ -48,19 +46,10 @@ SCHEMA: Dict[str, Tuple[Dict[str, Any], ...]] = {
     "request": ({"reqid": int, "op": str}, {"reqid": int, "op": str, "to": int}),
     "retransmit": ({"reqid": int},),
     "response": ({"reqid": int, "record": str, "post": str},),
-    "execute": ({"client": int, "reqid": int, "pre": str, "post": str},),
+    "execute": ({"client": int, "reqid": int},),
     "applied": ({"client": int, "reqid": int, "record": str, "state": str},),
     "apply-bot": ({"client": int, "reqid": int, "expected": str, "state": str},),
 }
-
-# what json.dumps(obj, sort_keys=True, separators=(",", ":")) builds on each call
-_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-# _ENCODE's C encoder, built once: (obj, 0) -> chunks of the same text; it
-# keeps no circular-reference markers, as trace data is a tree
-_ITERENCODE = json.encoder.c_make_encoder(
-    None, _ENCODE.__self__.default, json.encoder.encode_basestring_ascii, None, ":", ",",
-    True, False, True,
-) if json.encoder.c_make_encoder else lambda obj, _level: (_ENCODE(obj),)
 
 # a declared kind -> its line function, (t, i, p, data) -> the event's JSON
 # line, or None when the data fits none of the kind's layouts exactly
@@ -73,22 +62,18 @@ _NAME = re.compile(r"[a-z][a-z-]*\Z")
 _TYPES = {
     int: ("type({v}) is int", "{v}"),
     str: ("type({v}) is str", "esc({v})"),
-    bool: ("type({v}) is bool", '"true" if {v} else "false"'),
     str | None: ("({v} is None or type({v}) is str)", '"null" if {v} is None else esc({v})'),
 }
 
 
-def _undeclared(t: int, i: int, p: int, d: Any) -> None:
-    return None
-
-
-def _compile(kind: str) -> Callable[[int, int, int, Any], Optional[str]]:
+def _compile(kind: str) -> Optional[Callable[[int, int, int, Any], Optional[str]]]:
     """The line function of a declared kind, compiled and kept on its first
-    use: one branch per layout, an f-string behind exact type tests. Its
-    source holds SCHEMA's names only, never text read from a trace."""
+    use, or None for an undeclared kind: one branch per layout, an f-string
+    behind exact type tests. Its source holds SCHEMA's names only, never
+    text read from a trace."""
     layouts = SCHEMA.get(kind)
     if layouts is None:
-        return _undeclared
+        return None
     bad = [name for name in (kind, *(k for lay in layouts for k in lay)) if not _NAME.match(name)]
     if bad:
         raise ValueError(f"SCHEMA name {bad[0]!r} cannot be written into a line function")
@@ -126,14 +111,15 @@ class TraceEvent(NamedTuple):
 
 
 def _lines(events: Iterable[TraceEvent]) -> List[str]:
-    """Each event's JSON line, keys sorted; the int fields print as in JSON."""
-    lines, encode, join = _LINES, _ITERENCODE, "".join
+    """Each event's JSON line, keys sorted; the int fields print as in JSON.
+    Raises ValueError at the first event that fits no layout of its kind."""
+    lines = _LINES
     out = []
     for t, i, p, kind, data in events:
-        line = (lines.get(kind) or _compile(kind))(t, i, p, data)
+        write = lines.get(kind) or _compile(kind)
+        line = write and write(t, i, p, data)
         if line is None:
-            k = join(encode(kind, 0))
-            line = f'{{"data":{join(encode(data, 0))},"i":{i},"kind":{k},"p":{p},"t":{t}}}'
+            raise ValueError(f"event {i} of kind {kind!r} fits no layout trace.SCHEMA declares")
         out.append(line)
     return out
 
@@ -158,12 +144,14 @@ class Trace:
 
     def to_jsonl(self) -> str:
         lines = _lines(self.events)
-        lines.append("".join(_ITERENCODE({"summary": self.summary}, 0)))
+        lines.append(json.dumps({"summary": self.summary}, sort_keys=True, separators=(",", ":")))
         lines.append("")  # the final newline, without a second copy of the text
         return "\n".join(lines)
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Trace":
+        """The trace ``text`` holds; raises ValueError for an event of a wrong
+        envelope type, out of emit order, or of no declared layout."""
         trace = cls()
         for line in text.splitlines():
             if not line.strip():
@@ -180,5 +168,9 @@ class Trace:
                 and isinstance(ev.data, dict)
             ):
                 raise ValueError(f"an event field has the wrong type: {line}")
+            # emit numbers events from 0 in order, at non-decreasing times
+            if ev.index != len(trace) or (trace.events and ev.time < trace.events[-1].time):
+                raise ValueError(f"event {len(trace)} is out of emit order: {line}")
             trace.append(ev)
+        _lines(trace.events)
         return trace

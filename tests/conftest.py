@@ -2,18 +2,13 @@
 once a session."""
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import pytest
 
-from poabcast.checker import HistoryOp, Report, TraceIndex, check_all, extract_history
-from poabcast.runner import run
-from poabcast.scenario import random_scenario
+from poabcast.checker import HistoryOp, Report, TraceIndex, extract_history
 
-from fallbacks import encoder_fallbacks
-
-VARIANTS = ("tau-seq", "tau-paxos", "barrier-free")
-CORPUS_SEEDS = range(1000)
+from pins import corpus_line, corpus_runs
 
 
 @dataclass
@@ -21,24 +16,27 @@ class CorpusRun:
     scenario: str
     report: Report
     history: List[HistoryOp]
-    fallbacks: List[str]  # events to_jsonl wrote through the JSON encoder
 
 
 @pytest.fixture(scope="session")
-def corpus() -> Dict[str, List[CorpusRun]]:
-    """Per variant, the report, client history and encoder fallbacks of
-    ``random_scenario(seed, variant)`` for every corpus seed; the traces
-    themselves are not kept."""
+def corpus_cycle() -> Tuple[Dict[str, List[CorpusRun]], str]:
+    """Per variant, the report and client history of ``random_scenario(seed,
+    variant)`` for every corpus seed, and the corpus's pin line; serializing
+    each trace for that line raises at an event outside ``trace.SCHEMA``. The
+    traces themselves are not kept."""
     runs: Dict[str, List[CorpusRun]] = {}
-    for variant in VARIANTS:
-        for seed in CORPUS_SEEDS:
-            trace = run(random_scenario(seed, variant))
-            runs.setdefault(variant, []).append(
-                CorpusRun(
-                    trace.summary["scenario"],
-                    check_all(trace),
-                    extract_history(TraceIndex(trace)),
-                    encoder_fallbacks(trace),
-                )
+
+    def checked():
+        for trace, report in corpus_runs():
+            runs.setdefault(trace.summary["protocol"], []).append(
+                CorpusRun(trace.summary["scenario"], report, extract_history(TraceIndex(trace)))
             )
-    return runs
+            yield trace, report
+
+    line = corpus_line(checked())
+    return runs, line
+
+
+@pytest.fixture(scope="session")
+def corpus(corpus_cycle) -> Dict[str, List[CorpusRun]]:
+    return corpus_cycle[0]

@@ -30,7 +30,7 @@ from poabcast.scenario import random_scenario
 from poabcast.sim import DelayModel
 
 from oracle import exhaustive_linearizable
-from pins import PINNED, pin_line
+from pins import CORPUS, PINNED, pin_line
 
 VARIANTS = ("tau-seq", "tau-paxos", "barrier-free")
 
@@ -244,8 +244,8 @@ def test_fixed_delay_traces_are_unchanged_under_a_zero_width_jitter(name):
         assert run(zero_width).to_jsonl() == want
 
 
-# tests/pins.txt, one line per run of pins.PINNED: a run that moves fails
-# under its own name, and its re-pin is a line diff
+# tests/pins.txt, one line per run of pins.PINNED and one for the corpus: a
+# run that moves fails under its own name, and its re-pin is a line diff
 PIN_LINES = (pathlib.Path(__file__).parent / "pins.txt").read_text().splitlines()
 PINS = {line.split(" ", 1)[0]: line for line in PIN_LINES}
 
@@ -255,8 +255,13 @@ def test_each_run_matches_its_pin(scenario):
     assert pin_line(scenario) == PINS.get(scenario.name)
 
 
+def test_the_corpus_matches_its_pin(corpus_cycle):
+    # the session's corpus, serialized once: seeds 0-999 move only on a re-pin
+    assert corpus_cycle[1] == PINS.get(CORPUS)
+
+
 def test_the_pin_table_has_one_line_per_pinned_run():
-    names = [s.name for s in PINNED]
+    names = [s.name for s in PINNED] + [CORPUS]
     table = [line.split(" ", 1)[0] for line in PIN_LINES]
     assert [n for n in names if n not in PINS] == [], "pinned runs without a line"
     assert [n for n in table if n not in names] == [], "lines of no pinned run"

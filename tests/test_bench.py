@@ -69,15 +69,17 @@ def test_sequential_mode_keeps_one_instance_in_flight():
     clients = [_LoadClient() for _ in range(8)]
     sim.schedule(1, lambda: leader.send_requests(clients))
     trace = sim.run(2000)
-    outstanding = 0
+    in_flight, written = set(), 0  # the leader's written, undecided batch instances
     for e in trace:
         if e.actor != 0:
             continue
-        if e.kind == "paxos-write" and e.data["app"]:
-            outstanding += 1
-            assert outstanding <= 1
-        elif e.kind == "decide" and e.data["app"]:
-            outstanding -= 1
+        if e.kind == "paxos-write" and e.data["payload"] is not None:
+            in_flight.add(e.data["instance"])
+            written += 1
+            assert len(in_flight) <= 1
+        elif e.kind == "decide":
+            in_flight.discard(e.data["instance"])
+    assert written > 1
 
 
 @pytest.mark.parametrize(

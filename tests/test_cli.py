@@ -260,11 +260,30 @@ def summary_line(*omit, **fields):
 
 
 def event_line(**fields):
-    """An event line that no check reads, with ``fields`` overriding its own,
-    followed by a valid summary line."""
+    """An event line of a kind that trace.SCHEMA does not declare, with
+    ``fields`` overriding its own, followed by a valid summary line."""
     return json.dumps({"t": 0, "i": 0, "p": 0, "kind": "note", "data": {}, **fields}) + (
         "\n" + summary_line()
     )
+
+
+def edited_events(edit):
+    """The edit of a saved trace that applies ``edit(k, n, record)`` to its
+    k-th of n event records."""
+    def apply(text):
+        *events, summary = text.splitlines()
+        records = [json.loads(line) for line in events]
+        for k, rec in enumerate(records):
+            edit(k, len(records), rec)
+        return "".join(json.dumps(rec) + "\n" for rec in records) + summary + "\n"
+    return apply
+
+
+def cut_summary(text):
+    """A saved trace cut before its summary line."""
+    text = text[: text.rindex("\n", 0, -1) + 1]
+    assert '"summary"' not in text
+    return text
 
 
 @pytest.mark.parametrize(
@@ -273,9 +292,9 @@ def event_line(**fields):
         ('{"t": 0, "i": 0\n', "JSONDecodeError"),
         ('{"t": 0, "i": 0, "p": 0, "data": {}}\n', "KeyError('kind')"),
         ('{"t": 0, "i": 0, "p": 0, "kind": "deliver", "data": {}}\n'
-         + summary_line(protocol="naive"), "KeyError('value')"),
+         + summary_line(protocol="naive"), "event 0 of kind 'deliver' fits no layout"),
         ("", "no summary line"),
-        (None, "no summary line"),  # a saved trace cut before its summary line
+        (cut_summary, "no summary line"),
         ('{"summary": 5}\n', "no summary line"),
         # fields a check or the exit rule reads, which have no default
         (summary_line("horizon"), "summary has no horizon"),
@@ -292,26 +311,30 @@ def event_line(**fields):
         (event_line(t="x"), "an event field has the wrong type"),
         (event_line(i=True), "an event field has the wrong type"),
         (event_line(data=[]), "an event field has the wrong type"),
+        (event_line(), "event 0 of kind 'note' fits no layout"),
+        # an order emit never writes, which the checks would trust
+        (edited_events(lambda k, n, rec: rec.update(i=n - 1 - k)), "out of emit order"),
+        (edited_events(lambda k, n, rec: rec.update(i=0)), "out of emit order"),
+        (edited_events(lambda k, n, rec: k == n - 1 and rec.update(t=-1)), "out of emit order"),
     ],
     ids=["not-json", "lacks-kind", "deliver-lacks-value", "empty", "summary-cut",
          "summary-not-a-mapping", "no-horizon", "no-base-delay", "no-expect-violation",
          "horizon-text", "horizon-bool", "horizon-float", "base-delay-text",
          "expect-violation-text",
-         "kind-int", "pid-text", "time-text", "index-bool", "data-list"],
+         "kind-int", "pid-text", "time-text", "index-bool", "data-list", "undeclared-kind",
+         "index-reversed", "index-all-zero", "time-decreasing"],
 )
 def test_report_on_a_malformed_trace_is_a_usage_error(tmp_path, capsys, text, reason):
-    if text is None:
-        assert main(["run", "stable-tau-seq", "--out", str(tmp_path)]) == EXIT_OK
+    if callable(text):  # an edit of a saved trace
+        assert main(["run", "fig2-tau-paxos", "--out", str(tmp_path)]) == EXIT_OK
         capsys.readouterr()
-        text = (tmp_path / "stable-tau-seq.trace.jsonl").read_text()
-        text = text[: text.rindex("\n", 0, -1) + 1]
-        assert '"summary"' not in text
+        text = text((tmp_path / "fig2-tau-paxos.trace.jsonl").read_text())
     bad = tmp_path / "bad.jsonl"
     bad.write_text(text)
     assert main(["report", str(bad)]) == EXIT_USAGE
     out, err = capsys.readouterr()
     assert err.startswith(f"error: {bad} is not a trace: ") and reason in err
-    assert out == ""
+    assert err.count("\n") == 1 and out == ""
 
 
 @pytest.mark.parametrize("name", list(MAPPING_FAULTS))
@@ -376,11 +399,13 @@ def test_tampered_trace_fails_the_recheck(tmp_path, capsys):
     main(["run", "stable-naive", "--out", str(tmp_path)])
     capsys.readouterr()
     trace_path = tmp_path / "stable-naive.trace.jsonl"
-    lines = trace_path.read_text().splitlines()
-    # drop one delivery event: agreement should now fail
-    victim = next(i for i, l in enumerate(lines) if '"kind":"deliver"' in l)
-    del lines[victim]
-    trace_path.write_text("\n".join(lines) + "\n")
+    trace = Trace.from_jsonl(trace_path.read_text())
+    # drop one delivery event and number the rest as emit would: agreement
+    # should now fail
+    victim = next(e for e in trace if e.kind == "deliver")
+    kept = [e for e in trace if e is not victim]
+    trace.events = [e._replace(index=k) for k, e in enumerate(kept)]
+    trace_path.write_text(trace.to_jsonl())
     assert main(["report", str(trace_path)]) == EXIT_VIOLATION
 
 

@@ -2,8 +2,8 @@
 
 import pytest
 
-from poabcast.scenario import Scenario, ScenarioError, random_scenario
-from poabcast.sim import DelayModel
+from poabcast.scenario import ClientSpec, Scenario, ScenarioError, random_scenario
+from poabcast.sim import DelayModel, OmegaScript
 
 GOOD = """
 name: demo
@@ -129,6 +129,21 @@ def test_yes_no_keys_take_only_booleans(key):
     for value in ('"false"', "0", "1", "[]"):
         with pytest.raises(ScenarioError, match=f"{key} must be true or false"):
             Scenario.from_yaml(base + f"{key}: {value}\n")
+
+
+@pytest.mark.parametrize(
+    "client",
+    [ClientSpec(cid=3, kind="loop", ops=[1, 2]),
+     ClientSpec(cid=3, kind="scripted", sends=[(5, 0, 1, 1.5)])],
+    ids=["loop-op", "send-op"],
+)
+def test_a_client_op_that_is_not_text_is_rejected(client):
+    # an op is written into the trace as text, so a run never starts with another
+    scenario = Scenario(name="x", protocol="naive", n=3, horizon=100,
+                        delay=DelayModel.fixed(10), omega=OmegaScript.single(3, 0),
+                        clients=[client])
+    with pytest.raises(ScenarioError, match="client 3: each op must be text"):
+        scenario.validate()
 
 
 def test_duplicate_or_low_client_ids_rejected():
