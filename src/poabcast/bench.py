@@ -18,14 +18,17 @@ the batch cap and the measurement window (a warm-up, then the window
 itself) are the module constants below.
 
 A batch is one application value, ``b<instance>``, whose size is its
-request count times the run's bytes per request; nothing reads a
-request's identity inside a batch, so a pending request is just the
-client awaiting it.
+request count times the run's bytes per request. Nothing reads a
+request's identity or its client's, so a pending request is a count with
+its send tick: the leader keeps ``[sent_at, count]`` runs in arrival
+order, a cut takes whole runs up to the batch cap and splits at most
+one, and a batch keeps the runs it took.
 Each leg costs one event per decided batch, not one per request: a
-decided batch's reply event records its clients' latencies, if it falls
-inside the measurement window, and stamps their next requests' send
-tick; one arrival event a tick later hands those clients to the leader
-in a single ``submit``.
+decided batch's reply event adds each run's latency, ``count`` times, to
+a latency -> count histogram if it falls inside the measurement window,
+and sends the batch's requests again as one run; one arrival event a
+tick later hands that run to the leader in a single ``submit``. Every
+row's latency columns are read from such a histogram.
 
 There is at most one pending batch-cut decision (a pump) per tick, and
 one is pending only while requests wait. Arrivals, and decisions that
@@ -40,6 +43,7 @@ the ``MetricsRow`` that ``poabcast run --out`` writes as its metrics.csv.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -97,16 +101,23 @@ def _at_least(*limits: Tuple[str, int, int]) -> None:
             raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
-def _percentile(xs: List[float], q: float) -> float:
-    ys = sorted(xs)
-    idx = min(len(ys) - 1, max(0, int(round(q * (len(ys) - 1)))))
-    return ys[idx]
+def _percentile(hist: Counter, n: int, q: float) -> float:
+    """Of the histogram's ``n`` samples in sorted order, the one at index
+    ``round(q * (n - 1))``."""
+    idx = min(n - 1, max(0, int(round(q * (n - 1)))))
+    for x in sorted(hist):
+        idx -= hist[x]
+        if idx < 0:
+            break
+    return float(x)
 
 
-def _latencies(lats: List[int]) -> Dict[str, float]:
-    """A row's latency columns over ``lats``; none, so blank, when it is empty."""
-    return dict(lat_min=min(lats), lat_mean=sum(lats) / len(lats),
-                lat_p99=_percentile([float(x) for x in lats], 0.99)) if lats else {}
+def _latencies(hist: Counter) -> Dict[str, float]:
+    """A row's latency columns over a latency -> count histogram; none, so
+    blank, when it is empty."""
+    n = sum(hist.values())
+    return dict(lat_min=min(hist), lat_mean=sum(x * k for x, k in hist.items()) / n,
+                lat_p99=_percentile(hist, n, 0.99)) if n else {}
 
 
 def scenario_row(trace: Trace) -> MetricsRow:
@@ -117,7 +128,7 @@ def scenario_row(trace: Trace) -> MetricsRow:
     sent: Dict[Tuple[int, Any], int] = {}
     for e in requests:
         sent.setdefault((e.actor, e.data["reqid"]), e.time)
-    lats = [e.time - sent[k] for e in responses if (k := (e.actor, e.data["reqid"])) in sent]
+    lats = Counter(e.time - sent[k] for e in responses if (k := (e.actor, e.data["reqid"])) in sent)
     s = trace.summary
     return MetricsRow(s["scenario"], s["protocol"], len({e.actor for e in requests}), 0,
                       throughput_per_1k=len(responses) / s["horizon"] * 1000, **_latencies(lats))
@@ -227,7 +238,7 @@ def bench_table1(delta: int = 10, clients: int = 5) -> List[MetricsRow]:
                 request_size=0,
                 stable_latency=span,
                 leader_change_idle=idle,
-                **_latencies(lats),
+                **_latencies(Counter(lats)),
             )
         )
     return rows
@@ -238,9 +249,10 @@ def bench_table1(delta: int = 10, clients: int = 5) -> List[MetricsRow]:
 
 class BatchingLeader:
     """Process 0's batching pump over a raw ``PaxosNode``. Its bookkeeping
-    is per batch: the clients awaiting a batch are a list cut ``BATCH_CAP``
-    at a time, and each proposed instance maps to its batch value and
-    those clients."""
+    is per batch, not per request: requests wait as runs of a count and a
+    send tick, each proposed instance maps to its batch value and the runs
+    it took, and ``latencies`` counts the replies inside the measurement
+    window by latency."""
 
     def __init__(self, sim: Simulator, n: int, mode: str, request_size: int):
         if mode not in ("sequential", "parallel"):
@@ -249,37 +261,36 @@ class BatchingLeader:
         self.mode = mode
         self.request_bytes = request_size + REQUEST_HEADER  # of each request in a batch
         self.node = PaxosNode(sim, 0, n, deliver=self._on_decide)
-        # clients whose requests await a batch, in arrival order
-        self.waiting: List[_LoadClient] = []
-        # proposed, undecided instance -> (its batch, the clients awaiting it)
-        self.proposed: Dict[int, Tuple[AppValue, List[_LoadClient]]] = {}
+        # requests awaiting a batch, as [sent_at, count] runs in arrival order
+        self.waiting: List[List[int]] = []
+        # proposed, undecided instance -> (its batch, its (sent_at, count) runs)
+        self.proposed: Dict[int, Tuple[AppValue, List[Tuple[int, int]]]] = {}
+        self.latencies: Counter = Counter()  # latency -> replies inside the window
         self.next_instance = 1
         self._pump_at: Optional[int] = None
 
     def on_start(self) -> None:
         self.node.ensure_leadership()
 
-    def submit(self, clients: List[_LoadClient]) -> None:
-        """Queue one arrival's requests, one per client, in order."""
-        self.waiting.extend(clients)
+    def submit(self, run: List[int]) -> None:
+        """Queue one arrival's requests, the run ``[sent_at, count]``."""
+        self.waiting.append(run)
         # batch-cut decisions run at end of tick so simultaneous arrivals
         # share a batch
         self._schedule_pump(self.sim.now)
 
-    def send_requests(self, clients: List[_LoadClient]) -> None:
-        """Each client sends its next request now, over a 1-tick leg: one
-        arrival event submits them all, in order."""
-        now = self.sim.now
-        for c in clients:
-            c.sent_at = now
-        self.sim.schedule(now + 1, lambda: self.submit(clients))
+    def send_requests(self, count: int) -> None:
+        """``count`` clients each send their next request now, over a 1-tick
+        leg: one arrival event submits them all."""
+        run = [self.sim.now, count]
+        self.sim.schedule(run[0] + 1, lambda: self.submit(run))
 
-    def _reply(self, clients: List[_LoadClient]) -> None:
+    def _reply(self, runs: List[Tuple[int, int]]) -> None:
         now = self.sim.now
         if WARMUP <= now < WARMUP + WINDOW:
-            for c in clients:
-                c.samples.append(now - c.sent_at)
-        self.send_requests(clients)
+            for sent_at, count in runs:
+                self.latencies[now - sent_at] += count
+        self.send_requests(sum(count for _, count in runs))
 
     def _schedule_pump(self, at: int) -> None:
         if self._pump_at is not None and self._pump_at <= at:
@@ -304,13 +315,23 @@ class BatchingLeader:
             if self.mode == "sequential":
                 if self.proposed:
                     return
-            elif len(waiting) < BATCH_CAP and not self._sender_idle():
+            elif not self._sender_idle() and sum(r[1] for r in waiting) < BATCH_CAP:
                 # sender busy with earlier batches: revisit once it frees up
                 self._schedule_pump(max(self.sim.now + 1, self.sim.sender_free_at(0)))
                 return
-            instance, cut = self.next_instance, waiting[:BATCH_CAP]
-            del waiting[:BATCH_CAP]
-            batch = AppValue(vid=f"b{instance}", size=len(cut) * self.request_bytes)
+            # whole runs up to the cap, splitting at most the last one taken
+            cut, room = [], BATCH_CAP
+            while waiting and room:
+                sent_at, count = run = waiting[0]
+                if count > room:
+                    run[1] -= room
+                    count = room
+                else:
+                    del waiting[0]
+                cut.append((sent_at, count))
+                room -= count
+            instance = self.next_instance
+            batch = AppValue(vid=f"b{instance}", size=(BATCH_CAP - room) * self.request_bytes)
             self.proposed[instance] = (batch, cut)
             self.node.propose(batch, instance)
             self.next_instance += 1
@@ -320,24 +341,13 @@ class BatchingLeader:
         if proposed is not None and proposed[0] is value:
             # one 1-tick reply leg back to the colocated clients; any other
             # value decided here answers none of them
-            clients = proposed[1]
-            self.sim.schedule(self.sim.now + 1, lambda: self._reply(clients))
+            runs = proposed[1]
+            self.sim.schedule(self.sim.now + 1, lambda: self._reply(runs))
         if self.waiting:  # with nothing waiting a pump would be a no-op
             self._schedule_pump(self.sim.now)
 
     def on_message(self, frm: int, msg: Any) -> None:
         self.node.on_message(frm, msg)
-
-
-class _LoadClient:
-    """Closed-loop client colocated with the leader, with one request
-    outstanding, sent at ``sent_at``. The leader carries its requests and
-    replies, and records the latency of each reply inside the measurement
-    window."""
-
-    def __init__(self):
-        self.sent_at = 0
-        self.samples: List[int] = []  # latencies of replies in [WARMUP, WARMUP + WINDOW)
 
 
 def run_throughput(mode: str, clients: int, request_size: int) -> MetricsRow:
@@ -356,24 +366,22 @@ def run_throughput(mode: str, clients: int, request_size: int) -> MetricsRow:
     sim.add_actor(0, leader)
     for pid in range(1, n):
         sim.add_actor(pid, PaxosNode(sim, pid, n, deliver=lambda v, i: None))
-    load = [_LoadClient() for _ in range(clients)]
     # every client sends its first request at tick 1
-    sim.schedule(1, lambda: leader.send_requests(load))
+    sim.schedule(1, lambda: leader.send_requests(clients))
     try:
         sim.run(WARMUP + WINDOW)
     finally:
         sim.close()
 
-    samples = [lat for c in load for lat in c.samples]
-    if not samples:
+    if not leader.latencies:
         raise ValueError("no completed requests inside the measurement window")
     return MetricsRow(
         scenario=f"throughput-{mode}",
         protocol=mode,
         clients=clients,
         request_size=request_size,
-        throughput_per_1k=len(samples) / WINDOW * 1000,
-        **_latencies(samples),
+        throughput_per_1k=sum(leader.latencies.values()) / WINDOW * 1000,
+        **_latencies(leader.latencies),
     )
 
 

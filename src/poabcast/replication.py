@@ -36,7 +36,7 @@ def op_record(client: int, reqid: int, op: str) -> str:
     return f"r({client}:{reqid}:{op})"
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, kw_only=True, init=False)
 class StateUpdate(AppValue):
     """A primary's state update, broadcast as itself; its body is the record.
     Its digest is ``AppValue``'s, over the vid and the record."""
@@ -45,6 +45,15 @@ class StateUpdate(AppValue):
     reqid: int
     pre: str
     post: str
+
+    def __init__(self, vid: str, body: str = "", size: int = 0, *,
+                 client: int, reqid: int, pre: str, post: str):
+        AppValue.__init__(self, vid, body, size)
+        set_ = object.__setattr__
+        set_(self, "client", client)
+        set_(self, "reqid", reqid)
+        set_(self, "pre", pre)
+        set_(self, "post", post)
 
     @property
     def record(self) -> str:

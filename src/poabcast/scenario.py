@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Iterator, List, Tuple
 
 from .sim import DelayModel, OmegaScript
 
@@ -89,6 +89,8 @@ class Scenario:
         name = self.name  # the stem of each file that ``run --out`` writes
         if not isinstance(name, str) or name in ("", ".", "..") or set(name) & set("/\\\0"):
             raise ScenarioError(f"name must be a plain file name, got {name!r}")
+        for key, value in self._integers():
+            _int(value, key)
         if self.protocol not in PROTOCOLS:
             raise ScenarioError(f"unknown protocol: {self.protocol}")
         if self.n < 3 or self.n % 2 == 0:
@@ -123,6 +125,28 @@ class Scenario:
             self.omega.validate(self.n, self.crashes)
         except ValueError as e:
             raise ScenarioError(str(e)) from e
+
+    def _integers(self) -> Iterator[Tuple[str, Any]]:
+        """Each tick and id field, named as its error names it: the trace
+        writes them as integers, and a float tick would run between ticks."""
+        yield "n", self.n
+        yield "horizon", self.horizon
+        for p, t in self.crashes.items():
+            yield "crash process", p
+            yield f"crash tick of process {p}", t
+        for at, outputs in self.omega.segments:
+            yield "omega at", at
+            for p, leader in outputs.items():
+                yield "omega process", p
+                yield "omega leader", leader
+        for c in self.clients:
+            yield "client id", c.cid
+            yield f"client {c.cid}: retry_every", c.retry_every
+            yield f"client {c.cid}: start_at", c.start_at
+            for at, to, reqid, _ in c.sends:
+                yield f"client {c.cid}: send at", at
+                yield f"client {c.cid}: send to", to
+                yield f"client {c.cid}: reqid", reqid
 
     @classmethod
     def from_dict(cls, raw: Dict[str, Any]) -> "Scenario":

@@ -21,8 +21,12 @@ definition and ``delay(seq)`` stay the reference.
 A sender's link is busy only under a per-byte cost, when a message departs
 once the sender's earlier ones are on the wire; else it departs at once.
 Actors and their simulator reach each other, so the builder closes it once
-``run`` returns (``runner.run``, ``bench.run_throughput``): the run is then
-freed without the cyclic collector, and its trace lives on with its holder.
+``run`` returns (``runner.run``, ``bench.run_throughput``): ``close`` drops
+the actors, the pending events and the trace, so the simulator holds
+nothing of the run, and the trace lives on with its holder. The actors
+still form cycles among themselves (a ``PaxosNode``'s ``deliver`` is its
+owner's bound method; a layer's ``delegate`` and its replica's ``layer``
+name each other), so the cyclic collector frees the rest of a closed run.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AppValue:
     """An opaque application payload with a run-unique identity."""
 
@@ -19,11 +19,17 @@ class AppValue:
     body: str = ""
     size: int = 0
 
-    def __post_init__(self):
-        # a value is digested at every broadcast, write, decide and
-        # delivery: hash it once, as it is made, and keep the result
-        h = hashlib.sha256(f"{self.vid}|{self.body}".encode()).hexdigest()
-        object.__setattr__(self, "_digest", h[:12])
+    def __init__(self, vid: str, body: str = "", size: int = 0):
+        # frozen, so each field is set past the raising __setattr__. Not
+        # through self.__dict__: that builds a dict per value and slows
+        # every later attribute read of it. A value is digested at every
+        # broadcast, write, decide and delivery: hash it once, as it is
+        # made, and keep the result.
+        set_ = object.__setattr__
+        set_(self, "vid", vid)
+        set_(self, "body", body)
+        set_(self, "size", size)
+        set_(self, "_digest", hashlib.sha256(f"{vid}|{body}".encode()).hexdigest()[:12])
 
     def digest(self) -> str:
         return self._digest

@@ -1,8 +1,11 @@
 """Benchmark plumbing: metrics rows, CSV schema, batching leader mechanics."""
 
 import itertools
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poabcast.bench import (
     CSV_COLUMNS,
@@ -56,7 +59,7 @@ def test_throughput_row_shapes():
 
 
 def test_sequential_mode_keeps_one_instance_in_flight():
-    from poabcast.bench import BatchingLeader, _LoadClient
+    from poabcast.bench import BatchingLeader
     from poabcast.sim import DelayModel, OmegaScript, Simulator
 
     sim = Simulator(
@@ -66,8 +69,7 @@ def test_sequential_mode_keeps_one_instance_in_flight():
     sim.add_actor(0, leader)
     for pid in (1, 2):
         sim.add_actor(pid, PaxosNode(sim, pid, 3, deliver=lambda v, i: None))
-    clients = [_LoadClient() for _ in range(8)]
-    sim.schedule(1, lambda: leader.send_requests(clients))
+    sim.schedule(1, lambda: leader.send_requests(8))
     trace = sim.run(2000)
     in_flight, written = set(), 0  # the leader's written, undecided batch instances
     for e in trace:
@@ -139,12 +141,12 @@ def test_batch_cap_limits_batch_size(monkeypatch):
     [("parallel", 48, 0), ("parallel", 192, 1024), ("sequential", 192, 1024)],
 )
 def test_a_batch_carries_its_requests_bytes(mode, clients, size, monkeypatch):
-    # each proposal is one value sized as its clients' requests, header
+    # each proposal is one value sized as its runs' requests, header
     # included, and no two proposals of a run share a digest
     from poabcast import bench
     from poabcast.bench import BatchingLeader
 
-    batches = []  # (value, clients awaiting it), in proposal order
+    batches = []  # (value, its (sent_at, count) runs), in proposal order
     pump = BatchingLeader._pump
 
     def recorded_pump(self):
@@ -155,9 +157,11 @@ def test_a_batch_carries_its_requests_bytes(mode, clients, size, monkeypatch):
     monkeypatch.setattr(BatchingLeader, "_pump", recorded_pump)
     run_throughput(mode, clients, size)
     assert batches
-    for value, cut in batches:
-        assert 1 <= len(cut) <= bench.BATCH_CAP
-        assert value.size == len(cut) * (size + bench.REQUEST_HEADER)
+    for value, runs in batches:
+        requests = sum(count for _, count in runs)
+        assert all(count >= 1 for _, count in runs)
+        assert 1 <= requests <= bench.BATCH_CAP
+        assert value.size == requests * (size + bench.REQUEST_HEADER)
     assert len({value.digest() for value, _ in batches}) == len(batches)
 
 
@@ -233,52 +237,60 @@ def test_throughput_legs_cost_one_event_per_batch(monkeypatch):
 
 
 def test_throughput_bookkeeping_is_per_batch(monkeypatch):
-    # one submit per arrival event, not per request; the clients keep only
-    # the latencies of replies inside the measurement window
-    from poabcast.bench import WARMUP, WINDOW, BatchingLeader, _LoadClient
+    # one submit per arrival event, not per request; a reply sends one
+    # arrival for its batch's total and counts the latencies of its runs
+    # only inside the measurement window
+    from poabcast.bench import BATCH_CAP, WARMUP, WINDOW, BatchingLeader
 
     submits, batches = counted(monkeypatch, BatchingLeader, "submit"), counted_batches(monkeypatch)
-    load, replies = [], []  # every client; (reply time, clients replied to)
-    reply, init = BatchingLeader._reply, _LoadClient.__init__
-
-    def recorded_reply(self, clients):
-        replies.append((self.sim.now, len(clients)))
-        return reply(self, clients)
+    leaders, replies, sends = [], [], []  # the leader; (reply time, requests); send counts
+    init, reply, send = BatchingLeader.__init__, BatchingLeader._reply, BatchingLeader.send_requests
 
     def recorded_init(self, *args):
-        load.append(self)
+        leaders.append(self)
         init(self, *args)
 
+    def recorded_reply(self, runs):
+        replies.append((self.sim.now, sum(count for _, count in runs)))
+        return reply(self, runs)
+
+    def recorded_send(self, count):
+        sends.append(count)
+        return send(self, count)
+
+    monkeypatch.setattr(BatchingLeader, "__init__", recorded_init)
     monkeypatch.setattr(BatchingLeader, "_reply", recorded_reply)
-    monkeypatch.setattr(_LoadClient, "__init__", recorded_init)
+    monkeypatch.setattr(BatchingLeader, "send_requests", recorded_send)
     row = run_throughput("parallel", 192, 1024)
     assert batches[0] > 0
     assert submits[0] <= batches[0] + 1
+    assert sends == [192] + [k for _, k in replies]  # every client, then one per reply
+    assert all(1 <= k <= BATCH_CAP for _, k in replies)
     in_window = sum(k for at, k in replies if WARMUP <= at < WARMUP + WINDOW)
     assert sum(k for _, k in replies) > in_window  # the warm-up's replies are dropped
-    samples = [lat for c in load for lat in c.samples]
-    assert len(load) == 192 and all(type(lat) is int for lat in samples)
-    assert len(samples) == in_window == row.throughput_per_1k * WINDOW / 1000
+    (leader,) = leaders
+    assert all(type(lat) is int and lat > 0 for lat in leader.latencies)
+    assert sum(leader.latencies.values()) == in_window == row.throughput_per_1k * WINDOW / 1000
 
 
 @pytest.mark.parametrize("foreign", ["noop", "other-batch"])
 def test_a_foreign_decide_replies_to_no_client(foreign, monkeypatch):
     # a proposed instance that decides some other value schedules no reply
-    # leg: its batch's clients are not the ones the value answers
-    from poabcast.bench import BatchingLeader, _LoadClient
+    # leg: its batch's requests are not the ones the value answers
+    from poabcast.bench import BatchingLeader
     from poabcast.sim import DelayModel, OmegaScript, Simulator
     from poabcast.values import NOOP, AppValue
 
     replied = []
-    monkeypatch.setattr(BatchingLeader, "_reply", lambda self, clients: replied.append(clients))
+    monkeypatch.setattr(BatchingLeader, "_reply", lambda self, runs: replied.append(runs))
     # no acceptors: consensus never decides, so the foreign value is the only decide
     sim = Simulator(n=3, delay_model=DelayModel.fixed(10), omega=OmegaScript.single(3, 0))
     leader = BatchingLeader(sim, 3, "parallel", 0)
     sim.add_actor(0, leader)
-    clients = [_LoadClient() for _ in range(4)]
-    sim.schedule(1, lambda: leader.send_requests(clients))
+    sim.schedule(1, lambda: leader.send_requests(4))
     sim.run(2)
     assert list(leader.proposed) == [1]
+    assert leader.proposed[1][1] == [(1, 4)]  # the four requests sent at tick 1
     value = NOOP if foreign == "noop" else AppValue("x.1")
 
     scheduled = []
@@ -295,4 +307,52 @@ def test_a_foreign_decide_replies_to_no_client(foreign, monkeypatch):
     sim.run(500)
     assert replied == []
     assert leader.waiting == []
-    assert all(c.sent_at == 1 and c.samples == [] for c in clients)
+    assert not leader.latencies
+
+
+@pytest.mark.parametrize(
+    "waiting, cut, left",
+    [
+        ([[1, 30], [2, 21], [3, 5]], [(1, 30), (2, 20)], [[2, 1], [3, 5]]),
+        ([[1, 30], [2, 20], [3, 5]], [(1, 30), (2, 20)], [[3, 5]]),
+        ([[1, 7], [2, 8]], [(1, 7), (2, 8)], []),
+        ([[1, 120]], [(1, 50)], [[1, 70]]),
+    ],
+    ids=["splits-the-crossing-run", "ends-on-a-run", "under-the-cap", "one-long-run"],
+)
+def test_a_cut_takes_whole_runs_and_splits_at_most_one(waiting, cut, left):
+    # waiting requests are [sent_at, count] runs: a cut of BATCH_CAP takes
+    # them in order and leaves the rest of a run it splits at the front
+    from poabcast.bench import BATCH_CAP, REQUEST_HEADER, BatchingLeader
+    from poabcast.sim import DelayModel, OmegaScript, Simulator
+
+    assert BATCH_CAP == 50
+    sim = Simulator(n=3, delay_model=DelayModel.fixed(10), omega=OmegaScript.single(3, 0))
+    leader = BatchingLeader(sim, 3, "sequential", 0)  # one cut: one instance in flight
+    leader.waiting = [list(run) for run in waiting]
+    leader._pump()
+    ((batch, runs),) = leader.proposed.values()
+    assert runs == cut and leader.waiting == left
+    assert batch.size == sum(count for _, count in cut) * REQUEST_HEADER
+
+
+def reference_latencies(xs):
+    """The latency columns of a list of samples, by the rule the bench
+    uses: the sorted samples' value at index round(0.99 * (n - 1))."""
+    ys = sorted(xs)
+    return dict(lat_min=ys[0], lat_mean=sum(xs) / len(xs),
+                lat_p99=float(ys[int(round(0.99 * (len(ys) - 1)))]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.lists(st.integers(0, 50), min_size=1, max_size=300),  # many ties
+    st.lists(st.integers(0, 2**70), min_size=1, max_size=40),  # beyond 64 bits
+    st.integers(0, 10**6).map(lambda x: [x]),  # one sample
+))
+def test_histogram_latencies_equal_the_list_reference(xs):
+    from poabcast.bench import _latencies
+
+    got = _latencies(Counter(xs))
+    assert got == reference_latencies(xs)
+    assert type(got["lat_min"]) is int and type(got["lat_p99"]) is float

@@ -1,5 +1,10 @@
 """Passive replication: state updates, duplicate suppression, halting on ⊥."""
 
+import dataclasses
+import hashlib
+
+import pytest
+
 from poabcast.checker import check_all
 from poabcast.cli import load_scenario
 from poabcast.replication import (
@@ -32,6 +37,28 @@ def test_an_update_is_the_value_it_is_broadcast_as():
     assert (u.client, u.reqid, u.pre) == (4, 7, INITIAL_STATE)
     # the digest is the plain value's: the update's own fields do not enter it
     assert u.digest() == AppValue("u4.7.0.1", u.record).digest()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: AppValue("v1", "body", 3),
+     lambda: StateUpdate(vid="u1", body="r(3:1:a)", client=3, reqid=1, pre="p", post="q")],
+    ids=["AppValue", "StateUpdate"],
+)
+def test_a_value_keeps_its_frozen_dataclass_contract(make):
+    # both classes build their instances by hand: the generated eq, hash,
+    # repr, replace and frozen fields must still see every field
+    v, w = make(), make()
+    assert v == w and hash(v) == hash(w) and v is not w
+    names = [f.name for f in dataclasses.fields(v)]
+    shown = ", ".join(f"{k}={getattr(v, k)!r}" for k in names)
+    assert repr(v) == f"{type(v).__name__}({shown})"
+    assert v.digest() == hashlib.sha256(f"{v.vid}|{v.body}".encode()).hexdigest()[:12]
+    other = dataclasses.replace(v, vid="v2")
+    assert other != v and type(other) is type(v) and other.digest() != v.digest()
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(v, name, None)
 
 
 class FakeLayer:

@@ -146,6 +146,55 @@ def test_a_client_op_that_is_not_text_is_rejected(client):
         scenario.validate()
 
 
+def integer_fields_scenario(**fields) -> Scenario:
+    """A scenario with every tick and id field set, one of them to
+    ``fields``' value: ``n``, ``horizon``, ``crash``'s (process, tick), the
+    second omega segment's (at, {process: leader}), a loop client's
+    (cid, retry_every, start_at) and a scripted send's (at, to, reqid)."""
+    f = dict(n=3, horizon=100, crash=(2, 50), omega=(20, {0: 1}), loop=(3, 10, 5),
+             send=(5, 0, 1))
+    f.update(fields)
+    (cid, retry_every, start_at), (at, to, reqid) = f["loop"], f["send"]
+    return Scenario(
+        name="x", protocol="tau-seq", n=f["n"], horizon=f["horizon"],
+        delay=DelayModel.fixed(10),
+        omega=OmegaScript([(0, {0: 0, 1: 0, 2: 0}), (f["omega"][0], {p: 1 for p in range(3)}),
+                           (40, f["omega"][1])]),
+        crashes=dict([f["crash"]]),
+        clients=[ClientSpec(cid=cid, kind="loop", ops=["a"], retry_every=retry_every,
+                            start_at=start_at),
+                 ClientSpec(cid=4, kind="scripted", sends=[(at, to, reqid, "b")])],
+    )
+
+
+@pytest.mark.parametrize(
+    "fields, error",
+    [
+        (dict(n=3.0), "n must be"),
+        (dict(horizon=100.5), "horizon must be"),
+        (dict(crash=(2.0, 50)), "crash process must be"),
+        (dict(crash=(2, 50.5)), "crash tick of process 2 must be"),
+        (dict(omega=(20.5, {0: 1})), "omega at must be"),
+        (dict(omega=(20, {0.0: 1})), "omega process must be"),
+        (dict(omega=(20, {0: True})), "omega leader must be"),
+        (dict(loop=(3.5, 10, 5)), "client id must be"),
+        (dict(loop=(3, 2.5, 5)), "client 3: retry_every must be"),
+        (dict(loop=(3, 10, 2.5)), "client 3: start_at must be"),
+        (dict(send=(2.5, 0, 1)), "client 4: send at must be"),
+        (dict(send=(5, False, 1)), "client 4: send to must be"),
+        (dict(send=(5, 0, 1.5)), "client 4: reqid must be"),
+    ],
+    ids=["n", "horizon", "crash-process", "crash-tick", "omega-at", "omega-process",
+         "omega-leader", "cid", "retry-every", "start-at", "send-at", "send-to", "reqid"],
+)
+def test_a_tick_or_id_that_is_not_an_integer_is_rejected(fields, error):
+    # the trace writes each of these as an integer, and a float tick would
+    # run between ticks: refuse them before a run, naming the field
+    integer_fields_scenario().validate()
+    with pytest.raises(ScenarioError, match=f"^{error} an integer, got"):
+        integer_fields_scenario(**fields).validate()
+
+
 def test_duplicate_or_low_client_ids_rejected():
     base = "name: x\nprotocol: naive\nn: 3\nhorizon: 100\nomega: [{at: 0, leader: 0}]\n"
     with pytest.raises(ScenarioError):
