@@ -37,7 +37,7 @@ def bundled_scenarios() -> dict:
 
 
 def load_scenario(ref: str) -> Scenario:
-    if os.path.exists(ref):
+    if os.path.isfile(ref):  # not a directory, e.g. ``run --out``'s, that shares the name
         return Scenario.load(ref)
     bundled = bundled_scenarios()
     if ref in bundled:

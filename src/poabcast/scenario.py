@@ -28,11 +28,11 @@ def _int(value: Any, key: str) -> int:
     return value
 
 
-# what each key takes: a string or a mapping read as a list would split
-# silently into its items, and bool("false") is True
+# what each key that from_dict iterates takes: a string or a mapping read
+# as a list would split silently into its items
 _SHAPES = {"clients": list, "omega": list, "ops": list, "sends": list, "jitter": dict,
-           "crashes": dict, "outputs": dict, "reorder": bool, "expect_violation": bool}
-_NOUNS = {list: "a list", dict: "a mapping", bool: "true or false"}
+           "crashes": dict, "outputs": dict}
+_NOUNS = {list: "a list", dict: "a mapping"}
 
 
 def _mapping(raw: Any, where: str) -> Dict[Any, Any]:
@@ -91,6 +91,9 @@ class Scenario:
             raise ScenarioError(f"name must be a plain file name, got {name!r}")
         for key, value in self._integers():
             _int(value, key)
+        for key in ("reorder", "expect_violation"):  # read as truth values: "no" is true
+            if type(getattr(self, key)) is not bool:
+                raise ScenarioError(f"{key} must be true or false, got {getattr(self, key)!r}")
         if self.protocol not in PROTOCOLS:
             raise ScenarioError(f"unknown protocol: {self.protocol}")
         if self.n < 3 or self.n % 2 == 0:
@@ -154,26 +157,20 @@ class Scenario:
             _known(raw, "scenario", "name", "protocol", "n", "horizon", "omega", "crashes",
                    "reorder", "clients", "expect_violation",
                    "jitter" if "jitter" in raw else "delta")
-            n = _int(raw["n"], "n")
+            n = _int(raw["n"], "n")  # a leader: segment names each process in range(n)
             if "jitter" in raw:
                 j = raw["jitter"]
                 _known(j, "jitter", "min", "max", "seed")
-                lo, hi = _int(j["min"], "jitter min"), _int(j["max"], "jitter max")
-                delay = DelayModel.jitter(lo, hi, _int(j.get("seed", 0), "jitter seed"))
+                delay = DelayModel.jitter(j["min"], j["max"], j.get("seed", 0))
             else:
-                delay = DelayModel.fixed(_int(raw.get("delta", 10), "delta"))
+                delay = DelayModel.fixed(raw.get("delta", 10))
 
             segments = []
             for seg in raw.get("omega", [{"at": 0, "leader": 0}]):
                 shape = "outputs" if "outputs" in _mapping(seg, "omega segment") else "leader"
                 _known(seg, "omega segment", "at", shape)
-                at = _int(seg["at"], "omega at")
-                if "outputs" in seg:
-                    outputs = {_int(p, "process"): _int(l, "leader")
-                               for p, l in seg["outputs"].items()}
-                else:
-                    outputs = dict.fromkeys(range(n), _int(seg["leader"], "leader"))
-                segments.append((at, outputs))
+                segments.append((seg["at"], seg["outputs"] if shape == "outputs"
+                                 else dict.fromkeys(range(n), seg["leader"])))
             omega = OmegaScript(segments)
 
             clients = []
@@ -185,19 +182,14 @@ class Scenario:
                 _known(c, f"{kind} client", "id", "kind", *reads)
                 for s in c.get("sends", []):
                     _known(s, "send", "at", "to", "reqid", "op")
-                sends = [
-                    (_int(s["at"], "send at"), _int(s["to"], "send to"), _int(s["reqid"], "reqid"),
-                     str(s["op"]))
-                    for s in c.get("sends", [])
-                ]
                 clients.append(
                     ClientSpec(
-                        cid=_int(c["id"], "client id"),
+                        cid=c["id"],
                         kind=kind,
-                        ops=[str(o) for o in c.get("ops", [])],
-                        sends=sends,
-                        retry_every=_int(c.get("retry_every", 0), "retry_every"),
-                        start_at=_int(c.get("start_at", 0), "start_at"),
+                        ops=c.get("ops", []),
+                        sends=[(s["at"], s["to"], s["reqid"], s["op"]) for s in c.get("sends", [])],
+                        retry_every=c.get("retry_every", 0),
+                        start_at=c.get("start_at", 0),
                     )
                 )
 
@@ -205,11 +197,10 @@ class Scenario:
                 name=raw["name"],
                 protocol=raw["protocol"],
                 n=n,
-                horizon=_int(raw["horizon"], "horizon"),
+                horizon=raw["horizon"],
                 delay=delay,
                 omega=omega,
-                crashes={_int(p, "process"): _int(t, "crash tick")
-                         for p, t in raw.get("crashes", {}).items()},
+                crashes=raw.get("crashes", {}),
                 reorder=raw.get("reorder", False),
                 clients=clients,
                 expect_violation=raw.get("expect_violation", False),

@@ -151,14 +151,17 @@ class Trace:
     @classmethod
     def from_jsonl(cls, text: str) -> "Trace":
         """The trace ``text`` holds; raises ValueError for an event of a wrong
-        envelope type, out of emit order, or of no declared layout."""
-        trace = cls()
+        envelope type, out of emit order, or of no declared layout, and for
+        any line after the summary line."""
+        trace, ended = cls(), False
         for line in text.splitlines():
             if not line.strip():
                 continue
+            if ended:  # to_jsonl writes one summary line, and writes it last
+                raise ValueError(f"a line follows the summary line: {line}")
             rec = json.loads(line)
             if "summary" in rec:
-                trace.summary = rec["summary"]
+                trace.summary, ended = rec["summary"], True
                 continue
             ev = TraceEvent(rec["t"], rec["i"], rec["p"], rec["kind"], rec["data"])
             # time, index and actor are ints; isinstance would let a JSON true pass

@@ -13,7 +13,10 @@
 
 import dataclasses
 import hashlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -222,6 +225,27 @@ def test_reruns_are_byte_identical():
         random_scenario(99, "tau-paxos"),  # jitter in play; its reorder draw is off
     ):
         assert run(scenario).to_jsonl() == run(scenario).to_jsonl()
+
+
+def test_traces_do_not_depend_on_the_hash_seed():
+    # an order taken from a set or dict of strings would move with
+    # PYTHONHASHSEED; two interpreters seeded apart must write the same bytes
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import hashlib; "
+        "from poabcast.runner import run; "
+        "from poabcast.scenario import PROTOCOLS, random_scenario; "
+        "print(hashlib.sha256(''.join(run(random_scenario(seed, p)).to_jsonl() "
+        "for seed in range(10) for p in PROTOCOLS).encode()).hexdigest())"
+    )
+    digests = []
+    for hash_seed in ("0", "12345"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout)
+    assert len(digests[0]) == 65 and digests[0] == digests[1]
 
 
 def test_benchmark_csv_is_byte_identical_across_runs():

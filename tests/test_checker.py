@@ -702,6 +702,18 @@ def test_liveness_needs_every_early_value_at_every_correct_process():
     assert check_liveness(live_index(late)) == "pass"
 
 
+@pytest.mark.parametrize(
+    "row",
+    [(800, 6, "request", {"reqid": 1, "op": "b"}),
+     (800, 0, "deliver", {"value": "w", "instance": 2})],
+    ids=["unanswered-request", "value-at-one-process"],
+)
+def test_liveness_holds_an_event_at_exactly_horizon_minus_slack_to_account(row):
+    # horizon 1000 less slack 200: tick 800 is the last that must show progress
+    assert check_liveness(live_index([row])) == "inconclusive"
+    assert check_liveness(live_index([(801, *row[1:])])) == "pass"
+
+
 def test_liveness_exempts_a_crashed_process():
     # process 1 trusts itself and misses w, but it crashed
     extra = [

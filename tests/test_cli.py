@@ -83,6 +83,15 @@ def test_run_missing_scenario_is_a_usage_error(capsys):
     assert main(["run", "no-such-scenario"]) == EXIT_USAGE
 
 
+def test_run_reads_a_bundled_name_past_a_directory_of_that_name(tmp_path, monkeypatch, capsys):
+    # ``run --out`` with the scenario's own name leaves a directory of that
+    # name, which a second run must not take for the scenario file
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "stable-tau-paxos", "--out", "stable-tau-paxos"]) == EXIT_OK
+    assert main(["run", "stable-tau-paxos"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 def test_run_malformed_file_is_a_usage_error(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("name: x\nprotocol: nope\nn: 3\nhorizon: 10\n")
@@ -279,6 +288,12 @@ def edited_events(edit):
     return apply
 
 
+def summary_first(text):
+    """A saved trace with its summary line moved before its events."""
+    *events, summary = text.splitlines(keepends=True)
+    return summary + "".join(events)
+
+
 def cut_summary(text):
     """A saved trace cut before its summary line."""
     text = text[: text.rindex("\n", 0, -1) + 1]
@@ -316,13 +331,17 @@ def cut_summary(text):
         (edited_events(lambda k, n, rec: rec.update(i=n - 1 - k)), "out of emit order"),
         (edited_events(lambda k, n, rec: rec.update(i=0)), "out of emit order"),
         (edited_events(lambda k, n, rec: k == n - 1 and rec.update(t=-1)), "out of emit order"),
+        # to_jsonl writes one summary line, and writes it last
+        (summary_first, "a line follows the summary line"),
+        (summary_line(protocol="naive") + summary_line(), "a line follows the summary line"),
     ],
     ids=["not-json", "lacks-kind", "deliver-lacks-value", "empty", "summary-cut",
          "summary-not-a-mapping", "no-horizon", "no-base-delay", "no-expect-violation",
          "horizon-text", "horizon-bool", "horizon-float", "base-delay-text",
          "expect-violation-text",
          "kind-int", "pid-text", "time-text", "index-bool", "data-list", "undeclared-kind",
-         "index-reversed", "index-all-zero", "time-decreasing"],
+         "index-reversed", "index-all-zero", "time-decreasing", "summary-first",
+         "two-summaries"],
 )
 def test_report_on_a_malformed_trace_is_a_usage_error(tmp_path, capsys, text, reason):
     if callable(text):  # an edit of a saved trace

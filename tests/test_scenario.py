@@ -146,6 +146,41 @@ def test_a_client_op_that_is_not_text_is_rejected(client):
         scenario.validate()
 
 
+@pytest.mark.parametrize(
+    "patch, fields, error",
+    [
+        ("clients: [{id: 3, ops: [[a, b]]}]",
+         dict(clients=[ClientSpec(cid=3, kind="loop", ops=[["a", "b"]])]),
+         "client 3: each op must be text"),
+        ("clients: [{id: 3, ops: [null]}]",
+         dict(clients=[ClientSpec(cid=3, kind="loop", ops=[None])]),
+         "client 3: each op must be text"),
+        ("clients: [{id: 3, ops: [7]}]",
+         dict(clients=[ClientSpec(cid=3, kind="loop", ops=[7])]),
+         "client 3: each op must be text"),
+        ("clients: [{id: 3, kind: scripted, sends: [{at: 5, to: 0, reqid: 1, op: {x: 1}}]}]",
+         dict(clients=[ClientSpec(cid=3, kind="scripted", sends=[(5, 0, 1, {"x": 1})])]),
+         "client 3: each op must be text"),
+        ('reorder: "no"', dict(reorder="no"), "reorder must be true or false, got 'no'"),
+        ('expect_violation: "no"', dict(expect_violation="no"),
+         "expect_violation must be true or false, got 'no'"),
+    ],
+    ids=["list-op", "null-op", "number-op", "mapping-send-op", "reorder-text",
+         "expect-violation-text"],
+)
+def test_a_file_and_a_hand_built_scenario_are_judged_alike(patch, fields, error):
+    # a value is judged by Scenario.validate alone, whichever path built it
+    base = "name: x\nprotocol: naive\nn: 3\nhorizon: 100\nomega: [{at: 0, leader: 0}]\n"
+    by_hand = dict(name="x", protocol="naive", n=3, horizon=100, delay=DelayModel.fixed(10),
+                   omega=OmegaScript.single(3, 0))
+    assert Scenario.from_yaml(base) == Scenario(**by_hand)
+    with pytest.raises(ScenarioError) as from_file:
+        Scenario.from_yaml(base + patch + "\n")
+    with pytest.raises(ScenarioError) as built:
+        Scenario(**by_hand, **fields).validate()
+    assert str(from_file.value) == str(built.value) == error
+
+
 def integer_fields_scenario(**fields) -> Scenario:
     """A scenario with every tick and id field set, one of them to
     ``fields``' value: ``n``, ``horizon``, ``crash``'s (process, tick), the
