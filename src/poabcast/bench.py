@@ -34,7 +34,9 @@ There is at most one pending batch-cut decision (a pump) per tick, and
 one is pending only while requests wait. Arrivals, and decisions that
 find requests waiting, ask for one at the end of the current tick, and a
 busy sender defers it to the tick its link frees up; an earlier request
-supersedes a later one, whose queued callback then fires as a no-op.
+supersedes a later one, whose queued ``_run_pump(at)`` then fires as a
+no-op. Every event the leader queues is one of its bound methods with its
+arguments, so a sweep step's simulator deep-copies and pickles mid-run.
 
 Scenario row: ``scenario_row`` reads a finished scenario run's trace into
 the ``MetricsRow`` that ``poabcast run --out`` writes as its metrics.csv.
@@ -283,7 +285,7 @@ class BatchingLeader:
         """``count`` clients each send their next request now, over a 1-tick
         leg: one arrival event submits them all."""
         run = [self.sim.now, count]
-        self.sim.schedule(run[0] + 1, lambda: self.submit(run))
+        self.sim.schedule(run[0] + 1, self.submit, run)
 
     def _reply(self, runs: List[Tuple[int, int]]) -> None:
         now = self.sim.now
@@ -296,7 +298,7 @@ class BatchingLeader:
         if self._pump_at is not None and self._pump_at <= at:
             return
         self._pump_at = at
-        self.sim.schedule(at, lambda: self._run_pump(at))
+        self.sim.schedule(at, self._run_pump, at)
 
     def _run_pump(self, at: int) -> None:
         # an entry superseded by an earlier pump is stale: it neither runs
@@ -342,12 +344,16 @@ class BatchingLeader:
             # one 1-tick reply leg back to the colocated clients; any other
             # value decided here answers none of them
             runs = proposed[1]
-            self.sim.schedule(self.sim.now + 1, lambda: self._reply(runs))
+            self.sim.schedule(self.sim.now + 1, self._reply, runs)
         if self.waiting:  # with nothing waiting a pump would be a no-op
             self._schedule_pump(self.sim.now)
 
     def on_message(self, frm: int, msg: Any) -> None:
         self.node.on_message(frm, msg)
+
+
+def _ignore(value: Any, instance: int) -> None:
+    """A follower's ``deliver``: the bench reads decides at the leader only."""
 
 
 def run_throughput(mode: str, clients: int, request_size: int) -> MetricsRow:
@@ -365,9 +371,9 @@ def run_throughput(mode: str, clients: int, request_size: int) -> MetricsRow:
     leader = BatchingLeader(sim, n, mode, request_size)
     sim.add_actor(0, leader)
     for pid in range(1, n):
-        sim.add_actor(pid, PaxosNode(sim, pid, n, deliver=lambda v, i: None))
+        sim.add_actor(pid, PaxosNode(sim, pid, n, deliver=_ignore))
     # every client sends its first request at tick 1
-    sim.schedule(1, lambda: leader.send_requests(clients))
+    sim.schedule(1, leader.send_requests, clients)
     try:
         sim.run(WARMUP + WINDOW)
     finally:

@@ -260,11 +260,7 @@ class PaxosNode:
         self._watchdog_armed = True
         period = RETRY_DELAYS * self.sim.delay_model.max_delay
         stamp = self._progress
-        self.sim.schedule(
-            self.sim.now + period,
-            lambda: self._watchdog(stamp),
-            actor=self.pid,
-        )
+        self.sim.schedule(self.sim.now + period, self._watchdog, stamp, actor=self.pid)
 
     def _watchdog(self, stamp: int) -> None:
         self._watchdog_armed = False

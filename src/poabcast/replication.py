@@ -214,9 +214,7 @@ class Client:
     def _send(self, req: Request) -> None:
         for p in range(self.n):
             self.sim.send(self.cid, p, req)
-        self.sim.schedule(
-            self.sim.now + self.retry_every, lambda: self._retry(req), actor=self.cid
-        )
+        self.sim.schedule(self.sim.now + self.retry_every, self._retry, req, actor=self.cid)
 
     def _retry(self, req: Request) -> None:
         if self.waiting is not None and self.waiting.reqid == req.reqid:
@@ -250,11 +248,12 @@ class ScriptedClient:
 
     def on_start(self) -> None:
         for at, replica, reqid, op in self.sends:
-            req = Request(self.cid, reqid, op)
-            def push(req=req, replica=replica):
-                self.sim.emit("request", self.cid, reqid=req.reqid, op=req.op, to=replica)
-                self.sim.send(self.cid, replica, req)
-            self.sim.schedule(at, push, actor=self.cid)
+            self.sim.schedule(at, self._push, Request(self.cid, reqid, op), replica,
+                              actor=self.cid)
+
+    def _push(self, req: Request, replica: int) -> None:
+        self.sim.emit("request", self.cid, reqid=req.reqid, op=req.op, to=replica)
+        self.sim.send(self.cid, replica, req)
 
     def on_message(self, frm: int, msg: Any) -> None:
         if isinstance(msg, Reply) and msg.reqid not in self.seen:

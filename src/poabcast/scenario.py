@@ -53,6 +53,25 @@ def _known(raw: Dict[Any, Any], where: str, *read: str) -> None:
             raise ScenarioError(f"{key} must be {_NOUNS[kind]}, got {raw[key]!r}")
 
 
+def _delay(raw: Dict[str, Any]) -> DelayModel:
+    # DelayModel judges a delay's values; its errors name its fields, which
+    # are reworded here as the file's keys
+    if "jitter" in raw:
+        j = raw["jitter"]
+        _known(j, "jitter", "min", "max", "seed")
+        args = j["min"], j["max"], j.get("seed", 0)
+        keys = "jitter min", "jitter max", "jitter seed"
+    else:
+        args, keys = (raw.get("delta", 10),) * 2, ("delta", "delta")
+    try:
+        return DelayModel(*args)
+    except ValueError as e:
+        text = str(e)
+        for field, key in zip(("min_delay", "max_delay", "seed"), keys):
+            text = text.replace(f"delay {field}", key)
+        raise ScenarioError(text) from e
+
+
 def _yaml_problem(e: Exception) -> str:
     # PyYAML's own text quotes the offending source over several lines
     mark, problem = getattr(e, "problem_mark", None), getattr(e, "problem", None)
@@ -158,12 +177,7 @@ class Scenario:
                    "reorder", "clients", "expect_violation",
                    "jitter" if "jitter" in raw else "delta")
             n = _int(raw["n"], "n")  # a leader: segment names each process in range(n)
-            if "jitter" in raw:
-                j = raw["jitter"]
-                _known(j, "jitter", "min", "max", "seed")
-                delay = DelayModel.jitter(j["min"], j["max"], j.get("seed", 0))
-            else:
-                delay = DelayModel.fixed(raw.get("delta", 10))
+            delay = _delay(raw)
 
             segments = []
             for seg in raw.get("omega", [{"at": 0, "leader": 0}]):

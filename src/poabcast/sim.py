@@ -20,6 +20,11 @@ evaluates that definition for 64 consecutive seqs at once; the
 definition and ``delay(seq)`` stay the reference.
 A sender's link is busy only under a per-byte cost, when a message departs
 once the sender's earlier ones are on the wire; else it departs at once.
+Every queued entry is data, never a closure: a message is its receiver,
+sender and payload, and a scheduled call its bound actor, a bound method
+and the method's arguments. So a simulator stopped between two ``run``
+calls forks by ``copy.deepcopy``, which rebinds each queued method to the
+copied actor, and round-trips through ``pickle`` the same way.
 Actors and their simulator reach each other, so the builder closes it once
 ``run`` returns (``runner.run``, ``bench.run_throughput``): ``close`` drops
 the actors, the pending events and the trace, so the simulator holds
@@ -35,7 +40,7 @@ import heapq
 import itertools
 import struct
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from .trace import Trace, TraceEvent
@@ -81,8 +86,11 @@ class DelayModel:
             value = getattr(self, name)
             if type(value) is not int:  # a float tick, or a bool read as 0 or 1
                 raise ValueError(f"delay {name} must be an integer, got {value!r}")
-        if self.min_delay < 1 or self.min_delay > self.max_delay:
-            raise ValueError("delay bounds must satisfy 1 <= min <= max")
+        if self.min_delay < 1:
+            raise ValueError(f"delay min_delay must be at least 1, got {self.min_delay}")
+        if self.min_delay > self.max_delay:
+            raise ValueError(f"delay max_delay must be at least delay min_delay "
+                             f"({self.min_delay}), got {self.max_delay}")
 
     def delay(self, seq: int) -> int:
         """Delay of message ``seq``: ``min + z % (max - min + 1)`` for z
@@ -201,9 +209,9 @@ class Simulator:
         self.trace = Trace()
         self.actors: Dict[int, Any] = {}
         # tick -> its entries in insertion order, each (bound actor or None,
-        # callback, sender, message); a message has no callback and is bound
-        # to its receiver. _ticks heaps _due's ticks, each pushed once, when
-        # its list opens
+        # method, sender, data): a message is (receiver, None, sender,
+        # message), a scheduled call (actor, method, None, its arguments).
+        # _ticks heaps _due's ticks, each pushed once, when its list opens
         self._due: Dict[int, List[tuple]] = {}
         self._ticks: List[int] = []
         # per (frm, to), the delivery tick of the link's last message: no
@@ -224,15 +232,19 @@ class Simulator:
 
     # -- scheduling ---------------------------------------------------------
 
-    def schedule(self, at: int, fn: Callable[[], None], actor: Optional[int] = None) -> None:
+    def schedule(self, at: int, fn: Callable[..., None], *args: Any,
+                 actor: Optional[int] = None) -> None:
+        """Call ``fn(*args)`` at tick ``at``, or never if ``actor`` has crashed
+        by then. ``fn`` is a bound method, not a closure, so the entry stays
+        data that deep-copies and pickles with the actors it names."""
         if at < self.now:
             raise SchedulingError(f"cannot schedule at t={at} (now t={self.now})")
         due = self._due.get(at)
         if due is None:
-            self._due[at] = [(actor, fn, None, None)]
+            self._due[at] = [(actor, fn, None, args)]
             heapq.heappush(self._ticks, at)
         else:
-            due.append((actor, fn, None, None))
+            due.append((actor, fn, None, args))
 
     # -- messaging ----------------------------------------------------------
 
@@ -283,7 +295,7 @@ class Simulator:
                     out = outputs.get(p, last)
                     if out != last:
                         last = out
-                        self.schedule(start, partial(self._notify_omega, p, out), actor=p)
+                        self.schedule(start, self._notify_omega, p, out, actor=p)
 
     def _notify_omega(self, p: int, leader: int) -> None:
         self.emit("omega", p, leader=leader)
@@ -301,6 +313,9 @@ class Simulator:
 
     # -- main loop ----------------------------------------------------------
 
+    def _crash(self, p: int) -> None:
+        self.emit("crash", p)
+
     def run(self, until: int) -> Trace:
         """Fire every event due at or before ``until``, then set ``now`` to
         ``until``; an ``until`` below ``now`` raises ``SchedulingError``. A
@@ -312,11 +327,10 @@ class Simulator:
             self._started = True
             self._install_omega_notifications()
             for p, t in sorted(self.crashes.items()):
-                self.schedule(t, lambda p=p: self.emit("crash", p))
-            for aid in list(self.actors):
-                starter = getattr(self.actors[aid], "on_start", None)
-                if starter is not None:
-                    self.schedule(0, starter, actor=aid)
+                self.schedule(t, self._crash, p)
+            for aid, actor in self.actors.items():
+                if hasattr(actor, "on_start"):
+                    self.schedule(0, actor.on_start, actor=aid)
         ticks, dues, crashes, actors = self._ticks, self._due, self.crashes, self.actors
         while ticks and ticks[0] <= until:
             at = heapq.heappop(ticks)
@@ -324,28 +338,28 @@ class Simulator:
             # the walk also fires what this tick's handlers queue for it; the
             # list goes even if one raises, so its tick is never orphaned
             try:
-                for actor, fn, frm, msg in dues[at]:
+                for actor, fn, frm, data in dues[at]:
                     if actor is not None:
                         # an actor-bound event at or after its actor's crash is dropped
                         crash_at = crashes.get(actor)
                         if crash_at is not None and at >= crash_at:
                             continue
                     if fn is not None:
-                        fn()
+                        fn(*data)
                     else:
                         # a message to an id with no actor is dropped
                         receiver = actors.get(actor)
                         if receiver is not None:
-                            receiver.on_message(frm, msg)
+                            receiver.on_message(frm, data)
             finally:
                 del dues[at]
         self.now = until
         return self.trace
 
     def close(self) -> None:
-        """Drop the actors, the pending events (their callbacks close over
-        actors) and the trace; the trace ``run`` returned stays whole with
-        whoever holds it. A closed simulator is not run again."""
+        """Drop the actors, the pending events (each names an actor or a
+        method bound to one) and the trace; the trace ``run`` returned stays
+        whole with whoever holds it. A closed simulator is not run again."""
         self.actors.clear()
         self._due.clear()
         self._ticks.clear()

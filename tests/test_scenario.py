@@ -110,8 +110,18 @@ def test_validation_rejects_bad_scenarios(patch):
         ("jitter: {}", "scenario is missing required key: 'min'"),
         ("jitter: null", "jitter must be a mapping, got None"),
         ("jitter: []", "jitter must be a mapping, got []"),
+        # DelayModel judges a delay's values, and the error names the file's key
+        ("delta: 10.5", "delta must be an integer, got 10.5"),
+        ("delta: 0", "delta must be at least 1, got 0"),
+        ("jitter: {min: true, max: 12}", "jitter min must be an integer, got True"),
+        ("jitter: {min: 0, max: 12}", "jitter min must be at least 1, got 0"),
+        ("jitter: {min: 5, max: 12.5}", "jitter max must be an integer, got 12.5"),
+        ("jitter: {min: 5, max: 4}", "jitter max must be at least jitter min (5), got 4"),
+        ("jitter: {min: 5, max: 12, seed: 1.5}", "jitter seed must be an integer, got 1.5"),
     ],
-    ids=["per-byte", "loop-size", "send-size", "empty-jitter", "null-jitter", "list-jitter"],
+    ids=["per-byte", "loop-size", "send-size", "empty-jitter", "null-jitter", "list-jitter",
+         "float-delta", "zero-delta", "bool-jitter-min", "zero-jitter-min", "float-jitter-max",
+         "jitter-max-below-min", "float-jitter-seed"],
 )
 def test_a_scenario_error_says_what_is_wrong_with_the_key(patch, message):
     base = "name: x\nprotocol: naive\nn: 3\nhorizon: 100\nomega: [{at: 0, leader: 0}]\n"

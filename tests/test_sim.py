@@ -1,7 +1,11 @@
 """Simulation kernel: scheduling, links, crashes, oracle script, determinism."""
 
+import ast
+import copy
 import gc
 import heapq
+import pathlib
+import pickle
 import weakref
 from collections import Counter
 from itertools import islice
@@ -10,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poabcast.bench import bench_throughput, run_throughput
+import poabcast
+from poabcast.bench import WARMUP, WINDOW, bench_throughput, run_throughput
 from poabcast.runner import build, run
 from poabcast.scenario import random_scenario
 from poabcast.sim import DelayModel, OmegaScript, SchedulingError, Simulator
@@ -561,7 +566,7 @@ def play(kernel, program, starts, horizons, budget=120):
                 return
             made[0] += 1
             if step[0] == "schedule":
-                kernel.schedule(kernel.now + step[1], lambda k=made[0]: fire(k), step[2])
+                kernel.schedule(kernel.now + step[1], lambda k=made[0]: fire(k), actor=step[2])
             else:
                 kernel.send(step[1], step[2], made[0])
 
@@ -573,7 +578,7 @@ def play(kernel, program, starts, horizons, budget=120):
         kernel.actors[p] = Probe()
     for at, actor in starts:
         made[0] += 1
-        kernel.schedule(at, lambda k=made[0]: fire(k), actor)
+        kernel.schedule(at, lambda k=made[0]: fire(k), actor=actor)
     for until in horizons:
         kernel.run(until)
         made[0] += 1
@@ -813,3 +818,65 @@ def test_a_finished_throughput_run_is_freed_without_the_cyclic_collector(monkeyp
         assert len(refs) == 1 and refs[0]() is None
     finally:
         gc.enable()
+
+
+# -- a mid-run simulator is a value ---------------------------------------------
+
+def forks(sim):
+    """A deep copy and a pickle round trip of ``sim``."""
+    return [copy.deepcopy(sim), pickle.loads(pickle.dumps(sim))]
+
+
+def test_a_simulator_cut_mid_run_forks_by_deepcopy_and_pickle():
+    """Each queued entry is a message or a bound method with its arguments,
+    so a copy of a stopped run holds its own actors: the original, a deep
+    copy and a pickle round trip, each cut at ticks 50, 150 and 400 and run
+    on to the horizon, all write the uncut run's trace."""
+    for variant in ("tau-seq", "tau-paxos", "barrier-free"):
+        for seed in range(50):
+            scenario = random_scenario(seed, variant)
+            want = build(scenario).run(scenario.horizon).to_jsonl()
+            sim, copies = build(scenario), []
+            for cut in (50, 150, 400):
+                sim.run(cut)
+                copies += forks(sim)
+            for fork in [sim] + copies:
+                assert fork.run(scenario.horizon).to_jsonl() == want, (variant, seed)
+
+
+def test_a_throughput_run_cut_mid_run_forks_by_deepcopy_and_pickle(monkeypatch):
+    # a sweep step stopped at tick 3000, inside the measurement window: its
+    # copies run on to the window's end with the original's trace and latencies
+    runs, sim_run = [], Simulator.run
+
+    def cut_run(self, until):
+        sim_run(self, 3000)
+        runs.append(forks(self))
+        trace = sim_run(self, until)
+        runs.append((trace.to_jsonl(), self.actors[0]))
+        return trace
+
+    monkeypatch.setattr(Simulator, "run", cut_run)
+    run_throughput("parallel", 16, 1024)
+    monkeypatch.undo()
+    copies, (want, leader) = runs
+    assert sum(leader.latencies.values()) > 0
+    for fork in copies:
+        assert fork.run(WARMUP + WINDOW).to_jsonl() == want
+        assert fork.actors[0].latencies == leader.latencies
+
+
+def test_the_kernel_queues_no_closure():
+    """The ``fn`` of every ``schedule`` call in the package is an attribute,
+    such as ``self._watchdog``: a lambda, a ``partial`` or a nested function
+    would bind the actors it was made with, and a copied run would call them."""
+    calls = 0
+    for path in sorted(pathlib.Path(poabcast.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "schedule"):
+                calls += 1
+                fn = node.args[1]
+                where = f"{path.name}:{node.lineno}"
+                assert isinstance(fn, ast.Attribute), f"{where} queues {ast.unparse(fn)}"
+    assert calls > 0

@@ -220,7 +220,7 @@ def test_every_emit_site_is_a_declared_layout():
     assert len(declared) == len(LAYOUTS) == 26 and len(SCHEMA) == 23
     # a line function picks a kind's layout by the number of fields alone
     assert all(len({len(lay) for lay in lays}) == len(lays) for lays in SCHEMA.values())
-    # the crash lambda, both arms of primary-begin/end, and branches that
+    # the crash entry, both arms of primary-begin/end, and branches that
     # random scenarios seldom reach
     for kind in ("crash", "primary-begin", "primary-end", "apply-bot", "reproposed",
                  "val-resent", "skip-proposed"):
