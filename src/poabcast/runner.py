@@ -26,7 +26,8 @@ def make_layer(protocol: str, sim: Simulator, pid: int, n: int):
 
 
 def build(scenario: Scenario) -> Simulator:
-    """The scenario's simulator, its replicas and clients added, not yet run."""
+    """The scenario's simulator, its replicas and clients added, not yet run;
+    its trace already holds the scenario's summary (``trace.SUMMARY``)."""
     sim = Simulator(
         n=scenario.n,
         delay_model=scenario.delay,
@@ -34,6 +35,14 @@ def build(scenario: Scenario) -> Simulator:
         crashes=scenario.crashes,
         reorder=scenario.reorder,
     )
+    sim.trace.summary = {
+        "scenario": scenario.name,
+        "protocol": scenario.protocol,
+        "n": scenario.n,
+        "horizon": scenario.horizon,
+        "expect_violation": scenario.expect_violation,
+        "base_delay": scenario.delay.max_delay,
+    }
     for pid in range(scenario.n):
         layer = make_layer(scenario.protocol, sim, pid, scenario.n)
         sim.add_actor(pid, Replica(sim, pid, layer))
@@ -50,17 +59,6 @@ def build(scenario: Scenario) -> Simulator:
 def run(scenario: Scenario) -> Trace:
     sim = build(scenario)
     try:
-        trace = sim.run(scenario.horizon)
+        return sim.run(scenario.horizon)
     finally:
         sim.close()
-    trace.summary.update(
-        {
-            "scenario": scenario.name,
-            "protocol": scenario.protocol,
-            "n": scenario.n,
-            "horizon": scenario.horizon,
-            "expect_violation": scenario.expect_violation,
-            "base_delay": scenario.delay.max_delay,
-        }
-    )
-    return trace

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Tuple
 
 from .sim import DelayModel, OmegaScript
+from .trace import PROTOCOLS
 
-PROTOCOLS = ("naive", "tau-seq", "tau-paxos", "barrier-free")
 CLIENT_KINDS = ("loop", "scripted")
 
 

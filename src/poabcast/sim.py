@@ -15,9 +15,9 @@ on the same link. With ``reorder`` on, only client links (an end above
 earlier one.
 Link messages are numbered 1, 2, … in send order, and message ``seq`` is
 delayed by ``DelayModel.delay(seq)``, splitmix64 of the seed and ``seq``.
-Each run draws them from its own stream, ``DelayModel.draws``, which
-evaluates that definition for 64 consecutive seqs at once; the
-definition and ``delay(seq)`` stay the reference.
+Each simulator draws them ``DelayModel.delays`` 64 consecutive seqs at a
+time and takes them one per message from a list iterator over the block;
+the definition and ``delay(seq)`` stay the reference.
 A sender's link is busy only under a per-byte cost, when a message departs
 once the sender's earlier ones are on the wire; else it departs at once.
 Every queued entry is data, never a closure: a message is its receiver,
@@ -37,11 +37,10 @@ name each other), so the cyclic collector frees the rest of a closed run.
 from __future__ import annotations
 
 import heapq
-import itertools
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .trace import Trace, TraceEvent
 
@@ -122,15 +121,6 @@ class DelayModel:
         z ^= z >> 31
         return [lo + v % width for v in reader.unpack(z.to_bytes(16 * count, "little"))]
 
-    def draws(self) -> Iterator[int]:
-        """``delay(1), delay(2), …`` without end: one run's link delays, drawn
-        ``_BLOCK`` seqs at a time. A fresh stream per call; the model keeps no
-        draw state."""
-        if self.min_delay == self.max_delay:
-            return itertools.repeat(self.min_delay)
-        blocks = map(self.delays, itertools.count(1, _BLOCK), itertools.repeat(_BLOCK))
-        return itertools.chain.from_iterable(blocks)
-
     @classmethod
     def fixed(cls, delta: int) -> "DelayModel":
         return cls(delta, delta)
@@ -198,8 +188,12 @@ class Simulator:
     ):
         self.n = n
         self.delay_model = delay_model
-        # this run's stream of link delays: delay(1), delay(2), … in send order
-        self._next_delay = delay_model.draws().__next__
+        # this run's link delays, delay(1), delay(2), … in send order: the
+        # next of the current block, and the seqs of the blocks drawn so far.
+        # A list iterator copies and pickles on every Python; an itertools
+        # stream warns that it will not from 3.12 on, and does not in 3.14
+        self._next_delay = iter([]).__next__
+        self._drawn = 0
         self.omega_script = omega
         self.crashes = dict(crashes or {})
         self.reorder = reorder
@@ -265,7 +259,11 @@ class Simulator:
                 if size:
                     departure += int(round(size * self.per_byte))
                 self._busy_until[frm] = departure
-            at = departure + self._next_delay()
+            try:
+                delay = self._next_delay()
+            except StopIteration:
+                delay = self._draw_block()
+            at = departure + delay
             if not self.reorder or (frm < self.n and to < self.n):
                 link = (frm, to)
                 floor = self._fifo_floor.get(link, 0)
@@ -278,6 +276,14 @@ class Simulator:
             heapq.heappush(self._ticks, at)
         else:
             due.append((to, None, frm, msg))
+
+    def _draw_block(self) -> int:
+        """The next link delay once the current block is spent: draw the
+        next ``_BLOCK`` seqs, take the first and leave the rest as the stream."""
+        first = self._drawn + 1
+        self._drawn += _BLOCK
+        self._next_delay = iter(self.delay_model.delays(first, _BLOCK)).__next__
+        return self._next_delay()
 
     def sender_free_at(self, pid: int) -> int:
         """Tick at which ``pid``'s link has sent all it queued; 0 with no byte cost."""

@@ -6,7 +6,9 @@ identical runs compare byte-for-byte. Events are tuple records; each line
 is ``{"data","i","kind","p","t"}`` as ``json.dumps`` sorts and packs it.
 ``SCHEMA`` is the trace's contract: each event is written, and each loaded
 event admitted, by a line function compiled from its kind's layouts, and an
-event that fits none of them is an error.
+event that fits none of them is an error. ``SUMMARY`` declares the last
+line, the run's summary: ``runner.build`` writes it and ``Trace.from_jsonl``
+admits exactly its fields.
 """
 
 from __future__ import annotations
@@ -50,6 +52,24 @@ SCHEMA: Dict[str, Tuple[Dict[str, Any], ...]] = {
     "applied": ({"client": int, "reqid": int, "record": str, "state": str},),
     "apply-bot": ({"client": int, "reqid": int, "expected": str, "state": str},),
 }
+
+# the protocols a trace may be of, the checks' variants
+PROTOCOLS = ("naive", "tau-seq", "tau-paxos", "barrier-free")
+
+# the summary's fields -> their types, each matched exactly (a bool is not an
+# int); its protocol is also one of PROTOCOLS
+SUMMARY: Dict[str, type] = {
+    "scenario": str,
+    "protocol": str,
+    "n": int,
+    "horizon": int,
+    "expect_violation": bool,
+    "base_delay": int,
+}
+# each summary type, as an error names it
+_ARTICLES = {int: "an integer", bool: "a boolean", str: "a string"}
+# the keys of an event line, as to_jsonl writes them
+_EVENT_KEYS = {"t", "i", "p", "kind", "data"}
 
 # a declared kind -> its line function, (t, i, p, data) -> the event's JSON
 # line, or None when the data fits none of the kind's layouts exactly
@@ -150,19 +170,22 @@ class Trace:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Trace":
-        """The trace ``text`` holds; raises ValueError for an event of a wrong
-        envelope type, out of emit order, or of no declared layout, and for
-        any line after the summary line."""
-        trace, ended = cls(), False
+        """The trace ``text`` holds; raises ValueError for a line that is
+        neither an event nor the summary, for an event of a wrong envelope
+        type, out of emit order, or of no declared layout, for any line after
+        the summary line, and for a summary ``SUMMARY`` does not admit."""
+        trace, summary, ended = cls(), None, False
         for line in text.splitlines():
             if not line.strip():
                 continue
             if ended:  # to_jsonl writes one summary line, and writes it last
                 raise ValueError(f"a line follows the summary line: {line}")
             rec = json.loads(line)
-            if "summary" in rec:
-                trace.summary, ended = rec["summary"], True
+            if type(rec) is dict and rec.keys() == {"summary"}:
+                summary, ended = rec["summary"], True
                 continue
+            if type(rec) is not dict or rec.keys() != _EVENT_KEYS:
+                raise ValueError(f"a line is neither an event nor the summary: {line}")
             ev = TraceEvent(rec["t"], rec["i"], rec["p"], rec["kind"], rec["data"])
             # time, index and actor are ints; isinstance would let a JSON true pass
             if not (
@@ -176,4 +199,23 @@ class Trace:
                 raise ValueError(f"event {len(trace)} is out of emit order: {line}")
             trace.append(ev)
         _lines(trace.events)
+        _admit_summary(summary)
+        trace.summary = summary
         return trace
+
+
+def _admit_summary(summary: Any) -> None:
+    """Raise ValueError unless ``summary``, the summary line's value or None
+    for no summary line, names a known protocol and holds exactly SUMMARY's
+    fields, each of exactly its declared type."""
+    if type(summary) is not dict or summary.get("protocol") not in PROTOCOLS:
+        raise ValueError("no summary line names a known protocol")
+    for key in SUMMARY:
+        if key not in summary:
+            raise ValueError(f"summary has no {key}")
+    for key in summary:
+        if key not in SUMMARY:
+            raise ValueError(f"summary has an undeclared key: {key!r}")
+    for key, kind in SUMMARY.items():
+        if type(summary[key]) is not kind:
+            raise ValueError(f"summary {key} is not {_ARTICLES[kind]}: {summary[key]!r}")

@@ -212,8 +212,8 @@ MAPPING_FAULTS = {
 def mapping_fault_trace(name):
     protocol, rows, _ = MAPPING_FAULTS[name]
     trace = make_trace(rows)
-    trace.summary = {"protocol": protocol, "horizon": 100, "base_delay": 10,
-                     "expect_violation": False}
+    trace.summary = {"scenario": name, "protocol": protocol, "n": 3, "horizon": 100,
+                     "base_delay": 10, "expect_violation": False}
     return trace
 
 

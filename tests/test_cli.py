@@ -263,8 +263,8 @@ def test_run_names_a_bad_client_or_omega_segment_in_its_own_words(tmp_path, caps
 def summary_line(*omit, **fields):
     """A complete summary line of a tau-seq run, without the keys in ``omit``
     and with ``fields`` overriding its own."""
-    summary = {"protocol": "tau-seq", "horizon": 100, "base_delay": 10,
-               "expect_violation": False, **fields}
+    summary = {"scenario": "s", "protocol": "tau-seq", "n": 3, "horizon": 100,
+               "base_delay": 10, "expect_violation": False, **fields}
     return json.dumps({"summary": {k: v for k, v in summary.items() if k not in omit}}) + "\n"
 
 
@@ -305,22 +305,27 @@ def cut_summary(text):
     "text, reason",
     [
         ('{"t": 0, "i": 0\n', "JSONDecodeError"),
-        ('{"t": 0, "i": 0, "p": 0, "data": {}}\n', "KeyError('kind')"),
+        ('{"t": 0, "i": 0, "p": 0, "data": {}}\n', "neither an event nor the summary"),
         ('{"t": 0, "i": 0, "p": 0, "kind": "deliver", "data": {}}\n'
          + summary_line(protocol="naive"), "event 0 of kind 'deliver' fits no layout"),
         ("", "no summary line"),
         (cut_summary, "no summary line"),
         ('{"summary": 5}\n', "no summary line"),
-        # fields a check or the exit rule reads, which have no default
+        (summary_line(protocol="paxos"), "no summary line names a known protocol"),
+        # each field trace.SUMMARY declares, and no other
         (summary_line("horizon"), "summary has no horizon"),
         (summary_line("base_delay"), "summary has no base_delay"),
         (summary_line("expect_violation"), "summary has no expect_violation"),
+        (summary_line("scenario"), "summary has no scenario"),
+        (summary_line("n"), "summary has no n"),
+        (summary_line(crashes={}), "summary has an undeclared key: 'crashes'"),
         # fields of the wrong type, each of which a check or the exit rule reads
         (summary_line(horizon="x"), "horizon is not an integer"),
         (summary_line(horizon=True), "horizon is not an integer"),
         (summary_line(horizon=10.5), "horizon is not an integer"),
         (summary_line(base_delay="x"), "base_delay is not an integer"),
         (summary_line(expect_violation="no"), "expect_violation is not a boolean"),
+        (summary_line(n="3"), "summary n is not an integer: '3'"),
         (event_line(kind=5), "an event field has the wrong type"),
         (event_line(p="0"), "an event field has the wrong type"),
         (event_line(t="x"), "an event field has the wrong type"),
@@ -334,14 +339,18 @@ def cut_summary(text):
         # to_jsonl writes one summary line, and writes it last
         (summary_first, "a line follows the summary line"),
         (summary_line(protocol="naive") + summary_line(), "a line follows the summary line"),
+        # a trace whose layouts its protocol's checks cannot read
+        ('{"t": 0, "i": 0, "p": 0, "kind": "deliver", "data": {"instance": 1, "value": "v"}}\n'
+         + summary_line(protocol="barrier-free"), "KeyError('epoch')"),
     ],
     ids=["not-json", "lacks-kind", "deliver-lacks-value", "empty", "summary-cut",
-         "summary-not-a-mapping", "no-horizon", "no-base-delay", "no-expect-violation",
+         "summary-not-a-mapping", "unknown-protocol", "no-horizon", "no-base-delay",
+         "no-expect-violation", "no-scenario", "no-n", "undeclared-key",
          "horizon-text", "horizon-bool", "horizon-float", "base-delay-text",
-         "expect-violation-text",
+         "expect-violation-text", "n-text",
          "kind-int", "pid-text", "time-text", "index-bool", "data-list", "undeclared-kind",
          "index-reversed", "index-all-zero", "time-decreasing", "summary-first",
-         "two-summaries"],
+         "two-summaries", "barrier-free-two-field-deliver"],
 )
 def test_report_on_a_malformed_trace_is_a_usage_error(tmp_path, capsys, text, reason):
     if callable(text):  # an edit of a saved trace

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 import poabcast
 from poabcast import trace as trace_module
 from poabcast.cli import bundled_scenarios, load_scenario
-from poabcast.runner import run
+from poabcast.runner import build, run
 from poabcast.scenario import ClientSpec, Scenario, random_scenario
 from poabcast.sim import DelayModel, OmegaScript
-from poabcast.trace import SCHEMA, Trace, TraceEvent
+from poabcast.trace import SCHEMA, SUMMARY, Trace, TraceEvent
 
 VARIANTS = ("tau-seq", "tau-paxos", "barrier-free")
 
@@ -29,6 +29,16 @@ def reference_json(ev: TraceEvent) -> str:
 def reference_lines(trace: Trace):
     summary = json.dumps({"summary": trace.summary}, sort_keys=True, separators=(",", ":"))
     return [reference_json(ev) for ev in trace] + [summary]
+
+
+def complete_summary(**fields):
+    """A summary of every ``SUMMARY`` field, with ``fields`` overriding its own."""
+    return {"scenario": "s", "protocol": "tau-seq", "n": 3, "horizon": 100,
+            "expect_violation": False, "base_delay": 10, **fields}
+
+
+# the summary line of a trace from_jsonl admits
+SUMMARY_LINE = json.dumps({"summary": complete_summary()}) + "\n"
 
 
 def corpus_traces(seeds=range(10)):
@@ -94,13 +104,67 @@ def test_trace_event_is_an_immutable_record_built_by_keyword():
 
 
 def test_jsonl_round_trips_through_from_jsonl():
-    texts = [t.to_jsonl() for t in corpus_traces(range(5))]
+    traces = list(corpus_traces(range(5)))
     bundled = sorted(bundled_scenarios())
     assert len(bundled) == 16
-    texts += [run(load_scenario(name)).to_jsonl() for name in bundled]
-    texts.append(hostile_trace().to_jsonl())
-    for text in texts:
+    traces += [run(load_scenario(name)) for name in bundled]
+    for trace in traces:
+        assert set(trace.summary) == set(SUMMARY)
+    # hostile text in a declared summary field is read back as itself
+    hostile = hostile_trace()
+    hostile.summary = complete_summary(scenario=ESCAPED)
+    traces.append(hostile)
+    for trace in traces:
+        text = trace.to_jsonl()
         assert Trace.from_jsonl(text).to_jsonl() == text
+
+
+def test_a_trace_cut_mid_run_carries_the_scenarios_summary():
+    # build writes the summary, so a run stopped short of its horizon is a trace
+    scenario = random_scenario(3, "tau-paxos")
+    cut = Trace.from_jsonl(build(scenario).run(150).to_jsonl())
+    assert cut.summary == run(scenario).summary
+    assert cut.summary["scenario"] == scenario.name and cut.summary["n"] == scenario.n
+
+
+# each declared type -> a value of the wrong type (a bool for an int, an int
+# for a bool, a number for a string), and the type as an error names it
+WRONG = {int: (True, "an integer"), bool: (1, "a boolean"), str: (5, "a string")}
+
+
+def summary_faults():
+    """(summary line, error) for each SUMMARY field missing and of the wrong
+    type, an undeclared key and an unknown protocol."""
+    unknown = "no summary line names a known protocol"
+    for key, kind in SUMMARY.items():
+        summary = complete_summary()
+        del summary[key]
+        yield summary, unknown if key == "protocol" else f"summary has no {key}"
+        value, named = WRONG[kind]
+        yield (complete_summary(**{key: value}),
+               unknown if key == "protocol" else f"summary {key} is not {named}: ")
+    # a key an earlier kit wrote, and a protocol no check knows
+    yield complete_summary(crashes={}), "summary has an undeclared key: 'crashes'"
+    yield complete_summary(protocol="paxos"), unknown
+
+
+@pytest.mark.parametrize("summary, error", list(summary_faults()))
+def test_from_jsonl_admits_exactly_the_declared_summary(summary, error):
+    text = reference_json(TraceEvent(0, 0, 0, "crash", {})) + "\n"
+    assert Trace.from_jsonl(text + SUMMARY_LINE).summary == complete_summary()
+    with pytest.raises(ValueError, match=re.escape(error)):
+        Trace.from_jsonl(text + json.dumps({"summary": summary}) + "\n")
+
+
+@pytest.mark.parametrize("text", [
+    "5\n", "[]\n", '"summary"\n', "null\n",
+    '{"t": 0, "i": 0, "p": 0, "data": {}}\n',
+    '{"t": 0, "i": 0, "p": 0, "kind": "crash", "data": {}, "x": 1}\n',
+    '{"summary": {}, "t": 0}\n',
+], ids=["int", "list", "text", "null", "lacks-kind", "extra-key", "summary-and-more"])
+def test_from_jsonl_refuses_a_line_that_is_neither_an_event_nor_the_summary(text):
+    with pytest.raises(ValueError, match="neither an event nor the summary"):
+        Trace.from_jsonl(text + SUMMARY_LINE)
 
 
 LAYOUTS = [(kind, layout) for kind, layouts in SCHEMA.items() for layout in layouts]
@@ -158,7 +222,7 @@ def test_every_layout_writes_json_dumps_bytes_on_either_path(kind, layout, data)
     # misfit is refused both ways, by to_jsonl and by from_jsonl
     ev, misfit = data.draw(events(kind, layout))
     first = ev._replace(index=0)  # from_jsonl admits a lone event at index 0
-    text = reference_json(first) + "\n" + json.dumps({"summary": {}}) + "\n"
+    text = reference_json(first) + "\n" + SUMMARY_LINE
     if misfit is None:
         assert jsonl_lines(Trace([ev]))[0] == reference_json(ev)
         assert Trace.from_jsonl(text).events == [first]
@@ -244,11 +308,13 @@ def test_no_trace_text_reaches_generated_code(monkeypatch):
         with pytest.raises(ValueError, match="fits no layout"):
             Trace([ev]).to_jsonl()
         with pytest.raises(ValueError, match="fits no layout"):
-            Trace.from_jsonl(reference_json(ev) + '\n{"summary": {}}\n')
-    # hostile text in declared fields and in the summary is written as data
+            Trace.from_jsonl(reference_json(ev) + "\n" + SUMMARY_LINE)
+    # hostile text in declared fields and in the summary is written as data,
+    # and read back as itself from the declared fields
     trace = Trace([TraceEvent(2, k, 0, "deliver", {"instance": k, "value": h})
                    for k, h in enumerate(HOSTILE)], summary={h: h for h in HOSTILE})
     assert jsonl_lines(trace) == reference_lines(trace)
+    trace.summary = complete_summary(scenario="".join(HOSTILE))
     assert Trace.from_jsonl(trace.to_jsonl()) == trace
     # only the declared deliver line was compiled, from SCHEMA's names
     assert set(table) == {"deliver"} and len(sources) == 1
@@ -276,3 +342,11 @@ def test_readme_lists_the_schema_layouts():
     documented = readme_layouts()
     key = lambda row: (row[0], sorted(row[1].items()))
     assert sorted(documented, key=key) == sorted(declared, key=key)
+
+
+def test_readme_lists_the_summary_fields():
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    table = readme[readme.index("| field | type | read by |"):]
+    table = table[:table.index("\n\n")]
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \|", table, re.M)
+    assert rows == [(name, kind.__name__) for name, kind in SUMMARY.items()]
