@@ -101,10 +101,7 @@ class BarrierFreeBroadcast(PrimaryOrderLayer):
 
     def poabcast(self, value: Any) -> None:
         self._require_primary()
-        self.sim.emit(
-            "broadcast", self.pid, instance=self.prop, seqno=self.seqno,
-            epoch=self.epoch, value=value.digest(),
-        )
+        self.sim.emit("broadcast", self.pid, instance=self.prop, value=value.digest())
         self.prop_array[self.prop] = (value, self.seqno)
         self.paxos.propose(ValTuple(value, self.epoch, self.seqno), self.prop)
         self.prop += 1

@@ -4,8 +4,8 @@ The layers differ only in how a process becomes primary: a barrier over
 consensus (``tau``), an election through consensus (``barrier_free``) or
 the leader oracle alone (``abcast``). ``PrimaryOrderLayer`` holds the
 rest: the consensus node, the delegate, the oracle's leader and the
-primary flag with its announcements. Only tau's paxos barrier hooks the
-node's phases; the rest use consensus through propose and decide alone.
+primary flag with its announcements. Only tau's paxos barrier reads the
+node's phases and ballot; the rest use consensus through propose and decide.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ identifiers' integer order is the epoch order every ordering property is
 checked against.
 
 A fault is always a verdict, so ``check_all`` returns a ``Report`` for
-every trace that names its protocol: epochs that cannot be mapped fail
+every trace ``Trace.from_jsonl`` admits: epochs that cannot be mapped fail
 ``primary-mapping``, and the ordering properties are checked over the
 epochs that did map.
 """

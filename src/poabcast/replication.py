@@ -252,7 +252,7 @@ class ScriptedClient:
                               actor=self.cid)
 
     def _push(self, req: Request, replica: int) -> None:
-        self.sim.emit("request", self.cid, reqid=req.reqid, op=req.op, to=replica)
+        self.sim.emit("request", self.cid, reqid=req.reqid, op=req.op)
         self.sim.send(self.cid, replica, req)
 
     def on_message(self, frm: int, msg: Any) -> None:

@@ -221,8 +221,6 @@ class Scenario:
             )
         except KeyError as e:
             raise ScenarioError(f"scenario is missing required key: {e}") from e
-        except (AttributeError, TypeError, ValueError) as e:  # a value of the wrong shape
-            raise ScenarioError(f"malformed scenario: {e}") from e
         scenario.validate()
         return scenario
 

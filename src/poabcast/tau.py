@@ -12,7 +12,7 @@ in two flavours:
   unreachable otherwise. Instances run in parallel. The read phase is the
   barrier: it fills every gap up to the watermark with picked values or
   no-ops, and every read phase, a watchdog re-read included, reports
-  ``None`` and so ends the primary epoch.
+  ``None`` and so ends the primary epoch, which its ballot names.
 
 Skips are ``seq`` only. A ``seq`` primary has at most one undecided
 proposal, so on election the gap up to the barrier is one instance, and
@@ -61,10 +61,11 @@ class TauBroadcast(PrimaryOrderLayer):
             # the epoch broadcasts from dec on: a prop left over from an
             # earlier epoch would open a gap no one fills
             self.prop = self.dec
-            self.sim.emit(
-                "barrier-crossed", self.pid, tau=int(self.tau()), dec=self.dec,
-                ballot=self.paxos.ballot,
-            )
+            if self.mode == "paxos":  # the ballot names the epoch (trace.OWN_LAYOUTS)
+                self.sim.emit("barrier-crossed", self.pid, tau=int(self.tau()), dec=self.dec,
+                              ballot=self.paxos.ballot)
+            else:
+                self.sim.emit("barrier-crossed", self.pid, tau=int(self.tau()), dec=self.dec)
         self._set_primary(primary)
 
     # -- oracle and consensus callbacks ------------------------------------

@@ -117,11 +117,13 @@ def test_back_to_back_broadcasts_use_consecutive_instances_and_seqnos():
     layer.on_decide(NewEpoch(3), 3)  # prop = seqno = 4
     for k in range(3):
         layer.poabcast(AppValue(f"v{k}"))
+    # a broadcast's seqno rides in the tuple it proposes at its instance
     casts = sim.trace.by_kind("broadcast")
-    assert [(e.data["instance"], e.data["seqno"]) for e in casts] == [
-        (4, 4),
-        (5, 5),
-        (6, 6),
+    proposed = {e.data["instance"]: e.data["value"] for e in sim.trace.by_kind("propose")}
+    assert [(e.data["instance"], proposed[e.data["instance"]]) for e in casts] == [
+        (4, ValTuple(AppValue("v0"), epoch=3, seqno=4).digest()),
+        (5, ValTuple(AppValue("v1"), epoch=3, seqno=5).digest()),
+        (6, ValTuple(AppValue("v2"), epoch=3, seqno=6).digest()),
     ]
 
 

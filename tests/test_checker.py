@@ -1,5 +1,6 @@
 """Checker soundness: every property catches its hand-built counterexample."""
 
+import json
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from poabcast import checker
 from poabcast.checker import (
     HistoryOp,
+    Report,
     check_abcast,
     check_all,
     check_barrier,
@@ -25,7 +27,7 @@ from poabcast.checker import (
     _chain,
 )
 from poabcast.replication import INITIAL_STATE
-from poabcast.trace import Trace, TraceEvent
+from poabcast.trace import PROTOCOLS, Trace, TraceEvent, layouts
 
 from oracle import exhaustive_linearizable
 
@@ -738,6 +740,45 @@ def test_check_all_flags_nothing_on_clean_runs():
     report = check_all(trace)
     assert report.ok
     assert report.liveness == "pass"
+
+
+# every declared layout, of whichever protocol's traces hold it
+DECLARED = list({(kind, id(layout)): (kind, layout)
+                 for protocol in PROTOCOLS for kind, layout in layouts(protocol).items()}.values())
+SMALL = {int: st.integers(-1, 4), str: st.text("abv", max_size=2),
+         str | None: st.none() | st.text("abv", max_size=2)}
+
+
+@st.composite
+def any_layout_events(draw):
+    """Up to 25 events in emit order, each of a declared layout, small values."""
+    events, t = [], 0
+    for i in range(draw(st.integers(0, 25))):
+        kind, layout = draw(st.sampled_from(DECLARED))
+        t += draw(st.integers(0, 3))
+        data = {name: draw(SMALL[kind_of]) for name, kind_of in layout.items()}
+        events.append(TraceEvent(t, i, draw(st.integers(-1, 4)), kind, data))
+    return events
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(events=any_layout_events(), horizon=st.integers(0, 12), base_delay=st.integers(0, 2))
+def test_check_all_reads_every_trace_from_jsonl_admits(protocol, events, horizon, base_delay):
+    # an event of a layout the protocol's traces do not hold is refused when
+    # written and when read; any other trace is admitted, and checked
+    summary = {"scenario": "s", "protocol": protocol, "n": 3, "horizon": horizon,
+               "expect_violation": False, "base_delay": base_delay}
+    try:
+        text = Trace(events, summary).to_jsonl()
+    except ValueError as error:
+        assert "fits no layout" in str(error)
+        lines = [{"t": e.time, "i": e.index, "p": e.actor, "kind": e.kind, "data": e.data}
+                 for e in events] + [{"summary": summary}]
+        with pytest.raises(ValueError, match="fits no layout"):
+            Trace.from_jsonl("".join(json.dumps(line) + "\n" for line in lines))
+        return
+    assert isinstance(check_all(Trace.from_jsonl(text)), Report)
 
 
 @pytest.mark.parametrize(

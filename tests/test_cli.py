@@ -339,9 +339,16 @@ def cut_summary(text):
         # to_jsonl writes one summary line, and writes it last
         (summary_first, "a line follows the summary line"),
         (summary_line(protocol="naive") + summary_line(), "a line follows the summary line"),
-        # a trace whose layouts its protocol's checks cannot read
+        # a layout of another protocol's traces: its own, or the one it replaces
         ('{"t": 0, "i": 0, "p": 0, "kind": "deliver", "data": {"instance": 1, "value": "v"}}\n'
-         + summary_line(protocol="barrier-free"), "KeyError('epoch')"),
+         + summary_line(protocol="barrier-free"),
+         "event 0 of kind 'deliver' fits no layout of a barrier-free trace"),
+        ('{"t": 0, "i": 0, "p": 0, "kind": "barrier-crossed", "data": {"tau": 0, "dec": 0}}\n'
+         + summary_line(protocol="tau-paxos"),
+         "event 0 of kind 'barrier-crossed' fits no layout of a tau-paxos trace"),
+        ('{"t": 0, "i": 0, "p": 0, "kind": "barrier-crossed",'
+         ' "data": {"tau": 0, "dec": 0, "ballot": 3}}\n' + summary_line(protocol="tau-seq"),
+         "event 0 of kind 'barrier-crossed' fits no layout of a tau-seq trace"),
     ],
     ids=["not-json", "lacks-kind", "deliver-lacks-value", "empty", "summary-cut",
          "summary-not-a-mapping", "unknown-protocol", "no-horizon", "no-base-delay",
@@ -350,7 +357,8 @@ def cut_summary(text):
          "expect-violation-text", "n-text",
          "kind-int", "pid-text", "time-text", "index-bool", "data-list", "undeclared-kind",
          "index-reversed", "index-all-zero", "time-decreasing", "summary-first",
-         "two-summaries", "barrier-free-two-field-deliver"],
+         "two-summaries", "barrier-free-two-field-deliver", "tau-paxos-crossing-lacks-ballot",
+         "tau-seq-crossing-with-ballot"],
 )
 def test_report_on_a_malformed_trace_is_a_usage_error(tmp_path, capsys, text, reason):
     if callable(text):  # an edit of a saved trace

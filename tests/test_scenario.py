@@ -1,6 +1,8 @@
 """Scenario files: parsing, validation, reproducible randomization."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poabcast.scenario import ClientSpec, Scenario, ScenarioError, random_scenario
 from poabcast.sim import DelayModel, OmegaScript
@@ -275,3 +277,66 @@ def test_random_scenarios_are_valid_and_diverse():
     assert ns == {3, 5}
     assert reorders == {True, False}
     assert crashes > 0
+
+
+# any value a YAML or JSON file may hold, nested a little
+JSONISH = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 400) | st.floats(-2, 400) | st.text("ab0", max_size=2),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.integers(-1, 3) | st.text("ab", max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mapping_of(draw, required=(), **values):
+    """A mapping of ``values``' keys, each present mostly if ``required`` and
+    now and then if not; each holds a draw of its value or, now and then,
+    any value at all. Now and then the mapping has a key nothing reads."""
+    # hypothesis favours a range's ends, so 7 of 0-19 comes up about once in twenty
+    raw = {}
+    for key, value in values.items():
+        if draw(st.integers(0, 9)) < (9 if key in required else 3):
+            raw[key] = draw(JSONISH if draw(st.integers(0, 19)) == 7 else value)
+    if draw(st.integers(0, 19)) == 7:
+        raw["stray"] = draw(JSONISH)
+    return raw
+
+
+SMALL = st.integers(-1, 400)
+PROCESS = st.integers(-1, 9)
+RAW_SCENARIOS = mapping_of(
+    ("name", "protocol", "n", "horizon"),
+    name=st.sampled_from(["s", "s", "s", "a/b"]),
+    protocol=st.sampled_from(["naive", "tau-seq", "tau-paxos", "barrier-free", "paxos"]),
+    # at most 9, so that a leader: segment never maps a large range of processes
+    n=st.sampled_from([3, 5]) | PROCESS,
+    horizon=SMALL,
+    delta=SMALL,
+    jitter=mapping_of(("min", "max"), min=SMALL, max=SMALL, seed=SMALL),
+    omega=st.lists(mapping_of(("at",), at=st.sampled_from([0, 100]) | SMALL, leader=PROCESS,
+                              outputs=st.dictionaries(PROCESS, PROCESS, max_size=5)),
+                   max_size=3),
+    crashes=st.dictionaries(PROCESS, SMALL, max_size=2),
+    reorder=st.booleans(),
+    expect_violation=st.booleans(),
+    clients=st.lists(mapping_of(
+        ("id",), id=st.integers(-1, 12), kind=st.sampled_from(["loop", "scripted", "other"]),
+        ops=st.lists(st.text("ab", max_size=2) | JSONISH, max_size=3),
+        retry_every=SMALL, start_at=SMALL,
+        sends=st.lists(mapping_of(("at", "to", "reqid", "op"), at=SMALL, to=PROCESS,
+                                  reqid=SMALL, op=st.text("ab", max_size=2)), max_size=3),
+    ), max_size=3),
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(raw=RAW_SCENARIOS)
+def test_from_dict_raises_scenario_error_or_returns_a_valid_scenario(raw):
+    # no catch-all stands behind from_dict's judges: each value is read
+    # through one of them, so any other exception here is a gap among them
+    try:
+        scenario = Scenario.from_dict(raw)
+    except ScenarioError:
+        return
+    scenario.validate()

@@ -16,7 +16,7 @@ from poabcast.cli import bundled_scenarios, load_scenario
 from poabcast.runner import build, run
 from poabcast.scenario import ClientSpec, Scenario, random_scenario
 from poabcast.sim import DelayModel, OmegaScript
-from poabcast.trace import SCHEMA, SUMMARY, Trace, TraceEvent
+from poabcast.trace import OWN_LAYOUTS, PROTOCOLS, SCHEMA, SUMMARY, Trace, TraceEvent, layouts
 
 VARIANTS = ("tau-seq", "tau-paxos", "barrier-free")
 
@@ -73,7 +73,7 @@ def hostile_trace() -> Trace:
     None/True/False and the same text."""
     layouts = [
         ("deliver", {"instance": -1, "value": ESCAPED}),
-        ("request", {"reqid": 2**64, "op": ESCAPED, "to": 0}),
+        ("request", {"reqid": 2**64, "op": ESCAPED}),
         ("paxos-write", {"instance": 1, "value": "v", "ballot": -7, "payload": None}),
         ("paxos-write", {"instance": 1, "value": ESCAPED, "ballot": 2, "payload": ESCAPED}),
         ("crash", {}),
@@ -167,7 +167,16 @@ def test_from_jsonl_refuses_a_line_that_is_neither_an_event_nor_the_summary(text
         Trace.from_jsonl(text + SUMMARY_LINE)
 
 
-LAYOUTS = [(kind, layout) for kind, layouts in SCHEMA.items() for layout in layouts]
+# each declared layout: SCHEMA's in its order, each followed by the layouts
+# OWN_LAYOUTS gives a protocol in its place
+LAYOUTS = [(kind, layout) for kind, shared in SCHEMA.items()
+           for layout in (shared, *(own[kind] for own in OWN_LAYOUTS.values() if kind in own))]
+
+
+def protocol_of(kind, layout) -> str:
+    """A protocol whose traces hold ``layout``: the one it is its own layout
+    of, else tau-seq, which holds SCHEMA's alone."""
+    return next((p for p, own in OWN_LAYOUTS.items() if own.get(kind) is layout), "tau-seq")
 
 
 def type_name(t) -> str:
@@ -218,17 +227,19 @@ def events(draw, kind, layout):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_every_layout_writes_json_dumps_bytes_on_either_path(kind, layout, data):
-    # a fit is written as json.dumps writes it and read back as itself; a
-    # misfit is refused both ways, by to_jsonl and by from_jsonl
+    # a fit is written as json.dumps writes it and read back as itself, in a
+    # trace of a protocol that holds its layout; a misfit is refused both
+    # ways, by to_jsonl and by from_jsonl
     ev, misfit = data.draw(events(kind, layout))
+    summary = complete_summary(protocol=protocol_of(kind, layout))
     first = ev._replace(index=0)  # from_jsonl admits a lone event at index 0
-    text = reference_json(first) + "\n" + SUMMARY_LINE
+    text = reference_json(first) + "\n" + json.dumps({"summary": summary}) + "\n"
     if misfit is None:
-        assert jsonl_lines(Trace([ev]))[0] == reference_json(ev)
+        assert jsonl_lines(Trace([ev], summary))[0] == reference_json(ev)
         assert Trace.from_jsonl(text).events == [first]
     else:
         with pytest.raises(ValueError, match="fits no layout"):
-            Trace([ev]).to_jsonl()
+            Trace([ev], summary).to_jsonl()
         with pytest.raises(ValueError, match="fits no layout|wrong type"):
             Trace.from_jsonl(text)
 
@@ -261,8 +272,8 @@ def test_every_simulator_event_takes_a_compiled_line(corpus_cycle):
 
 
 def emitted_layouts():
-    """(kind, keyword names) of every ``emit`` call in the package's source."""
-    found = set()
+    """Each package module's name -> (kind, keyword names) of its ``emit`` calls."""
+    found = {}
     for path in sorted(pathlib.Path(poabcast.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
@@ -274,30 +285,45 @@ def emitted_layouts():
             assert None not in names, f"{path.name}:{node.lineno} emits **data"
             for k in kinds:
                 assert isinstance(k, ast.Constant), f"{path.name}:{node.lineno} kind is not literal"
-                found.add((k.value, frozenset(names)))
+                found.setdefault(path.stem, set()).add((k.value, frozenset(names)))
     return found
+
+
+# each broadcast layer's module -> the protocols it runs as
+LAYER_PROTOCOLS = {"abcast": ("naive",), "tau": ("tau-seq", "tau-paxos"),
+                   "barrier_free": ("barrier-free",)}
+
+
+def as_names(table):
+    return {(kind, frozenset(layout)) for kind, layout in table.items()}
 
 
 def test_every_emit_site_is_a_declared_layout():
     emitted = emitted_layouts()
     declared = {(kind, frozenset(layout)) for kind, layout in LAYOUTS}
-    assert len(declared) == len(LAYOUTS) == 26 and len(SCHEMA) == 23
-    # a line function picks a kind's layout by the number of fields alone
-    assert all(len({len(lay) for lay in lays}) == len(lays) for lays in SCHEMA.values())
+    assert len(declared) == len(LAYOUTS) == 25 and len(SCHEMA) == 23
+    assert {kind for own in OWN_LAYOUTS.values() for kind in own} == {"deliver", "barrier-crossed"}
+    # each layer writes its own protocols' layouts, and the shared modules
+    # (the simulator, Paxos, the layer skeleton, replication) SCHEMA's alone
+    for module, sites in emitted.items():
+        protocols = LAYER_PROTOCOLS.get(module, (None,))
+        allowed = set().union(*(as_names(layouts(p)) for p in protocols))
+        assert sites - allowed == set(), f"{module}.py writes a layout its protocols lack"
+    assert set(LAYER_PROTOCOLS) <= set(emitted)
     # the crash entry, both arms of primary-begin/end, and branches that
     # random scenarios seldom reach
+    kinds = {k for sites in emitted.values() for k, _ in sites}
     for kind in ("crash", "primary-begin", "primary-end", "apply-bot", "reproposed",
                  "val-resent", "skip-proposed"):
-        assert kind in {k for k, _ in emitted}
-    assert emitted - declared == set(), "emitted but not declared"
-    assert declared - emitted == set(), "declared but never emitted"
+        assert kind in kinds
+    assert declared - set().union(*emitted.values()) == set(), "declared but never emitted"
 
 
 HOSTILE = ["x'", 'x"', "x{", "x}", "a\nb", "__import__('os')", "{v}", "deliver\n"]
 
 
 def test_no_trace_text_reaches_generated_code(monkeypatch):
-    table, sources = {}, []
+    table, sources = {protocol: {} for protocol in (None, *PROTOCOLS)}, []
     monkeypatch.setattr(trace_module, "_LINES", table)
     monkeypatch.setattr(trace_module, "compile", lambda src, *a: sources.append(src)
                         or compile(src, *a), raising=False)
@@ -316,31 +342,40 @@ def test_no_trace_text_reaches_generated_code(monkeypatch):
     assert jsonl_lines(trace) == reference_lines(trace)
     trace.summary = complete_summary(scenario="".join(HOSTILE))
     assert Trace.from_jsonl(trace.to_jsonl()) == trace
-    # only the declared deliver line was compiled, from SCHEMA's names
-    assert set(table) == {"deliver"} and len(sources) == 1
-    assert [h for h in HOSTILE if h in sources[0]] == []
+    # only the declared deliver line was compiled, from SCHEMA's names: once
+    # for the traces with no summary and once for the tau-seq ones
+    compiled = {protocol: set(lines) for protocol, lines in table.items() if lines}
+    assert compiled == {None: {"deliver"}, "tau-seq": {"deliver"}} and len(sources) == 2
+    assert [h for h in HOSTILE if any(h in source for source in sources)] == []
     # a SCHEMA name that could break out of the generated line is refused
-    monkeypatch.setitem(SCHEMA, "x'", ({},))
+    monkeypatch.setitem(SCHEMA, "x'", {})
     with pytest.raises(ValueError, match="cannot be written"):
         Trace([TraceEvent(0, 0, 0, "x'", {})]).to_jsonl()
-    assert len(sources) == 1
+    assert len(sources) == 2
 
 
 def readme_layouts():
-    """(kind, {field: type}) of each row of README's trace-event table."""
+    """(kind, protocols, {field: type}) of each row of README's trace-event table."""
     readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
-    table = readme[readme.index("| kind | data fields |"):]
+    table = readme[readme.index("| kind | in traces of | data fields |"):]
     table = table[:table.index("\n\n")]
-    rows = re.findall(r"^\| `([a-z-]+)` \| ((?:\\\||[^|])*) \|", table, re.M)
-    return [(kind, dict(re.findall(r"`(\w+): ([^`]+)`", fields.replace("\\|", "|"))))
-            for kind, fields in rows]
+    rows = re.findall(r"^\| `([a-z-]+)` \| ([^|]*) \| ((?:\\\||[^|])*) \|", table, re.M)
+    return [(kind, protocols,
+             dict(re.findall(r"`(\w+): ([^`]+)`", fields.replace("\\|", "|"))))
+            for kind, protocols, fields in rows]
 
 
 def test_readme_lists_the_schema_layouts():
-    declared = [(kind, {name: type_name(t) for name, t in sorted(layout.items())})
+    # each layout, with the protocols whose traces hold it
+    def holders(kind, layout):
+        held = [p for p in PROTOCOLS if layouts(p)[kind] is layout]
+        return "every protocol" if len(held) == len(PROTOCOLS) else ", ".join(held)
+
+    declared = [(kind, holders(kind, layout),
+                 {name: type_name(t) for name, t in sorted(layout.items())})
                 for kind, layout in LAYOUTS]
     documented = readme_layouts()
-    key = lambda row: (row[0], sorted(row[1].items()))
+    key = lambda row: (row[0], row[1], sorted(row[2].items()))
     assert sorted(documented, key=key) == sorted(declared, key=key)
 
 
