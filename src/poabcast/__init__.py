@@ -11,7 +11,7 @@ from .checker import check_all, check_linearizable
 from .runner import build, run
 from .scenario import Scenario, random_scenario
 from .sim import DelayModel, OmegaScript, Simulator
-from .trace import Trace, TraceEvent
+from .trace import Trace
 
 __all__ = [
     "DelayModel",
@@ -19,7 +19,6 @@ __all__ = [
     "Scenario",
     "Simulator",
     "Trace",
-    "TraceEvent",
     "build",
     "check_all",
     "check_linearizable",

@@ -129,8 +129,8 @@ def scenario_row(trace: Trace) -> MetricsRow:
     requests, responses = trace.by_kind("request"), trace.by_kind("response")
     sent: Dict[Tuple[int, Any], int] = {}
     for e in requests:
-        sent.setdefault((e.actor, e.data["reqid"]), e.time)
-    lats = Counter(e.time - sent[k] for e in responses if (k := (e.actor, e.data["reqid"])) in sent)
+        sent.setdefault((e.actor, e.reqid), e.time)
+    lats = Counter(e.time - sent[k] for e in responses if (k := (e.actor, e.reqid)) in sent)
     s = trace.summary
     return MetricsRow(s["scenario"], s["protocol"], len({e.actor for e in requests}), 0,
                       throughput_per_1k=len(responses) / s["horizon"] * 1000, **_latencies(lats))
@@ -186,16 +186,16 @@ def leaderchange_scenario(protocol: str, delta: int = 10) -> Scenario:
 def stable_metrics(trace: Trace) -> Tuple[List[int], int]:
     """Per-value first-broadcast-to-delivery latencies at the leader, the
     process that the trace's last omega event names."""
-    leader = trace.by_kind("omega")[-1].data["leader"]
+    leader = trace.by_kind("omega")[-1].leader
     bcasts = [e for e in trace.by_kind("broadcast") if e.actor == leader]
     if not bcasts:
         raise ValueError("no broadcasts at the leader")
     start = min(e.time for e in bcasts)
-    digests = {e.data["value"] for e in bcasts}
+    digests = {e.value for e in bcasts}
     lats = [
         e.time - start
         for e in trace.by_kind("deliver")
-        if e.actor == leader and e.data["value"] in digests
+        if e.actor == leader and e.value in digests
     ]
     if len(lats) < len(digests):
         raise ValueError("not every broadcast value was delivered at the leader")
@@ -208,17 +208,17 @@ def leader_change_idle(trace: Trace) -> int:
     consensus write of a fresh, eventually-delivered application value at the
     new leader, the process that event names."""
     last = trace.by_kind("omega")[-1]
-    switch, new_leader = last.time, last.data["leader"]
-    delivered = {e.data["value"] for e in trace.by_kind("deliver")}
+    switch, new_leader = last.time, last.leader
+    delivered = {e.value for e in trace.by_kind("deliver")}
     fresh = {
-        e.data["value"]
+        e.value
         for e in trace.by_kind("broadcast")
-        if e.actor == new_leader and e.time >= switch and e.data["value"] in delivered
+        if e.actor == new_leader and e.time >= switch and e.value in delivered
     }
     writes = [
         e
         for e in trace.by_kind("paxos-write")
-        if e.actor == new_leader and e.data["payload"] in fresh
+        if e.actor == new_leader and e.payload in fresh
     ]
     if not writes:
         raise ValueError("new leader never wrote a fresh delivered value")

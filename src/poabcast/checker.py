@@ -8,8 +8,13 @@ invariants (at-most-once, no failed applies, digest convergence),
 protocol-specific invariants, liveness, and linearizability of the client
 history, decided on every run by one walk along the service's digest chain.
 
-``check_all`` reads the trace once: one pass builds a ``TraceIndex``, every
-check reads that index, and ``check_all`` alone builds the ``Report``.
+``check_all`` reads the trace once: one pass over its rows builds a
+``TraceIndex``, every check reads that index, and ``check_all`` alone
+builds the ``Report``. The index keeps the rows by kind, which the cyclic
+collector does not walk, and a check reads records that ``by_kind`` makes
+as it reaches them, by field name (``e.value``, ``epoch.crossing.dec``);
+a record the check does not keep is freed at once, so a long trace's check
+gives the collector little to walk.
 
 Primary epochs are intervals between primary-begin and primary-end
 events at one process. Epochs in which at least one broadcast value was
@@ -26,23 +31,24 @@ epochs that did map.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import takewhile
-from operator import attrgetter
-from typing import Dict, List, Optional, Set, Tuple
+from itertools import chain, takewhile
+from operator import attrgetter, itemgetter
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .replication import INITIAL_STATE, _digest as _chain, op_record  # the service's steps
-from .trace import Trace, TraceEvent
+from .trace import Record, Trace
 
 
 @dataclass
 class Epoch:
     process: int
     end_index: float  # inf if still open at end of trace
-    crossing: Optional[TraceEvent] = None  # barrier-crossed event, if any
-    established: Optional[TraceEvent] = None  # epoch-established event, if any
-    broadcasts: List[TraceEvent] = field(default_factory=list)
+    crossing: Optional[Record] = None  # barrier-crossed event, if any
+    established: Optional[Record] = None  # epoch-established event, if any
+    broadcasts: List[Record] = field(default_factory=list)
     ident: Optional[int] = None  # lambda; None if nothing delivered
 
 
@@ -69,6 +75,9 @@ class Report:
 
 # -- trace digestion ---------------------------------------------------------
 
+# an event's index, in its row or its record
+_INDEX = itemgetter(1)
+
 
 def _prefix_chain(seqs: Dict[int, List[str]]) -> Tuple[List[str], Optional[Tuple]]:
     """The longest of the per-process sequences (the first, on a tie) and the
@@ -83,62 +92,68 @@ def _prefix_chain(seqs: Dict[int, List[str]]) -> Tuple[List[str], Optional[Tuple
 
 
 class TraceIndex:
-    """What the checks read from a trace, gathered in one pass over it: events
-    by kind, deliveries, first deliveries and decisions, the global delivery
-    order, integrity and the primary epochs (derived on first use). Holds
-    references to the trace's events, not copies."""
+    """What the checks read from a trace, gathered in one pass over its rows:
+    rows by kind, deliveries, first deliveries and decisions, first requests
+    and responses, the global delivery order, integrity and the primary
+    epochs (derived on first use). It keeps the trace's rows, which the
+    collector does not walk, and few records: ``by_kind`` makes each record
+    as its reader reaches it."""
 
     def __init__(self, trace: Trace) -> None:
         self.summary = trace.summary
-        self.kinds: Dict[str, List[TraceEvent]] = {}
-        for e in trace:
-            self.kinds.setdefault(e.kind, []).append(e)
+        self.types = trace.record_types()
+        rows: Dict[str, List[tuple]] = defaultdict(list)  # per kind, in emit order
+        for row in trace:
+            rows[row[3]].append(row)
+        self.rows = rows
 
-        self.deliveries: Dict[int, List[TraceEvent]] = {}  # per process, in order
+        self.deliveries: Dict[int, List[str]] = {}  # per process, its delivered values in order
         self.delivered_at: Dict[Tuple[int, str], int] = {}  # first, per process
-        self.first_delivery: Dict[str, TraceEvent] = {}
+        self.first_delivery: Dict[str, Record] = {}
         for e in self.by_kind("deliver"):
-            v = e.data["value"]
-            self.deliveries.setdefault(e.actor, []).append(e)
+            v = e.value
+            self.deliveries.setdefault(e.actor, []).append(v)
             self.delivered_at.setdefault((e.actor, v), e.index)
             self.first_delivery.setdefault(v, e)
         self.decided_instance: Dict[str, int] = {}
         for e in self.by_kind("decide"):
-            self.decided_instance.setdefault(e.data["value"], e.data["instance"])
-        self.responses: Dict[Tuple[int, int], TraceEvent] = {}  # first, per request
+            self.decided_instance.setdefault(e.value, e.instance)
+        self.invocations: Dict[Tuple[int, int], Record] = {}  # first request, per key
+        for e in self.by_kind("request"):
+            self.invocations.setdefault((e.actor, e.reqid), e)
+        self.responses: Dict[Tuple[int, int], Record] = {}  # first, per request
         for e in self.by_kind("response"):
-            self.responses.setdefault((e.actor, e.data["reqid"]), e)
+            self.responses.setdefault((e.actor, e.reqid), e)
 
         # the global delivery order: per-process delivery sequences must form
         # a prefix chain of the longest one
-        self.order, first_break = _prefix_chain(
-            {p: [e.data["value"] for e in evs] for p, evs in self.deliveries.items()}
-        )
+        self.order, first_break = _prefix_chain(self.deliveries)
         self.position = {v: i for i, v in enumerate(self.order)}
         self.chain_violation: Optional[str] = None if first_break is None else (
             "process {} delivery #{} is {}, global order has {}".format(*first_break)
         )
-        broadcast_values = {e.data["value"] for e in self.by_kind("broadcast")}
-        self.integrity: Optional[str] = next(
-            (
-                f"process {p} delivered {e.data['value']} which was never broadcast"
-                if e.data["value"] not in broadcast_values
-                else f"process {p} delivered {e.data['value']} twice"
-                for p, evs in self.deliveries.items()
-                for e in evs
-                if e.data["value"] not in broadcast_values
-                or self.delivered_at[(p, e.data["value"])] != e.index
-            ),
-            None,
-        )
+        self.integrity = self._integrity({e.value for e in self.by_kind("broadcast")})
 
-    def by_kind(self, *kinds: str) -> List[TraceEvent]:
-        """Events of the given kinds, in trace (event index) order."""
+    def _integrity(self, broadcast_values: Set[str]) -> Optional[str]:
+        """The first delivery of a value never broadcast, or of one its
+        process delivered before."""
+        for p, values in self.deliveries.items():
+            seen: Set[str] = set()
+            for v in values:
+                if v not in broadcast_values:
+                    return f"process {p} delivered {v} which was never broadcast"
+                if v in seen:
+                    return f"process {p} delivered {v} twice"
+                seen.add(v)
+        return None
+
+    def by_kind(self, *kinds: str) -> Iterable[Record]:
+        """Events of the given kinds as records, in trace (event index) order;
+        one kind's are made as the iterator reaches them."""
         if len(kinds) == 1:
-            return self.kinds.get(kinds[0], [])
-        return sorted(
-            (e for k in kinds for e in self.kinds.get(k, [])), key=attrgetter("index")
-        )
+            return map(self.types[kinds[0]], self.rows.get(kinds[0], ()))
+        return sorted(chain.from_iterable(map(self.types[k], self.rows.get(k, ())) for k in kinds),
+                      key=_INDEX)
 
     @cached_property
     def epochs(self) -> Tuple[List[Epoch], Optional[str]]:
@@ -146,8 +161,8 @@ class TraceIndex:
         their nesting: a nested primary-begin or a primary-end with no open
         epoch, either of which is then skipped."""
         open_epochs: Dict[int, Epoch] = {}
-        last_crossing: Dict[int, TraceEvent] = {}
-        last_established: Dict[int, TraceEvent] = {}
+        last_crossing: Dict[int, Record] = {}
+        last_established: Dict[int, Record] = {}
         epochs: List[Epoch] = []
         fault: Optional[str] = None
         for e in self.by_kind(
@@ -193,21 +208,21 @@ def derive_primary_mapping(idx: TraceIndex, protocol: str) -> Tuple[List[Epoch],
     first = idx.first_delivery
     seen: Dict[int, Epoch] = {}
     for epoch in epochs:
-        delivered = [b for b in epoch.broadcasts if b.data["value"] in first]
+        delivered = [b for b in epoch.broadcasts if b.value in first]
         if not delivered:
             continue
         if protocol == "tau-paxos":
             if epoch.crossing is None:
                 fault = fault or f"epoch at process {epoch.process} has no barrier crossing"
                 continue
-            ident = epoch.crossing.data["ballot"]
+            ident = epoch.crossing.ballot
         elif protocol == "barrier-free":
             if epoch.established is None:
                 fault = fault or f"epoch at process {epoch.process} was never established"
                 continue
-            ident = epoch.established.data["instance"]
+            ident = epoch.established.instance
         else:  # tau-seq, naive: decided instance of the first delivered value
-            ident = min(first[b.data["value"]].data["instance"] for b in delivered)
+            ident = min(first[b.value].instance for b in delivered)
         if ident in seen:
             fault = fault or (
                 f"identifier {ident} claimed by epochs at processes "
@@ -227,8 +242,8 @@ def check_abcast(idx: TraceIndex) -> Dict[str, Optional[str]]:
     if idx.chain_violation is not None:
         # classify: an order conflict is a total-order violation, a gap in an
         # otherwise order-consistent sequence breaks agreement
-        for evs in idx.deliveries.values():
-            indices = [idx.position.get(e.data["value"]) for e in evs]
+        for values in idx.deliveries.values():
+            indices = [idx.position.get(v) for v in values]
             indices = [i for i in indices if i is not None]
             conflict = conflict or indices != sorted(indices)
     return {
@@ -248,14 +263,14 @@ def check_poabcast(idx: TraceIndex, ordered: List[Epoch]) -> Dict[str, Optional[
 
     # per epoch, the global delivery positions of its broadcasts, in broadcast order
     ranks = [
-        [pos[b.data["value"]] for b in e.broadcasts if b.data["value"] in pos] for e in ordered
+        [pos[b.value] for b in e.broadcasts if b.value in pos] for e in ordered
     ]
 
     # local primary order: delivered values of an epoch are a prefix of its
     # broadcast order, delivered in that order
     lpo = None
     for epoch, positions in zip(ordered, ranks):
-        digests = [b.data["value"] for b in epoch.broadcasts]
+        digests = [b.value for b in epoch.broadcasts]
         delivered_flags = [d in pos for d in digests]
         if False in delivered_flags and True in delivered_flags[delivered_flags.index(False):]:
             i = delivered_flags.index(False)
@@ -299,22 +314,22 @@ def _primary_integrity(idx: TraceIndex, ordered: List[Epoch]) -> Optional[str]:
     # per primary, the latest first delivery (inf: none) of an earlier epoch's value
     latest = {e.process: float("-inf") for e in ordered}
     for i, later in enumerate(ordered):
-        delivered = [b for b in later.broadcasts if b.data["value"] in idx.position]
+        delivered = [b for b in later.broadcasts if b.value in idx.position]
         if delivered and latest[later.process] > delivered[0].index:
             b_new = delivered[0]
             for earlier in ordered[:i]:
                 for b_old in earlier.broadcasts:
-                    u = b_old.data["value"]
+                    u = b_old.value
                     seen_at = idx.delivered_at.get((later.process, u), float("inf"))
                     if u in idx.position and seen_at > b_new.index:
                         return (
                             f"epoch {later.ident} (process {later.process}) "
-                            f"broadcast {b_new.data['value']} before delivering "
+                            f"broadcast {b_new.value} before delivering "
                             f"{u} from earlier epoch {earlier.ident}"
                         )
         for b in delivered:
             for q in latest:
-                seen_at = idx.delivered_at.get((q, b.data["value"]), float("inf"))
+                seen_at = idx.delivered_at.get((q, b.value), float("inf"))
                 latest[q] = max(latest[q], seen_at)
     return None
 
@@ -326,19 +341,19 @@ def check_barrier(idx: TraceIndex, ordered: List[Epoch]) -> Optional[str]:
     decided_at = idx.decided_instance
     highest = float("-inf")  # over the values of the epochs before the current one
     for i, epoch in enumerate(ordered):
-        if epoch.crossing is not None and highest > epoch.crossing.data["dec"]:
-            dec = epoch.crossing.data["dec"]
+        if epoch.crossing is not None and highest > epoch.crossing.dec:
+            dec = epoch.crossing.dec
             for earlier in ordered[:i]:
                 for b in earlier.broadcasts:
-                    inst = decided_at.get(b.data["value"])
+                    inst = decided_at.get(b.value)
                     if inst is not None and inst > dec:
                         return (
                             f"epoch {epoch.ident} crossed with dec={dec} but "
                             f"earlier epoch {earlier.ident}'s value "
-                            f"{b.data['value']} was decided at instance {inst}"
+                            f"{b.value} was decided at instance {inst}"
                         )
         for b in epoch.broadcasts:
-            highest = max(highest, decided_at.get(b.data["value"], highest))
+            highest = max(highest, decided_at.get(b.value, highest))
     return None
 
 
@@ -346,7 +361,7 @@ def check_barrier(idx: TraceIndex, ordered: List[Epoch]) -> Optional[str]:
 
 
 def check_replication(idx: TraceIndex) -> Dict[str, Optional[str]]:
-    bots = idx.by_kind("apply-bot")
+    bots = list(idx.by_kind("apply-bot"))
     failed = (
         f"process {bots[0].actor} hit a failed apply at t={bots[0].time}"
         if bots
@@ -355,25 +370,26 @@ def check_replication(idx: TraceIndex) -> Dict[str, Optional[str]]:
 
     # at-most-once: a request key is applied at most once per replica, and
     # every replica that applies it records the same result
+    applied = list(idx.by_kind("applied"))
     amo = None
     outcome: Dict[Tuple[int, int], Tuple[str, str]] = {}
     per_replica: Set[Tuple[int, int, int]] = set()
-    for e in idx.by_kind("applied"):
-        key = (e.data["client"], e.data["reqid"])
+    for e in applied:
+        key = (e.client, e.reqid)
         rkey = (e.actor,) + key
         if rkey in per_replica:
             amo = f"process {e.actor} applied request {key} twice"
             break
         per_replica.add(rkey)
-        result = (e.data["record"], e.data["state"])
+        result = (e.record, e.state)
         if outcome.setdefault(key, result) != result:
             amo = f"request {key} applied with diverging results"
             break
 
     # digest convergence: per-replica applied state chains form a prefix chain
     chains: Dict[int, List[str]] = {}
-    for e in idx.by_kind("applied"):
-        chains.setdefault(e.actor, []).append(e.data["state"])
+    for e in applied:
+        chains.setdefault(e.actor, []).append(e.state)
     first_break = _prefix_chain(chains)[1]
     conv = None if first_break is None else (
         f"process {first_break[0]} state chain diverges from the common chain"
@@ -394,13 +410,13 @@ def check_sequentiality(idx: TraceIndex) -> Optional[str]:
         nxt = lowest.get(e.actor, 1)
         if e.kind == "decide":
             done = above.setdefault(e.actor, set())
-            done.add(e.data["instance"])
+            done.add(e.instance)
             while nxt in done:
                 done.remove(nxt)
                 nxt += 1
             lowest[e.actor] = nxt
             continue
-        at = e.data["instance" if e.kind == "broadcast" else "target"]
+        at = e.instance if e.kind == "broadcast" else e.target
         if at != nxt:
             return (f"process {e.actor} proposed at instance {at} at t={e.time}; "
                     f"its lowest undecided instance is {nxt}")
@@ -419,7 +435,7 @@ def check_single_ballot_epochs(idx: TraceIndex) -> Optional[str]:
         elif e.actor in in_epoch:
             return (
                 f"process {e.actor} began a read phase with ballot "
-                f"{e.data['ballot']} inside its primary epoch at t={e.time}"
+                f"{e.ballot} inside its primary epoch at t={e.time}"
             )
     return None
 
@@ -428,12 +444,9 @@ def check_consensus(idx: TraceIndex) -> Optional[str]:
     """Agreement at the consensus level: one value per decided instance."""
     chosen: Dict[int, str] = {}
     for e in idx.by_kind("decide"):
-        v = chosen.setdefault(e.data["instance"], e.data["value"])
-        if v != e.data["value"]:
-            return (
-                f"instance {e.data['instance']} decided as both {v} and "
-                f"{e.data['value']}"
-            )
+        v = chosen.setdefault(e.instance, e.value)
+        if v != e.value:
+            return f"instance {e.instance} decided as both {v} and {e.value}"
     return None
 
 
@@ -446,21 +459,15 @@ def check_barrier_free(idx: TraceIndex) -> Optional[str]:
     """
     election_at: Dict[int, int] = {}
     for e in idx.by_kind("epoch-established"):
-        inst = election_at.setdefault(e.data["epoch"], e.data["instance"])
-        if inst != e.data["instance"]:
-            return (
-                f"epoch {e.data['epoch']} established at two instances "
-                f"({inst} and {e.data['instance']})"
-            )
+        inst = election_at.setdefault(e.epoch, e.instance)
+        if inst != e.instance:
+            return f"epoch {e.epoch} established at two instances ({inst} and {e.instance})"
     expected: Dict[Tuple[int, int], int] = {}
     for e in idx.by_kind("deliver"):
-        key = (e.actor, e.data["epoch"])
-        want = expected.get(key, election_at.get(e.data["epoch"], 0) + 1)
-        if e.data["seqno"] != want:
-            return (
-                f"process {e.actor} epoch {e.data['epoch']}: delivered seqno "
-                f"{e.data['seqno']}, expected {want}"
-            )
+        key = (e.actor, e.epoch)
+        want = expected.get(key, election_at.get(e.epoch, 0) + 1)
+        if e.seqno != want:
+            return f"process {e.actor} epoch {e.epoch}: delivered seqno {e.seqno}, expected {want}"
         expected[key] = want + 1
     # epoch numbers from different proposers carry no global order; the epoch
     # order is by election instance, so instances must be distinct
@@ -487,7 +494,7 @@ def check_liveness(idx: TraceIndex) -> str:
     crashed = {e.actor for e in idx.by_kind("crash")}
 
     # the stable leader must have an open primary epoch at the horizon
-    views = {e.actor: e.data["leader"] for e in idx.by_kind("omega")}
+    views = {e.actor: e.leader for e in idx.by_kind("omega")}
     leaders = {l for p, l in views.items() if p not in crashed}
     if len(leaders) != 1:
         return "inconclusive"
@@ -496,8 +503,8 @@ def check_liveness(idx: TraceIndex) -> str:
         return "inconclusive"
 
     # every request issued early enough has a response
-    for e in idx.by_kind("request"):
-        if e.time <= horizon - slack and (e.actor, e.data["reqid"]) not in idx.responses:
+    for key, e in idx.invocations.items():
+        if e.time <= horizon - slack and key not in idx.responses:
             return "inconclusive"
 
     # every value delivered early enough reached every correct process
@@ -528,21 +535,18 @@ class HistoryOp:
 
 
 def extract_history(idx: TraceIndex) -> List[HistoryOp]:
-    invokes: Dict[Tuple[int, int], TraceEvent] = {}
-    for e in idx.by_kind("request"):
-        invokes.setdefault((e.actor, e.data["reqid"]), e)
     ops = []
-    for key, inv in sorted(invokes.items(), key=lambda kv: kv[1].index):
+    for key, inv in idx.invocations.items():  # in invocation order
         resp = idx.responses.get(key)
         ops.append(
             HistoryOp(
                 client=key[0],
                 reqid=key[1],
-                op=inv.data["op"],
+                op=inv.op,
                 invoked=inv.index,
                 responded=resp.index if resp else None,
-                record=resp.data["record"] if resp else None,
-                post=resp.data["post"] if resp else None,
+                record=resp.record if resp else None,
+                post=resp.post if resp else None,
             )
         )
     return ops

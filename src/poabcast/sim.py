@@ -25,6 +25,9 @@ sender and payload, and a scheduled call its bound actor, a bound method
 and the method's arguments. So a simulator stopped between two ``run``
 calls forks by ``copy.deepcopy``, which rebinds each queued method to the
 copied actor, and round-trips through ``pickle`` the same way.
+``emit`` appends each event to the trace as a row, an exact tuple of ints,
+strs and None (``trace.py``), so the cyclic collector untracks it at its
+first collection and a long run's trace adds nothing to later ones.
 Actors and their simulator reach each other, so the builder closes it once
 ``run`` returns (``runner.run``, ``bench.run_throughput``): ``close`` drops
 the actors, the pending events and the trace, so the simulator holds
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .trace import Trace, TraceEvent
+from .trace import Trace
 
 _M64 = 2**64 - 1
 _LOW32 = 2**32 - 1
@@ -312,10 +315,11 @@ class Simulator:
     # -- trace --------------------------------------------------------------
 
     def emit(self, kind: str, actor: int, **data: Any) -> None:
-        # one call per event, straight onto the trace; index = position.
-        # tuple.__new__ skips the Python-level __new__ a NamedTuple call runs
+        # one call per event, straight onto the trace as a row; index =
+        # position. The values go in call order, so each call site passes
+        # its layout's fields in declared order (tests/test_trace.py)
         events = self.trace.events
-        events.append(tuple.__new__(TraceEvent, (self.now, len(events), actor, kind, data)))
+        events.append((self.now, len(events), actor, kind, *data.values()))
 
     # -- main loop ----------------------------------------------------------
 

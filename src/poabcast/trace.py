@@ -2,11 +2,21 @@
 
 A trace is the single source of truth for every checker: a globally
 ordered list of events, serializable to line-delimited JSON so that
-identical runs compare byte-for-byte. Events are tuple records; each line
-is ``{"data","i","kind","p","t"}`` as ``json.dumps`` sorts and packs it.
-``SCHEMA`` and ``OWN_LAYOUTS`` are the trace's contract: a kind has one
-layout in a trace of one protocol, and each event is written, and each
-loaded event admitted, by a line function compiled from it. ``SUMMARY``
+identical runs compare byte-for-byte. ``SCHEMA`` and ``OWN_LAYOUTS`` are
+the trace's contract: a kind has one layout in a trace of one protocol.
+
+In memory each event is a row, an exact tuple ``(time, index, actor, kind,
+*values)`` with its data values in its layout's declared field order. A
+row holds ints, strs and None alone, so the cyclic collector untracks it
+at its first collection and never walks it again. Iterating a trace gives
+its rows. Readers get records: ``Trace.by_kind`` gives each row as an
+instance of its layout's record class, a named tuple of ``time``,
+``index``, ``actor``, ``kind`` and the layout's fields, built on its first
+use.
+
+On file each event is the line ``{"data","i","kind","p","t"}`` as
+``json.dumps`` sorts and packs it: each row is written, and each loaded
+line admitted, by a line function compiled from its layout. ``SUMMARY``
 declares the last line, the run's summary, which names the protocol:
 ``runner.build`` writes it, and ``Trace.from_jsonl`` admits it first.
 """
@@ -15,8 +25,11 @@ from __future__ import annotations
 
 import json
 import re
+from collections import _tuplegetter  # namedtuple's field reader, in C where it can be
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional
+from functools import lru_cache
+from operator import itemgetter
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 
 # each event kind the simulator emits -> its data layout, field -> type: the
@@ -79,8 +92,8 @@ _ARTICLES = {int: "an integer", bool: "a boolean", str: "a string"}
 # the keys of an event line, as to_jsonl writes them
 _EVENT_KEYS = {"t", "i", "p", "kind", "data"}
 
-# a line function: (t, i, p, data) -> the event's JSON line, or None on a misfit
-_Line = Callable[[int, int, int, Any], Optional[str]]
+# a line function: a row -> its event's JSON line, or None on a misfit
+_Line = Callable[[tuple], Optional[str]]
 # a protocol, or None for a trace with no summary -> each declared kind's line
 _LINES: Dict[Optional[str], Dict[str, _Line]] = {p: {} for p in (None, *PROTOCOLS)}
 # a SCHEMA name that may be written into generated source: it holds no quote,
@@ -98,24 +111,24 @@ _TYPES = {
 def _compile(protocol: Optional[str], kind: str) -> Optional[_Line]:
     """The line function of a declared kind in a trace of ``protocol``,
     compiled and kept on its first use, or None for an undeclared kind: an
-    f-string behind exact type tests of the kind's one layout. Its source
-    holds SCHEMA's names only, never text read from a trace."""
+    f-string behind an arity test and exact type tests of the kind's one
+    layout. Its source holds SCHEMA's names only, never text read from a
+    trace."""
     layout = layouts(protocol).get(kind)
     if layout is None:
         return None
-    names = sorted(layout)
-    bad = [name for name in (kind, *names) if not _NAME.match(name)]
+    bad = [name for name in (kind, *layout) if not _NAME.match(name)]
     if bad:
         raise ValueError(f"SCHEMA name {bad[0]!r} cannot be written into a line function")
-    vs = [(f"v{k}", _TYPES[layout[name]]) for k, name in enumerate(names)]
-    reads = "; ".join(f"{v} = d[{name!r}]" for name, (v, _) in zip(names, vs))
-    tests = " and ".join(test.format(v=v) for v, (test, _) in vs)
-    data = ",".join(f'"{name}":{{{write.format(v=v)}}}' for name, (v, (_, write)) in zip(names, vs))
+    # the row holds the values in declared order; json.dumps sorts the keys
+    vs = [(f"v{k}", name, _TYPES[t]) for k, (name, t) in enumerate(layout.items())]
+    tests = " and ".join(test.format(v=v) for v, _, (test, _) in vs)
+    data = ",".join(f'"{name}":{{{write.format(v=v)}}}'
+                    for v, name, (_, write) in sorted(vs, key=itemgetter(1)))
     text = '{{"data":{{' + data + '}},"i":{i},"kind":"' + kind + '","p":{p},"t":{t}}}'
-    src = ["def line(t, i, p, d):",
-           f" if type(d) is not dict or len(d) != {len(names)}: return None",
-           f" try: {reads or 'pass'}",
-           " except KeyError: return None",
+    src = ["def line(row):",
+           f" if len(row) != {4 + len(vs)}: return None",
+           f" t, i, p, _{''.join(', ' + v for v, _, _ in vs)} = row",
            f" if {tests or 'True'}: return f'{text}'"]
     scope = {"esc": json.encoder.encode_basestring_ascii}
     exec(compile("\n".join(src), f"<trace line {protocol} {kind}>", "exec"), scope)
@@ -123,51 +136,92 @@ def _compile(protocol: Optional[str], kind: str) -> Optional[_Line]:
     return line
 
 
-class TraceEvent(NamedTuple):
-    """One trace record, an immutable tuple in this field order."""
-
-    time: int
-    index: int  # global tie-break order within the run
-    actor: int  # replica / client id, -1 for run-level events
-    kind: str
-    data: Dict[str, Any]
+def _misfit(index: Any, kind: Any, protocol: Optional[str]) -> ValueError:
+    return ValueError(f"event {index} of kind {kind!r} fits no layout of a "
+                      f"{protocol or 'summary-less'} trace")
 
 
-def _lines(events: Iterable[TraceEvent], protocol: Any) -> List[str]:
-    """Each event's JSON line, keys sorted; the int fields print as in JSON.
+def _lines(rows: List[tuple], protocol: Any) -> List[str]:
+    """Each row's JSON line, keys sorted; the int fields print as in JSON.
     A ``protocol`` not in PROTOCOLS writes SCHEMA's layouts. Raises
-    ValueError at the first event that does not fit its kind's layout."""
+    ValueError at the first row that does not fit its kind's layout."""
     if protocol not in PROTOCOLS:
         protocol = None
     lines = _LINES[protocol]
     out = []
-    for t, i, p, kind, data in events:
+    for row in rows:
+        kind = row[3]
         write = lines.get(kind) or _compile(protocol, kind)
-        line = write and write(t, i, p, data)
+        line = write and write(row)
         if line is None:
-            raise ValueError(f"event {i} of kind {kind!r} fits no layout of a "
-                             f"{protocol or 'summary-less'} trace")
+            raise _misfit(row[1], kind, protocol)
         out.append(line)
     return out
 
 
+# an event as readers get it: an instance of its layout's record class
+Record = tuple
+
+
+def _record_repr(self: tuple) -> str:
+    return f"{self[3]}({', '.join(f'{n}={v!r}' for n, v in zip(self._fields, self))})"
+
+
+@lru_cache(maxsize=None)
+def _record_class(kind: str, names: Tuple[str, ...]) -> type:
+    """The record class of the layout ``names`` of ``kind``: a tuple subclass
+    that a row constructs at C level, whose fields ``time``, ``index``,
+    ``actor``, ``kind`` and ``names`` read through namedtuple's C getters."""
+    fields = ("time", "index", "actor", "kind", *names)
+    getters = {name: _tuplegetter(k, f"the event's {name}") for k, name in enumerate(fields)}
+    return type("".join(word.title() for word in kind.split("-")), (tuple,),
+                {"__slots__": (), "_fields": fields, "__repr__": _record_repr, **getters})
+
+
+class _Records(dict):
+    """Each kind -> its layout's record class in a trace of one protocol
+    (None: no summary), looked up on its first use."""
+
+    def __init__(self, protocol: Optional[str]) -> None:
+        super().__init__()
+        self.protocol = protocol
+
+    def __missing__(self, kind: str) -> type:
+        layout = layouts(self.protocol).get(kind)
+        if layout is None:
+            raise ValueError(f"kind {kind!r} fits no layout of a "
+                             f"{self.protocol or 'summary-less'} trace")
+        record = self[kind] = _record_class(kind, tuple(layout))
+        return record
+
+
+_RECORDS = {p: _Records(p) for p in (None, *PROTOCOLS)}
+
+
 @dataclass
 class Trace:
-    events: List[TraceEvent] = field(default_factory=list)
+    """A run's events as rows in emit order (``Simulator.emit`` appends
+    them), and its summary. Iterating a trace gives its rows; ``by_kind``
+    gives records."""
+
+    events: List[tuple] = field(default_factory=list)
     summary: Dict[str, Any] = field(default_factory=dict)
 
-    def append(self, ev: TraceEvent) -> None:
-        self.events.append(ev)
+    def record_types(self) -> Mapping[str, type]:
+        """Each kind -> its layout's record class in this trace's protocol."""
+        protocol = self.summary.get("protocol")
+        return _RECORDS[protocol if protocol in PROTOCOLS else None]
 
-    def __iter__(self) -> Iterator[TraceEvent]:
+    def __iter__(self) -> Iterator[tuple]:
         return iter(self.events)
 
     def __len__(self) -> int:
         return len(self.events)
 
-    def by_kind(self, *kinds: str) -> List[TraceEvent]:
-        want = set(kinds)
-        return [e for e in self.events if e.kind in want]
+    def by_kind(self, *kinds: str) -> List[Record]:
+        """The events of ``kinds`` as records, in emit order."""
+        want, types = set(kinds), self.record_types()
+        return [types[row[3]](row) for row in self.events if row[3] in want]
 
     def to_jsonl(self) -> str:
         lines = _lines(self.events, self.summary.get("protocol"))
@@ -180,9 +234,10 @@ class Trace:
         """The trace ``text`` holds; raises ValueError for a line that is
         neither an event nor the summary, for an event of a wrong envelope
         type or out of emit order, for any line after the summary line, for
-        a summary ``SUMMARY`` does not admit, and for an event that does not
-        fit its kind's layout in a trace of the summary's protocol."""
-        trace, summary, ended = cls(), None, False
+        a summary ``SUMMARY`` does not admit, and for an event whose data
+        keys are not its kind's layout's in a trace of the summary's
+        protocol, or whose values do not fit it."""
+        loaded, summary, ended = [], None, False
         for line in text.splitlines():
             if not line.strip():
                 continue
@@ -194,19 +249,25 @@ class Trace:
                 continue
             if type(rec) is not dict or rec.keys() != _EVENT_KEYS:
                 raise ValueError(f"a line is neither an event nor the summary: {line}")
-            ev = TraceEvent(rec["t"], rec["i"], rec["p"], rec["kind"], rec["data"])
+            t, i, p, kind, data = rec["t"], rec["i"], rec["p"], rec["kind"], rec["data"]
             # time, index and actor are ints; isinstance would let a JSON true pass
-            if not (all(type(x) is int for x in ev[:3]) and type(ev.kind) is str
-                    and type(ev.data) is dict):
+            if not (all(type(x) is int for x in (t, i, p)) and type(kind) is str
+                    and type(data) is dict):
                 raise ValueError(f"an event field has the wrong type: {line}")
             # emit numbers events from 0 in order, at non-decreasing times
-            if ev.index != len(trace) or (trace.events and ev.time < trace.events[-1].time):
-                raise ValueError(f"event {len(trace)} is out of emit order: {line}")
-            trace.append(ev)
+            if i != len(loaded) or (loaded and t < loaded[-1][0]):
+                raise ValueError(f"event {len(loaded)} is out of emit order: {line}")
+            loaded.append((t, i, p, kind, data))
         _admit_summary(summary)
-        _lines(trace.events, summary["protocol"])
-        trace.summary = summary
-        return trace
+        protocol = summary["protocol"]
+        table, rows = layouts(protocol), []
+        for t, i, p, kind, data in loaded:
+            layout = table.get(kind)
+            if layout is None or data.keys() != layout.keys():
+                raise _misfit(i, kind, protocol)
+            rows.append((t, i, p, kind, *map(data.__getitem__, layout)))
+        _lines(rows, protocol)
+        return cls(rows, summary)
 
 
 def _admit_summary(summary: Any) -> None:

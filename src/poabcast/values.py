@@ -96,8 +96,13 @@ class ValTuple:
     epoch: int
     seqno: int
 
+    def __post_init__(self):
+        # digested at every propose, write, decide and delivery: build the
+        # text once, so each trace row of this tuple shares one string
+        object.__setattr__(self, "_digest", f"val({self.value.digest()},{self.epoch},{self.seqno})")
+
     def digest(self) -> str:
-        return f"val({self.value.digest()},{self.epoch},{self.seqno})"
+        return self._digest
 
 
 def app_payload(value) -> AppValue | Batch | None:

@@ -34,6 +34,7 @@ from poabcast.sim import DelayModel
 
 from oracle import exhaustive_linearizable
 from pins import CORPUS, PINNED, pin_line
+from rows import edited
 
 VARIANTS = ("tau-seq", "tau-paxos", "barrier-free")
 
@@ -156,7 +157,8 @@ def corrupted_history(name, field, value):
     """The history of a bundled scenario with its first response's ``field``
     overwritten, as a corrupted reply table would."""
     trace = run(load_scenario(name))
-    trace.by_kind("response")[0].data[field] = value
+    first = trace.by_kind("response")[0]
+    trace.events[first.index] = edited(first, **{field: value})
     return extract_history(TraceIndex(trace))
 
 

@@ -27,8 +27,8 @@ def test_fresh_candidate_proposes_new_epoch_at_lowest_undecided():
     layer.on_omega(0)
     proposed = sim.trace.by_kind("new-epoch-proposed")
     assert len(proposed) == 1
-    assert proposed[0].data["instance"] == layer.dec == 1
-    assert proposed[0].data["epoch"] == 1 * 3 + 0
+    assert proposed[0].instance == layer.dec == 1
+    assert proposed[0].epoch == 1 * 3 + 0
 
 
 def test_winning_election_sets_counters_and_primary():
@@ -60,7 +60,7 @@ def test_losing_election_retries_at_the_next_instance():
     # someone else's old tuple wins instance 1
     layer.on_decide(ValTuple(AppValue("x"), epoch=99, seqno=1), 1)
     retries = sim.trace.by_kind("new-epoch-proposed")
-    assert [e.data["instance"] for e in retries] == [1, 2]
+    assert [e.instance for e in retries] == [1, 2]
 
 
 def test_out_of_order_val_tuples_buffer_until_gap_closes():
@@ -99,8 +99,8 @@ def test_primary_resends_a_superseded_value_with_its_original_seqno():
     layer.on_decide(ValTuple(AppValue("other"), epoch=1, seqno=9), 2)
     resent = sim.trace.by_kind("val-resent")
     assert len(resent) == 1
-    assert resent[0].data["seqno"] == 2  # original seqno kept
-    assert resent[0].data["instance"] == 3  # next free instance
+    assert resent[0].seqno == 2  # original seqno kept
+    assert resent[0].instance == 3  # next free instance
 
 
 def test_broadcast_requires_primary():
@@ -119,8 +119,8 @@ def test_back_to_back_broadcasts_use_consecutive_instances_and_seqnos():
         layer.poabcast(AppValue(f"v{k}"))
     # a broadcast's seqno rides in the tuple it proposes at its instance
     casts = sim.trace.by_kind("broadcast")
-    proposed = {e.data["instance"]: e.data["value"] for e in sim.trace.by_kind("propose")}
-    assert [(e.data["instance"], proposed[e.data["instance"]]) for e in casts] == [
+    proposed = {e.instance: e.value for e in sim.trace.by_kind("propose")}
+    assert [(e.instance, proposed[e.instance]) for e in casts] == [
         (4, ValTuple(AppValue("v0"), epoch=3, seqno=4).digest()),
         (5, ValTuple(AppValue("v1"), epoch=3, seqno=5).digest()),
         (6, ValTuple(AppValue("v2"), epoch=3, seqno=6).digest()),
@@ -157,8 +157,8 @@ def test_split_view_schedule_resends_a_lost_tuple_and_passes_all_checks():
     # at instances 6 and 7, so process 0's epoch-12 tuples lose them; 0
     # re-sends them at instances 9 and 10 with their seqnos, 6 and 7
     trace = run(load_scenario("val-resent-barrier-free"))
-    resent = [(e.actor, e.data) for e in trace.by_kind("val-resent")]
-    assert resent == [(0, {"instance": 9, "seqno": 6}), (0, {"instance": 10, "seqno": 7})]
+    resent = [(e.actor, e.instance, e.seqno) for e in trace.by_kind("val-resent")]
+    assert resent == [(0, 9, 6), (0, 10, 7)]
     report = check_all(trace)
     assert report.violations == {}
     assert report.linearizable is True

@@ -72,15 +72,15 @@ def test_sequential_mode_keeps_one_instance_in_flight():
     sim.schedule(1, lambda: leader.send_requests(8))
     trace = sim.run(2000)
     in_flight, written = set(), 0  # the leader's written, undecided batch instances
-    for e in trace:
+    for e in trace.by_kind("paxos-write", "decide"):
         if e.actor != 0:
             continue
-        if e.kind == "paxos-write" and e.data["payload"] is not None:
-            in_flight.add(e.data["instance"])
+        if e.kind == "paxos-write" and e.payload is not None:
+            in_flight.add(e.instance)
             written += 1
             assert len(in_flight) <= 1
         elif e.kind == "decide":
-            in_flight.discard(e.data["instance"])
+            in_flight.discard(e.instance)
     assert written > 1
 
 

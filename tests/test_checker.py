@@ -27,22 +27,24 @@ from poabcast.checker import (
     _chain,
 )
 from poabcast.replication import INITIAL_STATE
-from poabcast.trace import PROTOCOLS, Trace, TraceEvent, layouts
+from poabcast.trace import PROTOCOLS, Trace, layouts
 
 from oracle import exhaustive_linearizable
+from rows import edited, row
 
 
-def make_trace(rows):
-    """rows: (time, actor, kind, data) with auto-assigned global indices."""
-    trace = Trace()
-    for i, (t, actor, kind, data) in enumerate(rows):
-        trace.append(TraceEvent(t, i, actor, kind, data))
-    return trace
+def make_trace(events, protocol=None):
+    """events: (time, actor, kind, data) with auto-assigned global indices,
+    in a trace of ``protocol`` (None: a trace with no summary)."""
+    summary = {} if protocol is None else {"protocol": protocol}
+    return Trace([row(t, i, actor, kind, data, protocol)
+                  for i, (t, actor, kind, data) in enumerate(events)], summary)
 
 
-def make_index(rows):
-    """The index of ``make_trace(rows)``, which the property checks read."""
-    return TraceIndex(make_trace(rows))
+def make_index(events, protocol=None):
+    """The index of ``make_trace(events, protocol)``, which the property
+    checks read."""
+    return TraceIndex(make_trace(events, protocol))
 
 
 # -- atomic broadcast ---------------------------------------------------------
@@ -165,7 +167,7 @@ def test_identified_epochs_come_in_identifier_order_not_trace_order():
     rows += primary_epoch_rows(0, 0, ["v1"], [1])
     rows += [(9, 1, "barrier-crossed", {"tau": 1, "dec": 1, "ballot": 4})]
     rows += primary_epoch_rows(1, 10, ["v2"], [2])
-    ordered = ordered_epochs(make_index(rows), "tau-paxos")
+    ordered = ordered_epochs(make_index(rows, "tau-paxos"), "tau-paxos")
     assert [(e.ident, e.process) for e in ordered] == [(4, 1), (9, 0)]
 
 
@@ -213,7 +215,7 @@ MAPPING_FAULTS = {
 
 def mapping_fault_trace(name):
     protocol, rows, _ = MAPPING_FAULTS[name]
-    trace = make_trace(rows)
+    trace = make_trace(rows, protocol)
     trace.summary = {"scenario": name, "protocol": protocol, "n": 3, "horizon": 100,
                      "base_delay": 10, "expect_violation": False}
     return trace
@@ -287,13 +289,12 @@ def test_a_broadcast_after_its_first_delivery_is_a_global_order_violation():
 
     trace = run(random_scenario(37, "tau-paxos"))
     first = TraceIndex(trace).order[0]
-    moved = next(e for e in trace.by_kind("broadcast") if e.actor == 1 and e.data["value"] == first)
+    moved = next(e for e in trace.by_kind("broadcast") if e.actor == 1 and e.value == first)
     later_begin = [e for e in trace.by_kind("primary-begin") if e.actor == 1][-1]
-    events = [e for e in trace if e is not moved]
-    events.insert(events.index(later_begin) + 1, moved)
-    rows = [(e.time, e.actor, e.kind, e.data) for e in events]
-    perturbed = make_trace(rows)
-    perturbed.summary.update(trace.summary)
+    rows = [r for r in trace if r[1] != moved.index]
+    rows.insert(rows.index(later_begin) + 1, tuple(moved))
+    # renumber in the new order
+    perturbed = Trace([(t, i, *rest) for i, (t, _, *rest) in enumerate(rows)], trace.summary)
 
     report = check_all(perturbed)
     assert not report.ok
@@ -321,7 +322,7 @@ def test_local_primary_order_catches_skipped_middle_value():
 def test_barrier_catches_crossing_below_earlier_decisions():
     rows = primary_epoch_rows(0, 0, ["v1"], [5])
     rows += [
-        (10, 1, "barrier-crossed", {"tau": 2, "dec": 2, "ballot": 4}),
+        (10, 1, "barrier-crossed", {"tau": 2, "dec": 2}),
         (10, 1, "primary-begin", {}),
         (11, 1, "broadcast", {"value": "v2", "instance": 6}),
         (12, 1, "decide", {"value": "v2", "instance": 6}),
@@ -336,7 +337,7 @@ def test_barrier_catches_crossing_below_earlier_decisions():
 def test_barrier_passes_when_crossing_covers_earlier_decisions():
     rows = primary_epoch_rows(0, 0, ["v1"], [5])
     rows += [
-        (10, 1, "barrier-crossed", {"tau": 5, "dec": 5, "ballot": 4}),
+        (10, 1, "barrier-crossed", {"tau": 5, "dec": 5}),
         (10, 1, "primary-begin", {}),
         (11, 1, "broadcast", {"value": "v2", "instance": 6}),
         (12, 1, "decide", {"value": "v2", "instance": 6}),
@@ -357,7 +358,7 @@ def three_tau_seq_epochs(b_instance, a_late_instance, c_dec):
         (30, 0, "decide", {"value": "a2", "instance": a_late_instance}),
     ]
     rows += primary_epoch_rows(1, 10, ["b1"], [b_instance])
-    rows += [(19, 2, "barrier-crossed", {"tau": c_dec, "dec": c_dec, "ballot": 7})]
+    rows += [(19, 2, "barrier-crossed", {"tau": c_dec, "dec": c_dec})]
     rows += primary_epoch_rows(2, 20, ["c1"], [5])
     idx = make_index(sorted(rows, key=lambda r: r[0]))
     return idx, ordered_epochs(idx, "tau-seq")
@@ -484,7 +485,7 @@ def test_barrier_free_checker_catches_seqno_gap():
         (0, 0, "epoch-established", {"epoch": 3, "instance": 1}),
         (1, 0, "deliver", {"value": "v", "instance": 2, "epoch": 3, "seqno": 3}),
     ]
-    assert "expected 2" in check_barrier_free(make_index(rows))
+    assert "expected 2" in check_barrier_free(make_index(rows, "barrier-free"))
 
 
 def test_barrier_free_checker_catches_epoch_at_two_instances():
@@ -492,7 +493,7 @@ def test_barrier_free_checker_catches_epoch_at_two_instances():
         (0, 0, "epoch-established", {"epoch": 3, "instance": 1}),
         (1, 1, "epoch-established", {"epoch": 3, "instance": 4}),
     ]
-    assert check_barrier_free(make_index(rows)) is not None
+    assert check_barrier_free(make_index(rows, "barrier-free")) is not None
 
 
 def test_barrier_free_checker_catches_shared_election_instance():
@@ -500,7 +501,7 @@ def test_barrier_free_checker_catches_shared_election_instance():
         (0, 0, "epoch-established", {"epoch": 3, "instance": 1}),
         (1, 1, "epoch-established", {"epoch": 4, "instance": 1}),
     ]
-    assert "share election instance" in check_barrier_free(make_index(rows))
+    assert "share election instance" in check_barrier_free(make_index(rows, "barrier-free"))
 
 
 # -- linearizability ------------------------------------------------------------------
@@ -651,7 +652,7 @@ def test_corrupted_reply_fails_linearizability():
     assert check_linearizable(extract_history(TraceIndex(trace))) is True
     # tamper with one response as a corrupted reply table would
     victim = trace.by_kind("response")[0]
-    victim.data["record"] = "r(999:999:forged)"
+    trace.events[victim.index] = edited(victim, record="r(999:999:forged)")
     assert check_linearizable(extract_history(TraceIndex(trace))) is False
 
 
@@ -751,13 +752,14 @@ SMALL = {int: st.integers(-1, 4), str: st.text("abv", max_size=2),
 
 @st.composite
 def any_layout_events(draw):
-    """Up to 25 events in emit order, each of a declared layout, small values."""
+    """Up to 25 events ``(t, i, p, kind, data)`` in emit order, each of a
+    declared layout, small values."""
     events, t = [], 0
     for i in range(draw(st.integers(0, 25))):
         kind, layout = draw(st.sampled_from(DECLARED))
         t += draw(st.integers(0, 3))
         data = {name: draw(SMALL[kind_of]) for name, kind_of in layout.items()}
-        events.append(TraceEvent(t, i, draw(st.integers(-1, 4)), kind, data))
+        events.append((t, i, draw(st.integers(-1, 4)), kind, data))
     return events
 
 
@@ -770,11 +772,11 @@ def test_check_all_reads_every_trace_from_jsonl_admits(protocol, events, horizon
     summary = {"scenario": "s", "protocol": protocol, "n": 3, "horizon": horizon,
                "expect_violation": False, "base_delay": base_delay}
     try:
-        text = Trace(events, summary).to_jsonl()
+        text = Trace([row(*e, protocol) for e in events], summary).to_jsonl()
     except ValueError as error:
         assert "fits no layout" in str(error)
-        lines = [{"t": e.time, "i": e.index, "p": e.actor, "kind": e.kind, "data": e.data}
-                 for e in events] + [{"summary": summary}]
+        lines = [{"t": t, "i": i, "p": p, "kind": kind, "data": data}
+                 for t, i, p, kind, data in events] + [{"summary": summary}]
         with pytest.raises(ValueError, match="fits no layout"):
             Trace.from_jsonl("".join(json.dumps(line) + "\n" for line in lines))
         return

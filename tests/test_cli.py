@@ -438,9 +438,9 @@ def test_tampered_trace_fails_the_recheck(tmp_path, capsys):
     trace = Trace.from_jsonl(trace_path.read_text())
     # drop one delivery event and number the rest as emit would: agreement
     # should now fail
-    victim = next(e for e in trace if e.kind == "deliver")
-    kept = [e for e in trace if e is not victim]
-    trace.events = [e._replace(index=k) for k, e in enumerate(kept)]
+    victim = trace.by_kind("deliver")[0]
+    kept = [row for row in trace if row[1] != victim.index]
+    trace.events = [(t, k, *rest) for k, (t, _, *rest) in enumerate(kept)]
     trace_path.write_text(trace.to_jsonl())
     assert main(["report", str(trace_path)]) == EXIT_VIOLATION
 

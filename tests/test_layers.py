@@ -71,12 +71,12 @@ def test_naive_value_that_loses_its_instance_is_reproposed():
     sim.schedule(41, lambda: layers[1].poabcast(b))
     trace = sim.run(400)
     [bcast] = [e for e in trace.by_kind("broadcast") if e.actor == 1]
-    assert bcast.data == {"instance": 1, "value": b.digest()}
+    assert (bcast.instance, bcast.value) == (1, b.digest())
     [moved] = trace.by_kind("reproposed")
-    assert (moved.actor, moved.data) == (1, {"instance": 2, "value": b.digest()})
+    assert (moved.actor, moved.instance, moved.value) == (1, 2, b.digest())
     for p in (1, 2):
         delivered = [
-            (e.data["instance"], e.data["value"]) for e in trace.by_kind("deliver") if e.actor == p
+            (e.instance, e.value) for e in trace.by_kind("deliver") if e.actor == p
         ]
         assert delivered == [(1, a.digest()), (2, b.digest())]
     assert layers[1].outstanding == {}

@@ -88,7 +88,7 @@ def test_read_ack_picks_highest_ballot_per_instance():
 
 def read_watermark(sim):
     [writing] = sim.trace.by_kind("paxos-writing")
-    return writing.data["watermark"]
+    return writing.watermark
 
 
 def test_read_ack_gaps_fill_with_noops_and_set_watermark():

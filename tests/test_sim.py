@@ -285,14 +285,14 @@ def test_omega_notifications_reach_live_actors_once_per_change():
         sim.actors[p].on_omega = lambda leader, p=p: seen.append((sim.now, p, leader))
     trace = sim.run(200)
     assert seen == [(0, 0, 0), (0, 1, 0), (0, 2, 0), (50, 2, 1), (80, 1, 1)]
-    assert [(e.time, e.actor, e.data["leader"]) for e in trace.by_kind("omega")] == seen
+    assert [(e.time, e.actor, e.leader) for e in trace.by_kind("omega")] == seen
 
 
 def test_empty_workload_trace_contains_only_omega_events():
     sim = make_sim()
     sim.add_actor(0, Recorder())
     trace = sim.run(100)
-    assert {e.kind for e in trace} == {"omega"}
+    assert len(trace.by_kind("omega")) == len(trace) > 0
 
 
 def test_run_is_deterministic():

@@ -70,7 +70,7 @@ def test_election_with_gap_proposes_skips():
     layer.on_omega(2)
     skips = sim.trace.by_kind("skip-proposed")
     # prop <= dec + 1, so the gap is the one instance prop
-    assert [(e.data["lo"], e.data["target"]) for e in skips] == [(1, 1)]
+    assert [(e.lo, e.target) for e in skips] == [(1, 1)]
     assert not layer.primary
     sim.run(400)
     assert layer.dec >= 1
@@ -125,9 +125,9 @@ def test_bundled_skip_scenario_decides_a_skip_and_is_live():
     # process 0's write of `a` is refused while 1 leads; re-elected at t=100,
     # it reads watermark 0 under tau = prop = 1 and closes the gap with skip(1)
     trace = run(load_scenario("skip-tau-seq"))
-    skips = [e for e in trace.by_kind("decide") if e.data["value"] == "skip(1)"]
+    skips = [e for e in trace.by_kind("decide") if e.value == "skip(1)"]
     assert {e.actor for e in skips} == {0, 1, 2}
-    assert all(e.data["instance"] == 1 for e in skips)
+    assert all(e.instance == 1 for e in skips)
     assert min(e.time for e in skips) == 140
     report = check_all(trace)
     assert report.violations == {}

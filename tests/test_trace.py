@@ -2,6 +2,7 @@
 against the emit sites and the lines it admits, and the round trip."""
 
 import ast
+import gc
 import json
 import pathlib
 import re
@@ -16,19 +17,26 @@ from poabcast.cli import bundled_scenarios, load_scenario
 from poabcast.runner import build, run
 from poabcast.scenario import ClientSpec, Scenario, random_scenario
 from poabcast.sim import DelayModel, OmegaScript
-from poabcast.trace import OWN_LAYOUTS, PROTOCOLS, SCHEMA, SUMMARY, Trace, TraceEvent, layouts
+from poabcast.trace import OWN_LAYOUTS, PROTOCOLS, SCHEMA, SUMMARY, Trace, layouts
+
+from rows import row
 
 VARIANTS = ("tau-seq", "tau-paxos", "barrier-free")
 
 
-def reference_json(ev: TraceEvent) -> str:
-    rec = {"t": ev.time, "i": ev.index, "p": ev.actor, "kind": ev.kind, "data": ev.data}
+def reference_json(t, i, p, kind, data) -> str:
+    rec = {"t": t, "i": i, "p": p, "kind": kind, "data": data}
     return json.dumps(rec, sort_keys=True, separators=(",", ":"))
+
+
+def record_json(ev) -> str:
+    """A record's line, its fields after ``kind`` named as its data."""
+    return reference_json(*ev[:4], dict(zip(ev._fields[4:], ev[4:])))
 
 
 def reference_lines(trace: Trace):
     summary = json.dumps({"summary": trace.summary}, sort_keys=True, separators=(",", ":"))
-    return [reference_json(ev) for ev in trace] + [summary]
+    return [record_json(ev) for ev in trace.by_kind(*SCHEMA)] + [summary]
 
 
 def complete_summary(**fields):
@@ -83,7 +91,7 @@ def hostile_trace() -> Trace:
     trace = Trace(summary=summary)
     for actor in (-1, 0, 7, -12):
         for kind, data in layouts:
-            trace.append(TraceEvent(12, len(trace), actor, kind, data))
+            trace.events.append(row(12, len(trace), actor, kind, data))
     return trace
 
 
@@ -92,15 +100,32 @@ def test_to_jsonl_equals_json_dumps_line_by_line():
     traces.append(hostile_trace())
     for trace in traces:
         assert jsonl_lines(trace) == reference_lines(trace)
+    # the reference built from the hostile events' own data, not their records
+    assert jsonl_lines(hostile_trace())[:5] == [
+        reference_json(12, k, -1, kind, data) for k, (kind, data) in enumerate([
+            ("deliver", {"instance": -1, "value": ESCAPED}),
+            ("request", {"reqid": 2**64, "op": ESCAPED}),
+            ("paxos-write", {"instance": 1, "value": "v", "ballot": -7, "payload": None}),
+            ("paxos-write", {"instance": 1, "value": ESCAPED, "ballot": 2, "payload": ESCAPED}),
+            ("crash", {})])]
 
 
-def test_trace_event_is_an_immutable_record_built_by_keyword():
-    ev = TraceEvent(time=3, index=1, actor=-1, kind="crash", data={})
-    assert ev == TraceEvent(3, 1, -1, "crash", {})
-    assert (ev.time, ev.index, ev.actor, ev.kind, ev.data) == (3, 1, -1, "crash", {})
-    for name in ("time", "index", "actor", "kind", "data"):
+def test_a_record_is_an_immutable_view_of_its_row():
+    rows = [(3, 0, -1, "crash"), (4, 1, 0, "deliver", 7, "v"), (5, 2, 1, "deliver", 8, 2, 1, "w")]
+    tau = Trace(rows[:2], {"protocol": "tau-seq"})
+    free = Trace(rows[::2], {"protocol": "barrier-free"})
+    [crash], [ev] = tau.by_kind("crash"), tau.by_kind("deliver")
+    assert (crash, ev) == tuple(rows[:2])
+    assert (ev.time, ev.index, ev.actor, ev.kind, ev.instance, ev.value) == rows[1]
+    assert repr(ev) == "deliver(time=4, index=1, actor=0, kind='deliver', instance=7, value='v')"
+    # one class a layout: barrier-free's deliver names its own fields
+    [bf] = free.by_kind("deliver")
+    assert (bf.instance, bf.epoch, bf.seqno, bf.value) == (8, 2, 1, "w")
+    assert type(bf) is not type(ev) and type(ev) is type(Trace([rows[1]]).by_kind("deliver")[0])
+    for name in ev._fields:
         with pytest.raises(AttributeError):
             setattr(ev, name, 0)
+    assert not hasattr(ev, "data")
 
 
 def test_jsonl_round_trips_through_from_jsonl():
@@ -150,7 +175,7 @@ def summary_faults():
 
 @pytest.mark.parametrize("summary, error", list(summary_faults()))
 def test_from_jsonl_admits_exactly_the_declared_summary(summary, error):
-    text = reference_json(TraceEvent(0, 0, 0, "crash", {})) + "\n"
+    text = reference_json(0, 0, 0, "crash", {}) + "\n"
     assert Trace.from_jsonl(text + SUMMARY_LINE).summary == complete_summary()
     with pytest.raises(ValueError, match=re.escape(error)):
         Trace.from_jsonl(text + json.dumps({"summary": summary}) + "\n")
@@ -201,7 +226,8 @@ MISFITS = {
 
 @st.composite
 def events(draw, kind, layout):
-    """An event of ``layout``, and the misfit it was given, if any."""
+    """An event ``(t, i, p, kind, data)`` of ``layout``, and the misfit it
+    was given, if any."""
     data = {name: draw(VALUES[t]) for name, t in layout.items()}
     misfit = draw(st.sampled_from([None, "missing field", "extra field", "data not a dict",
                                    "undeclared kind", *MISFITS]))
@@ -220,7 +246,15 @@ def events(draw, kind, layout):
         kind = draw(HOSTILE_TEXT.filter(lambda k: k not in SCHEMA))
     elif misfit is not None:
         data[draw(st.sampled_from(fields))] = MISFITS[misfit][1]
-    return TraceEvent(draw(INTS), draw(INTS), draw(INTS), kind, data), misfit
+    return (draw(INTS), draw(INTS), draw(INTS), kind, data), misfit
+
+
+def event_row(t, i, p, kind, data, protocol):
+    """The row of an event, its data a dict or, for the misfit that is not,
+    the one value its row holds."""
+    if type(data) is not dict:
+        return (t, i, p, kind, data)
+    return row(t, i, p, kind, data, protocol)
 
 
 @pytest.mark.parametrize("kind, layout", LAYOUTS)
@@ -230,13 +264,15 @@ def test_every_layout_writes_json_dumps_bytes_on_either_path(kind, layout, data)
     # a fit is written as json.dumps writes it and read back as itself, in a
     # trace of a protocol that holds its layout; a misfit is refused both
     # ways, by to_jsonl and by from_jsonl
-    ev, misfit = data.draw(events(kind, layout))
-    summary = complete_summary(protocol=protocol_of(kind, layout))
-    first = ev._replace(index=0)  # from_jsonl admits a lone event at index 0
-    text = reference_json(first) + "\n" + json.dumps({"summary": summary}) + "\n"
+    (t, i, p, kind, fields), misfit = data.draw(events(kind, layout))
+    protocol = protocol_of(kind, layout)
+    summary = complete_summary(protocol=protocol)
+    ev = event_row(t, i, p, kind, fields, protocol)
+    # from_jsonl admits a lone event at index 0
+    text = reference_json(t, 0, p, kind, fields) + "\n" + json.dumps({"summary": summary}) + "\n"
     if misfit is None:
-        assert jsonl_lines(Trace([ev], summary))[0] == reference_json(ev)
-        assert Trace.from_jsonl(text).events == [first]
+        assert jsonl_lines(Trace([ev], summary))[0] == reference_json(t, i, p, kind, fields)
+        assert Trace.from_jsonl(text).events == [(t, 0, *ev[2:])]
     else:
         with pytest.raises(ValueError, match="fits no layout"):
             Trace([ev], summary).to_jsonl()
@@ -271,8 +307,19 @@ def test_every_simulator_event_takes_a_compiled_line(corpus_cycle):
         trace.to_jsonl()  # raises at the first event that fits no layout
 
 
+def test_the_collector_untracks_every_row_a_run_leaves():
+    # a row holds ints, strs and None alone, so a collection untracks it and
+    # no later one walks it
+    for protocol in PROTOCOLS:
+        trace = run(long_history_shaped(protocol=protocol))
+        gc.collect()
+        assert len(trace) > 500
+        assert [ev for ev in trace if type(ev) is not tuple or gc.is_tracked(ev)] == []
+
+
 def emitted_layouts():
-    """Each package module's name -> (kind, keyword names) of its ``emit`` calls."""
+    """Each package module's name -> (kind, keyword names in call order) of
+    its ``emit`` calls."""
     found = {}
     for path in sorted(pathlib.Path(poabcast.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -281,11 +328,11 @@ def emitted_layouts():
                 continue
             kind = node.args[0]
             kinds = [kind.body, kind.orelse] if isinstance(kind, ast.IfExp) else [kind]
-            names = [k.arg for k in node.keywords]
+            names = tuple(k.arg for k in node.keywords)
             assert None not in names, f"{path.name}:{node.lineno} emits **data"
             for k in kinds:
                 assert isinstance(k, ast.Constant), f"{path.name}:{node.lineno} kind is not literal"
-                found.setdefault(path.stem, set()).add((k.value, frozenset(names)))
+                found.setdefault(path.stem, set()).add((k.value, names))
     return found
 
 
@@ -295,12 +342,14 @@ LAYER_PROTOCOLS = {"abcast": ("naive",), "tau": ("tau-seq", "tau-paxos"),
 
 
 def as_names(table):
-    return {(kind, frozenset(layout)) for kind, layout in table.items()}
+    return {(kind, tuple(layout)) for kind, layout in table.items()}
 
 
 def test_every_emit_site_is_a_declared_layout():
+    # a row holds its values in call order, so each call passes its layout's
+    # fields as keywords in declared order, never as **data
     emitted = emitted_layouts()
-    declared = {(kind, frozenset(layout)) for kind, layout in LAYOUTS}
+    declared = {(kind, tuple(layout)) for kind, layout in LAYOUTS}
     assert len(declared) == len(LAYOUTS) == 25 and len(SCHEMA) == 23
     assert {kind for own in OWN_LAYOUTS.values() for kind in own} == {"deliver", "barrier-crossed"}
     # each layer writes its own protocols' layouts, and the shared modules
@@ -308,7 +357,8 @@ def test_every_emit_site_is_a_declared_layout():
     for module, sites in emitted.items():
         protocols = LAYER_PROTOCOLS.get(module, (None,))
         allowed = set().union(*(as_names(layouts(p)) for p in protocols))
-        assert sites - allowed == set(), f"{module}.py writes a layout its protocols lack"
+        assert sites - allowed == set(), (
+            f"{module}.py writes a layout its protocols lack, or its fields out of order")
     assert set(LAYER_PROTOCOLS) <= set(emitted)
     # the crash entry, both arms of primary-begin/end, and branches that
     # random scenarios seldom reach
@@ -328,17 +378,17 @@ def test_no_trace_text_reaches_generated_code(monkeypatch):
     monkeypatch.setattr(trace_module, "compile", lambda src, *a: sources.append(src)
                         or compile(src, *a), raising=False)
     # hostile kinds and field names fit no layout, and are refused either way
-    misfits = [TraceEvent(1, 0, 0, kind, {"instance": 1, "value": "v"}) for kind in HOSTILE]
-    misfits += [TraceEvent(1, 0, 0, "deliver", {key: 1, "value": "v"}) for key in HOSTILE]
+    misfits = [(1, 0, 0, kind, {"instance": 1, "value": "v"}) for kind in HOSTILE]
+    misfits += [(1, 0, 0, "deliver", {key: 1, "value": "v"}) for key in HOSTILE]
     for ev in misfits:
         with pytest.raises(ValueError, match="fits no layout"):
-            Trace([ev]).to_jsonl()
+            Trace([row(*ev)]).to_jsonl()
         with pytest.raises(ValueError, match="fits no layout"):
-            Trace.from_jsonl(reference_json(ev) + "\n" + SUMMARY_LINE)
+            Trace.from_jsonl(reference_json(*ev) + "\n" + SUMMARY_LINE)
     # hostile text in declared fields and in the summary is written as data,
     # and read back as itself from the declared fields
-    trace = Trace([TraceEvent(2, k, 0, "deliver", {"instance": k, "value": h})
-                   for k, h in enumerate(HOSTILE)], summary={h: h for h in HOSTILE})
+    trace = Trace([(2, k, 0, "deliver", k, h) for k, h in enumerate(HOSTILE)],
+                  summary={h: h for h in HOSTILE})
     assert jsonl_lines(trace) == reference_lines(trace)
     trace.summary = complete_summary(scenario="".join(HOSTILE))
     assert Trace.from_jsonl(trace.to_jsonl()) == trace
@@ -350,7 +400,7 @@ def test_no_trace_text_reaches_generated_code(monkeypatch):
     # a SCHEMA name that could break out of the generated line is refused
     monkeypatch.setitem(SCHEMA, "x'", {})
     with pytest.raises(ValueError, match="cannot be written"):
-        Trace([TraceEvent(0, 0, 0, "x'", {})]).to_jsonl()
+        Trace([(0, 0, 0, "x'")]).to_jsonl()
     assert len(sources) == 2
 
 
